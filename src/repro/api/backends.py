@@ -213,8 +213,6 @@ class ProcessPoolBackend:
             the number of cell groups).
         start_method: ``"fork"`` where available (cheap on Linux), else
             ``"spawn"``; override for debugging.
-        chunksize: Retained for API compatibility; groups are submitted
-            individually so crashed ones can be retried.
         max_batch_attempts: Worker crashes a group survives before its
             cells are poisoned (>= 1).
         retry_backoff_s: Retry-delay scale: each retry round sleeps a
@@ -228,7 +226,6 @@ class ProcessPoolBackend:
         self,
         max_workers: int | None = None,
         start_method: str | None = None,
-        chunksize: int = 1,
         max_batch_attempts: int = DEFAULT_MAX_BATCH_ATTEMPTS,
         retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
     ) -> None:
@@ -240,7 +237,6 @@ class ProcessPoolBackend:
             raise ValueError(f"retry_backoff_s cannot be negative, got {retry_backoff_s}")
         self.max_workers = max_workers
         self.start_method = start_method
-        self.chunksize = chunksize
         self.max_batch_attempts = max_batch_attempts
         self.retry_backoff_s = retry_backoff_s
 

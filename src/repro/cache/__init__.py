@@ -3,7 +3,9 @@
 The hierarchy pass ships as a kernel pair: ``simulate_hierarchy`` runs
 the vectorized kernel (:mod:`repro.cache.vectorized`) by default, and
 ``simulate_hierarchy_reference`` is the scalar oracle it is
-byte-equivalent to.
+byte-equivalent to.  The oracle is a one-chunk run of the resumable
+:class:`~repro.cache.hierarchy.StreamingHierarchyPass`, which
+:mod:`repro.cache.streaming` feeds in bounded chunks for streamed traces.
 """
 
 from repro.cache.cache import CacheStats, EvictedLine, SetAssociativeCache

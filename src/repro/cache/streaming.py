@@ -1,35 +1,41 @@
-"""Chunked/streaming variant of the functional cache pass.
+"""Chunked/streaming driver of the functional cache pass.
 
-:class:`StreamingHierarchyPass` is the scalar reference loop from
-:mod:`repro.cache.hierarchy` refactored into a resumable machine: all
-loop state (L1/L2 resident sets, the cycle accumulator, the instruction
-counter, the warmup flag, energy tallies) lives on the object, and
-:meth:`~StreamingHierarchyPass.feed` advances it over one bounded
-:class:`~repro.ingest.formats.TraceChunk` at a time.  Feeding a trace in
-*any* chunking — including one reference at a time — produces the exact
-per-reference execution the in-memory loop performs, so the emitted
+The scalar functional pass is a resumable machine,
+:class:`~repro.cache.hierarchy.StreamingHierarchyPass`, whose
+:meth:`~repro.cache.hierarchy.StreamingHierarchyPass.feed` advances the
+L1/L2 state over one bounded :class:`~repro.ingest.formats.TraceChunk` at
+a time; ``simulate_hierarchy_reference`` is a one-chunk run of the same
+machine.  This module feeds it streamed chunks: :func:`stream_functional`
+is the lazy pipeline stage (trace chunks in, miss chunks out) and
+:func:`run_functional_streaming` assembles the result in memory.  Feeding
+a trace in *any* chunking — including one reference at a time — produces
+the exact per-reference execution of the one-chunk run, so the emitted
 request stream is **bit-identical** to ``simulate_hierarchy`` on the
 same trace; only peak memory changes (one chunk plus the cache resident
 sets, instead of the whole trace).
 
 Both ``mode="fast"`` and ``mode="reference"`` run this same machine:
 the in-memory fast and reference kernels are themselves bit-identical
-(the equivalence suite enforces it), so one streaming port serves as
-the counterpart of both.  ``tests/ingest/test_streaming_equivalence.py``
-pins the digest equality across randomized and pathological chunk
-sizes.
+(the equivalence suite enforces it), so the scalar machine serves as
+the streaming counterpart of both.
+``tests/ingest/test_streaming_equivalence.py`` pins the digest equality
+across randomized and pathological chunk sizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.cpu.core import CoreModel, DEFAULT_CORE
-from repro.cpu.trace import EnergyEvents, MemoryTrace, MissTrace
-from repro.cache.hierarchy import HierarchyConfig, PAPER_HIERARCHY
+from repro.cpu.core import CoreModel
+from repro.cpu.trace import MemoryTrace, MissTrace
+from repro.cache.hierarchy import (
+    FunctionalSummary,
+    HierarchyConfig,
+    MissChunk,
+    StreamingHierarchyPass,
+)
 from repro.ingest.formats import (
     DEFAULT_CHUNK_REFS,
     TraceChunk,
@@ -37,268 +43,14 @@ from repro.ingest.formats import (
     header_for,
     trace_chunks,
 )
-from repro.util.bitops import floor_lg
 
-
-@dataclass
-class MissChunk:
-    """The request stream emitted while consuming one input chunk.
-
-    May be empty (every reference hit on chip) and carries no trace-level
-    totals — those arrive from :meth:`StreamingHierarchyPass.finish`.
-    """
-
-    gap_cycles: np.ndarray
-    is_blocking: np.ndarray
-    instruction_index: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.gap_cycles)
-
-
-@dataclass
-class FunctionalSummary:
-    """Trace-level totals, valid once the whole trace has been fed."""
-
-    total_compute_cycles: float
-    n_instructions: int
-    energy: EnergyEvents
-    source_name: str
-    source_input: str
-
-
-class StreamingHierarchyPass:
-    """Resumable functional cache pass (state carried across chunks)."""
-
-    def __init__(
-        self,
-        header: TraceHeader,
-        config: HierarchyConfig | None = None,
-        core: CoreModel | None = None,
-        warmup_instructions: int = 0,
-    ) -> None:
-        config = config if config is not None else PAPER_HIERARCHY
-        core = core if core is not None else DEFAULT_CORE
-        self.header = header
-        self.config = config
-        self.warmup_instructions = warmup_instructions
-
-        self._line_shift = floor_lg(config.line_bytes)
-        l1_sets_count = config.l1d_bytes // config.line_bytes // config.l1d_ways
-        l2_sets_count = config.l2_bytes // config.line_bytes // config.l2_ways
-        self._l1_mask = l1_sets_count - 1
-        self._l2_mask = l2_sets_count - 1
-        self._l1_bits = floor_lg(l1_sets_count)
-        self._l2_bits = floor_lg(l2_sets_count)
-        self._l1_ways = config.l1d_ways
-        self._l2_ways = config.l2_ways
-        self._l1_sets: list[dict[int, bool]] = [dict() for _ in range(l1_sets_count)]
-        self._l2_sets: list[dict[int, bool]] = [dict() for _ in range(l2_sets_count)]
-
-        self._l1_hit_cycles = core.load_hit_cycles(1)
-        self._l2_hit_cycles = core.load_hit_cycles(2)
-        self._miss_onchip_cycles = core.load_miss_onchip_cycles()
-        self._store_issue = core.store_issue_cycles
-        local_fraction = header.local_ref_fraction
-        self._cpi = (
-            (1.0 - local_fraction) * core.nonmem_cpi(header.mix)
-            + local_fraction * self._l1_hit_cycles
-        )
-
-        self._cycles_acc = 0.0
-        self._instructions = 0
-        self._warm = warmup_instructions <= 0
-        self._n_refs_total = 0  # includes warmup refs (energy denominator)
-        self._l1d_hits = 0
-        self._l1d_refills = 0
-        self._l2_hits = 0
-        self._l2_refills = 0
-        self._writebacks = 0
-        self._llc_misses = 0
-        self._finished = False
-
-    def feed(self, chunk: TraceChunk) -> MissChunk:
-        """Advance the pass over one chunk; emit its request stream."""
-        if self._finished:
-            raise RuntimeError("feed() after finish()")
-        line_shift = self._line_shift
-        l1_mask, l2_mask = self._l1_mask, self._l2_mask
-        l1_bits, l2_bits = self._l1_bits, self._l2_bits
-        l1_ways, l2_ways = self._l1_ways, self._l2_ways
-        l1_sets, l2_sets = self._l1_sets, self._l2_sets
-        l1_hit_cycles = self._l1_hit_cycles
-        l2_hit_cycles = self._l2_hit_cycles
-        miss_onchip_cycles = self._miss_onchip_cycles
-        store_issue = self._store_issue
-        cpi = self._cpi
-        warmup_instructions = self.warmup_instructions
-
-        cycles_acc = self._cycles_acc
-        instructions = self._instructions
-        warm = self._warm
-        l1d_hits, l1d_refills = self._l1d_hits, self._l1d_refills
-        l2_hits, l2_refills = self._l2_hits, self._l2_refills
-        writebacks, llc_misses = self._writebacks, self._llc_misses
-
-        addresses = chunk.addresses
-        stores = chunk.is_store
-        gaps = chunk.gap_instructions
-        n = len(addresses)
-        self._n_refs_total += n
-
-        out_gap_cycles: list[float] = []
-        out_blocking: list[bool] = []
-        out_inst_index: list[int] = []
-        append_gap = out_gap_cycles.append
-        append_blocking = out_blocking.append
-        append_inst = out_inst_index.append
-
-        for i in range(n):
-            gap_instrs = int(gaps[i])
-            instructions += gap_instrs + 1
-            cycles_acc += gap_instrs * cpi
-            if not warm:
-                if instructions < warmup_instructions:
-                    line = int(addresses[i]) >> line_shift
-                    is_store = bool(stores[i])
-                    l1_set = l1_sets[line & l1_mask]
-                    l1_tag = line >> l1_bits
-                    if l1_tag in l1_set:
-                        l1_set[l1_tag] = l1_set.pop(l1_tag) or is_store
-                    else:
-                        l2_set = l2_sets[line & l2_mask]
-                        l2_tag = line >> l2_bits
-                        if l2_tag in l2_set:
-                            l2_set[l2_tag] = l2_set.pop(l2_tag)
-                        else:
-                            if len(l2_set) >= l2_ways:
-                                victim_tag = next(iter(l2_set))
-                                del l2_set[victim_tag]
-                                victim_line = (victim_tag << l2_bits) | (line & l2_mask)
-                                v_l1_set = l1_sets[victim_line & l1_mask]
-                                v_l1_set.pop(victim_line >> l1_bits, None)
-                            l2_set[l2_tag] = False
-                        if len(l1_set) >= l1_ways:
-                            del l1_set[next(iter(l1_set))]
-                        l1_set[l1_tag] = is_store
-                    continue
-                warm = True
-                instructions = 0
-                cycles_acc = 0.0
-
-            line = int(addresses[i]) >> line_shift
-            is_store = bool(stores[i])
-
-            l1_set = l1_sets[line & l1_mask]
-            l1_tag = line >> l1_bits
-            if l1_tag in l1_set:
-                dirty = l1_set.pop(l1_tag)
-                l1_set[l1_tag] = dirty or is_store
-                l1d_hits += 1
-                cycles_acc += store_issue if is_store else l1_hit_cycles
-                continue
-
-            l2_set = l2_sets[line & l2_mask]
-            l2_tag = line >> l2_bits
-            l2_hit = l2_tag in l2_set
-            if l2_hit:
-                l2_set[l2_tag] = l2_set.pop(l2_tag)
-                l2_hits += 1
-                cycles_acc += store_issue if is_store else l2_hit_cycles
-            else:
-                llc_misses += 1
-                cycles_acc += store_issue if is_store else miss_onchip_cycles
-                append_gap(cycles_acc)
-                append_blocking(not is_store)
-                append_inst(instructions)
-                cycles_acc = 0.0
-                if len(l2_set) >= l2_ways:
-                    victim_tag = next(iter(l2_set))
-                    victim_dirty = l2_set.pop(victim_tag)
-                    victim_line = (victim_tag << l2_bits) | (line & l2_mask)
-                    v_l1_set = l1_sets[victim_line & l1_mask]
-                    v_l1_tag = victim_line >> l1_bits
-                    if v_l1_tag in v_l1_set:
-                        victim_dirty = v_l1_set.pop(v_l1_tag) or victim_dirty
-                    if victim_dirty:
-                        writebacks += 1
-                        append_gap(0.0)
-                        append_blocking(False)
-                        append_inst(instructions)
-                l2_set[l2_tag] = False
-                l2_refills += 1
-
-            if len(l1_set) >= l1_ways:
-                victim_tag = next(iter(l1_set))
-                victim_dirty = l1_set.pop(victim_tag)
-                if victim_dirty:
-                    victim_line = (victim_tag << l1_bits) | (line & l1_mask)
-                    wb_l2_set = l2_sets[victim_line & l2_mask]
-                    wb_l2_tag = victim_line >> l2_bits
-                    if wb_l2_tag in wb_l2_set:
-                        wb_l2_set[wb_l2_tag] = True
-            l1_set[l1_tag] = is_store
-            l1d_refills += 1
-
-        self._cycles_acc = cycles_acc
-        self._instructions = instructions
-        self._warm = warm
-        self._l1d_hits, self._l1d_refills = l1d_hits, l1d_refills
-        self._l2_hits, self._l2_refills = l2_hits, l2_refills
-        self._writebacks, self._llc_misses = writebacks, llc_misses
-
-        return MissChunk(
-            gap_cycles=np.asarray(out_gap_cycles, dtype=np.float64),
-            is_blocking=np.asarray(out_blocking, dtype=bool),
-            instruction_index=np.asarray(out_inst_index, dtype=np.int64),
-        )
-
-    def finish(self) -> FunctionalSummary:
-        """Close the pass and compute the trace-level totals.
-
-        The energy bookkeeping is a verbatim port of the in-memory
-        kernel's epilogue — the reference denominator is the *total* ref
-        count including warmup, while the instruction count is the
-        post-crossover tally, exactly as there.
-        """
-        if self._finished:
-            raise RuntimeError("finish() called twice")
-        self._finished = True
-        header = self.header
-        config = self.config
-        n_instructions = self._instructions
-        n_refs = self._n_refs_total
-        local_fraction = header.local_ref_fraction
-
-        energy = EnergyEvents()
-        n_gap_instructions = n_instructions - n_refs
-        implicit_l1_refs = int(n_gap_instructions * local_fraction)
-        n_nonmem = n_gap_instructions - implicit_l1_refs
-        energy.n_instructions = n_instructions
-        energy.n_memory_refs = n_refs + implicit_l1_refs
-        energy.alu_fpu_ops = n_nonmem
-        fp_fraction = header.mix.fp_fraction
-        energy.regfile_fp_ops = int(n_nonmem * fp_fraction)
-        energy.regfile_int_ops = n_nonmem - energy.regfile_fp_ops + energy.n_memory_refs
-        energy.fetch_buffer_accesses = n_instructions // 8
-        energy.l1i_hits = n_instructions // (config.line_bytes // 4)
-        energy.l1i_refills = header.n_phases * (
-            header.icache_footprint_bytes // config.line_bytes
-        )
-        energy.l1d_hits = self._l1d_hits + implicit_l1_refs
-        energy.l1d_refills = self._l1d_refills
-        energy.l2_hits = self._l2_hits + energy.l1i_refills
-        energy.l2_refills = self._l2_refills
-        energy.llc_misses = self._llc_misses
-        energy.writebacks = self._writebacks
-
-        return FunctionalSummary(
-            total_compute_cycles=self._cycles_acc,
-            n_instructions=n_instructions,
-            energy=energy,
-            source_name=header.name,
-            source_input=header.input_name,
-        )
+__all__ = [
+    "FunctionalSummary",
+    "MissChunk",
+    "StreamingHierarchyPass",
+    "run_functional_streaming",
+    "stream_functional",
+]
 
 
 def stream_functional(
@@ -361,20 +113,15 @@ def run_functional_streaming(
     collected = [c for c in miss_chunks if len(c)]
     summary = machine.finish()
     if collected:
-        gap_cycles = np.concatenate([c.gap_cycles for c in collected])
-        is_blocking = np.concatenate([c.is_blocking for c in collected])
-        instruction_index = np.concatenate([c.instruction_index for c in collected])
+        requests = MissChunk(
+            gap_cycles=np.concatenate([c.gap_cycles for c in collected]),
+            is_blocking=np.concatenate([c.is_blocking for c in collected]),
+            instruction_index=np.concatenate([c.instruction_index for c in collected]),
+        )
     else:
-        gap_cycles = np.zeros(0, dtype=np.float64)
-        is_blocking = np.zeros(0, dtype=bool)
-        instruction_index = np.zeros(0, dtype=np.int64)
-    return MissTrace(
-        gap_cycles=gap_cycles,
-        is_blocking=is_blocking,
-        instruction_index=instruction_index,
-        total_compute_cycles=summary.total_compute_cycles,
-        n_instructions=summary.n_instructions,
-        energy=summary.energy,
-        source_name=summary.source_name,
-        source_input=summary.source_input,
-    )
+        requests = MissChunk(
+            gap_cycles=np.zeros(0, dtype=np.float64),
+            is_blocking=np.zeros(0, dtype=bool),
+            instruction_index=np.zeros(0, dtype=np.int64),
+        )
+    return summary.with_requests(requests)

@@ -57,8 +57,9 @@ from itertools import repeat
 
 import numpy as np
 
+from repro.cache.hierarchy import _energy_events
 from repro.cpu.core import CoreModel
-from repro.cpu.trace import EnergyEvents, MemoryTrace, MissTrace
+from repro.cpu.trace import MemoryTrace, MissTrace
 from repro.util.bitops import floor_lg
 
 #: Default number of references per processing chunk.  Bounds the size of
@@ -129,7 +130,7 @@ def hierarchy_pass_vectorized(
     n_refs = len(addresses)
 
     if n_refs == 0:
-        return _empty_result(trace, config)
+        return _no_request_result(trace, config, 0.0, 0)
 
     lines_np = (addresses >> np.uint64(line_shift)).astype(np.int64)
     cum_instr = np.cumsum(gaps_np + 1)
@@ -143,8 +144,8 @@ def hierarchy_pass_vectorized(
         # counters, so instructions and compute cycles cover everything
         # and no requests are emitted.
         gap_costs = gaps_np.astype(np.float64) * cpi
-        return _full_warm_result(trace, config, float(np.cumsum(gap_costs)[-1]),
-                                 int(cum_instr[-1]))
+        return _no_request_result(trace, config, float(np.cumsum(gap_costs)[-1]),
+                                  int(cum_instr[-1]))
 
     # Run compression: a head is any reference whose line differs from
     # its predecessor's.  Non-head references are guaranteed L1 hits.
@@ -482,7 +483,6 @@ def hierarchy_pass_vectorized(
         gaps_np, stores_np, cum_instr, head_idx,
         l2_hit_refs, miss_refs, miss_wb, writebacks,
         cpi, l1_hit_cycles, l2_hit_cycles, miss_onchip_cycles, store_issue,
-        local_fraction,
     )
 
 
@@ -491,7 +491,6 @@ def _reconstruct(
     gaps_np, stores_np, cum_instr, head_idx,
     l2_hit_refs, miss_refs, miss_wb, writebacks,
     cpi, l1_hit_cycles, l2_hit_cycles, miss_onchip_cycles, store_issue,
-    local_fraction,
 ) -> MissTrace:
     """Rebuild the MissTrace arrays from the outcome event streams."""
     n_counted = n_refs - i_warm
@@ -588,7 +587,7 @@ def _reconstruct(
 
     l1_misses = n_miss + n_l2h
     energy = _energy_events(
-        trace, config, n_instructions, n_refs, local_fraction,
+        trace, config, n_instructions, n_refs,
         l1d_hits=n_counted - l1_misses, l1d_refills=l1_misses,
         l2_hits=n_l2h, l2_refills=n_miss, llc_misses=n_miss,
         writebacks=writebacks,
@@ -606,60 +605,8 @@ def _reconstruct(
     )
 
 
-def _energy_events(
-    trace, config, n_instructions, n_refs, local_fraction,
-    l1d_hits, l1d_refills, l2_hits, l2_refills, llc_misses, writebacks,
-) -> EnergyEvents:
-    """The reference's energy bookkeeping, verbatim.
-
-    Note ``n_refs`` is the *total* reference count (warm-up included):
-    the reference mixes it with the post-warm-up instruction count, and
-    byte-equivalence means reproducing that accounting exactly.
-    """
-    energy = EnergyEvents()
-    n_gap_instructions = n_instructions - n_refs
-    implicit_l1_refs = int(n_gap_instructions * local_fraction)
-    n_nonmem = n_gap_instructions - implicit_l1_refs
-    energy.n_instructions = n_instructions
-    energy.n_memory_refs = n_refs + implicit_l1_refs
-    energy.alu_fpu_ops = n_nonmem
-    fp_fraction = trace.mix.fp_fraction
-    energy.regfile_fp_ops = int(n_nonmem * fp_fraction)
-    energy.regfile_int_ops = n_nonmem - energy.regfile_fp_ops + energy.n_memory_refs
-    energy.fetch_buffer_accesses = n_instructions // 8
-    energy.l1i_hits = n_instructions // (config.line_bytes // 4)
-    energy.l1i_refills = trace.n_phases * (
-        trace.icache_footprint_bytes // config.line_bytes
-    )
-    energy.l1d_hits = l1d_hits + implicit_l1_refs
-    energy.l1d_refills = l1d_refills
-    energy.l2_hits = l2_hits + energy.l1i_refills
-    energy.l2_refills = l2_refills
-    energy.llc_misses = llc_misses
-    energy.writebacks = writebacks
-    return energy
-
-
-def _empty_result(trace, config) -> MissTrace:
-    """MissTrace for a zero-reference trace (matches the reference)."""
-    return MissTrace(
-        gap_cycles=np.empty(0),
-        is_blocking=np.empty(0, dtype=bool),
-        instruction_index=np.empty(0, dtype=np.int64),
-        total_compute_cycles=0.0,
-        n_instructions=0,
-        energy=_energy_events(
-            trace, config, 0, 0, trace.local_ref_fraction,
-            l1d_hits=0, l1d_refills=0, l2_hits=0, l2_refills=0,
-            llc_misses=0, writebacks=0,
-        ),
-        source_name=trace.name,
-        source_input=trace.input_name,
-    )
-
-
-def _full_warm_result(trace, config, total_compute, n_instructions) -> MissTrace:
-    """MissTrace when the warm-up budget swallows the whole trace."""
+def _no_request_result(trace, config, total_compute, n_instructions) -> MissTrace:
+    """MissTrace of an empty trace, or of one the warm-up budget swallows."""
     return MissTrace(
         gap_cycles=np.empty(0),
         is_blocking=np.empty(0, dtype=bool),
@@ -668,7 +615,6 @@ def _full_warm_result(trace, config, total_compute, n_instructions) -> MissTrace
         n_instructions=n_instructions,
         energy=_energy_events(
             trace, config, n_instructions, trace.n_references,
-            trace.local_ref_fraction,
             l1d_hits=0, l1d_refills=0, l2_hits=0, l2_refills=0,
             llc_misses=0, writebacks=0,
         ),

@@ -12,9 +12,10 @@ The pipeline has three seams, each importable on its own:
   Engine, caches, frontier, tenancy, and service layers unchanged under
   workload names like ``ingest:<digest>``.
 
-The streaming kernel counterparts live with their in-memory pairs:
+The streaming drivers live with their in-memory pairs:
 ``repro.cache.streaming`` (functional pass) and ``repro.sim.streaming``
-(timing replay).
+(timing replay) feed bounded chunks to the same resumable machines the
+in-memory paths run as one chunk.
 """
 
 from repro.ingest.errors import (

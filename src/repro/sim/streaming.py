@@ -6,19 +6,11 @@ out of :class:`~repro.cache.streaming.StreamingHierarchyPass`) plus the
 trace-level :class:`~repro.cache.streaming.FunctionalSummary`, and
 produces a :class:`~repro.sim.result.SimResult` **bit-identical** to
 ``run_timing`` on the assembled trace — for every controller type, every
-``mode``, and every chunking (the timing kernels are per-request scalar
-recurrences, so carrying their state across chunk boundaries changes
-nothing about the arithmetic or its float-addition order).
-
-``mode="reference"`` carries the controller and the
-:class:`~repro.cache.write_buffer.WriteBuffer` across chunks and calls
-``controller.serve`` per request, exactly like the in-memory reference
-loop.  ``mode="fast"`` carries the state of the in-memory fast kernels
-instead: the deque write-buffer idiom for base_dram/base_oram and the
-exact-integer slot timeline (with its closed-form dummy bursts and
-epoch transitions) for static/dynamic slot controllers; the trailing
-dummy advance and the counter publication happen at ``finish`` time,
-verbatim from the in-memory kernels.
+``mode``, and every chunking.  It holds no replay loop of its own: it
+feeds the chunks to the same resumable replay machine
+(:mod:`repro.sim.timing`) that ``run_timing`` feeds the whole trace as
+one chunk, so carrying the state across chunk boundaries changes nothing
+about the arithmetic or its float-addition order.
 
 Streaming results never record per-request arrays or the observable
 trace — those are whole-trace artifacts by definition; use the
@@ -27,46 +19,12 @@ in-memory path when you need them.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 from repro.cache.streaming import FunctionalSummary, MissChunk
-from repro.cache.write_buffer import WriteBuffer
-from repro.core.controller import (
-    EpochRecord,
-    FlatDramController,
-    TimingProtectedController,
-    UnprotectedController,
-)
 from repro.cpu.trace import MissTrace
 from repro.sim.result import SimResult
-from repro.sim.timing import _build_result
-
-
-class _SummaryTrace:
-    """Just enough of a ``MissTrace`` for ``_build_result``.
-
-    With ``record_requests=False`` the result assembly touches only the
-    energy events, the instruction count, and the source labels — all of
-    which the functional summary carries.
-    """
-
-    def __init__(self, summary: FunctionalSummary) -> None:
-        self.energy = summary.energy
-        self.n_instructions = summary.n_instructions
-        self.source_name = summary.source_name
-        self.source_input = summary.source_input
-
-
-def summary_of(miss_trace: MissTrace) -> FunctionalSummary:
-    """The streaming summary equivalent of an in-memory miss trace."""
-    return FunctionalSummary(
-        total_compute_cycles=miss_trace.total_compute_cycles,
-        n_instructions=miss_trace.n_instructions,
-        energy=miss_trace.energy,
-        source_name=miss_trace.source_name,
-        source_input=miss_trace.source_input,
-    )
+from repro.sim.timing import _build_result, _open_replay
 
 
 def miss_trace_chunks(miss_trace: MissTrace, chunk_requests: int):
@@ -98,390 +56,17 @@ def run_timing_streaming(
     .stream_functional` — a zero-argument callable evaluated only after
     the miss-chunk iterator is exhausted (e.g. ``machine.finish``).
     """
-    if mode not in ("fast", "reference"):
-        raise ValueError(f"mode must be 'fast' or 'reference', got {mode!r}")
-    controller = scheme.build_controller()
-    if mode == "fast" and type(controller) is FlatDramController:
-        machine = _StreamFlatDram(controller, write_buffer_entries)
-    elif mode == "fast" and type(controller) is UnprotectedController:
-        machine = _StreamUnprotected(controller, write_buffer_entries)
-    elif mode == "fast" and type(controller) is TimingProtectedController:
-        if controller.schedule is None:
-            machine = _StreamSlottedStatic(controller, write_buffer_entries)
-        else:
-            machine = _StreamSlottedDynamic(controller, write_buffer_entries)
-    else:
-        machine = _StreamReference(controller, write_buffer_entries)
-
+    controller, machine = _open_replay(
+        scheme, write_buffer_entries, record_requests=False, mode=mode
+    )
     for chunk in miss_chunks:
         machine.feed(chunk)
     if callable(summary):
         summary = summary()
-    if isinstance(summary, MissTrace):
-        summary = summary_of(summary)
-    end_time = machine.finish(summary)
+    end_time = machine.finish(summary.total_compute_cycles)
+    # Without per-request arrays the result needs only the trace-level
+    # totals and labels, which a summary carries under MissTrace's names.
     return _build_result(
-        _SummaryTrace(summary), scheme, controller, end_time,
+        summary, scheme, controller, end_time,
         completions=None, record_requests=False, record_observable_trace=False,
     )
-
-
-# ----------------------------------------------------------------------
-# Per-controller streaming machines (state carried across chunks)
-# ----------------------------------------------------------------------
-
-class _StreamReference:
-    """``controller.serve`` per request, WriteBuffer carried across chunks."""
-
-    def __init__(self, controller, entries: int) -> None:
-        self.controller = controller
-        self.buffer = WriteBuffer(entries=entries)
-        self.core = 0.0
-
-    def feed(self, chunk: MissChunk) -> None:
-        core = self.core
-        serve = self.controller.serve
-        admit = self.buffer.admit
-        gaps = chunk.gap_cycles
-        blocking = chunk.is_blocking
-        for i in range(len(gaps)):
-            issue = core + gaps[i]
-            completion = serve(issue)
-            if blocking[i]:
-                core = completion
-            else:
-                core = admit(issue, completion)
-        self.core = core
-
-    def finish(self, summary: FunctionalSummary) -> float:
-        end_time = self.core + summary.total_compute_cycles
-        end_time = max(end_time, self.buffer.drain_all())
-        self.controller.finalize(end_time)
-        return float(end_time)
-
-
-class _StreamFlatDram:
-    """base_dram: flat latency, deque write-buffer idiom."""
-
-    def __init__(self, controller, entries: int) -> None:
-        self.controller = controller
-        self.entries = entries
-        self.core = 0.0
-        self.n = 0
-        self.buffer: deque = deque()
-
-    def feed(self, chunk: MissChunk) -> None:
-        core = self.core
-        entries = self.entries
-        latency = self.controller.latency
-        buffer = self.buffer
-        buf_pop = buffer.popleft
-        buf_push = buffer.append
-        gaps = chunk.gap_cycles.tolist()
-        blocking = chunk.is_blocking.tolist()
-        for i in range(len(gaps)):
-            issue = core + gaps[i]
-            completion = issue + latency
-            if blocking[i]:
-                core = completion
-            else:
-                while buffer and buffer[0] <= issue:
-                    buf_pop()
-                proceed = issue
-                while len(buffer) >= entries:
-                    oldest = buf_pop()
-                    if oldest > proceed:
-                        proceed = oldest
-                buf_push(completion)
-                core = proceed
-        self.core = core
-        self.n += len(gaps)
-
-    def finish(self, summary: FunctionalSummary) -> float:
-        self.controller.stats.real_accesses = self.n
-        end_time = self.core + summary.total_compute_cycles
-        drain = self.buffer[-1] if self.buffer else 0.0
-        return float(max(end_time, drain))
-
-
-class _StreamUnprotected:
-    """base_oram: single-ported serialization, deque write-buffer idiom."""
-
-    def __init__(self, controller, entries: int) -> None:
-        self.controller = controller
-        self.entries = entries
-        self.core = 0.0
-        self.prev = 0.0
-        self.real = 0
-        self.buffer: deque = deque()
-
-    def feed(self, chunk: MissChunk) -> None:
-        core = self.core
-        prev = self.prev
-        real = self.real
-        entries = self.entries
-        latency = self.controller.latency
-        buffer = self.buffer
-        buf_pop = buffer.popleft
-        buf_push = buffer.append
-        gaps = chunk.gap_cycles.tolist()
-        blocking = chunk.is_blocking.tolist()
-        for i in range(len(gaps)):
-            issue = core + gaps[i]
-            start = issue if issue > prev else prev
-            completion = start + latency
-            prev = completion
-            real += 1
-            if blocking[i]:
-                core = completion
-            else:
-                while buffer and buffer[0] <= issue:
-                    buf_pop()
-                proceed = issue
-                while len(buffer) >= entries:
-                    oldest = buf_pop()
-                    if oldest > proceed:
-                        proceed = oldest
-                buf_push(completion)
-                core = proceed
-        self.core = core
-        self.prev = prev
-        self.real = real
-
-    def finish(self, summary: FunctionalSummary) -> float:
-        self.controller.stats.real_accesses = self.real
-        end_time = self.core + summary.total_compute_cycles
-        drain = self.buffer[-1] if self.buffer else 0.0
-        return float(max(end_time, drain))
-
-
-class _StreamSlottedStatic:
-    """Static-rate slot controller on the exact integer timeline."""
-
-    def __init__(self, controller, entries: int) -> None:
-        self.controller = controller
-        self.entries = entries
-        self.rate = controller.rate
-        self.rate_f = float(controller.rate)
-        self.step = controller.rate + controller.latency
-        self.prev = 0  # exact integer timeline
-        self.last_was_real = False
-        self.total_dummy = 0
-        self.total_waste = 0.0
-        self.n = 0
-        self.core = 0.0
-        self.buffer: deque = deque()
-
-    def feed(self, chunk: MissChunk) -> None:
-        rate = self.rate
-        rate_f = self.rate_f
-        step = self.step
-        prev = self.prev
-        last_was_real = self.last_was_real
-        total_dummy = self.total_dummy
-        total_waste = self.total_waste
-        core = self.core
-        entries = self.entries
-        latency = self.controller.latency
-        buffer = self.buffer
-        buf_pop = buffer.popleft
-        buf_push = buffer.append
-        gaps = chunk.gap_cycles.tolist()
-        blocking = chunk.is_blocking.tolist()
-        for i in range(len(gaps)):
-            arrival = core + gaps[i]
-            if prev + rate < arrival:
-                k = int((arrival - prev - rate) // step) + 1
-                if k < 1:
-                    k = 1
-                while k > 0 and prev + (k - 1) * step + rate >= arrival:
-                    k -= 1
-                while prev + k * step + rate < arrival:
-                    k += 1
-                prev += k * step
-                total_dummy += k
-                last_was_real = False
-            slot = prev + rate
-            if arrival <= prev:
-                waste = rate_f if last_was_real else slot - arrival
-            else:
-                waste = slot - arrival
-            total_waste += waste
-            completion = slot + latency
-            prev = completion
-            last_was_real = True
-            if blocking[i]:
-                core = completion
-            else:
-                while buffer and buffer[0] <= arrival:
-                    buf_pop()
-                proceed = arrival
-                while len(buffer) >= entries:
-                    oldest = buf_pop()
-                    if oldest > proceed:
-                        proceed = oldest
-                buf_push(completion)
-                core = proceed
-        self.prev = prev
-        self.last_was_real = last_was_real
-        self.total_dummy = total_dummy
-        self.total_waste = total_waste
-        self.core = core
-        self.n += len(gaps)
-
-    def finish(self, summary: FunctionalSummary) -> float:
-        controller = self.controller
-        rate = self.rate
-        step = self.step
-        prev = self.prev
-        end_time = self.core + summary.total_compute_cycles
-        drain = self.buffer[-1] if self.buffer else 0.0
-        end_time = float(max(end_time, drain))
-        if prev + rate < end_time:
-            k = int((end_time - prev - rate) // step) + 1
-            if k < 1:
-                k = 1
-            while k > 0 and prev + (k - 1) * step + rate >= end_time:
-                k -= 1
-            while prev + k * step + rate < end_time:
-                k += 1
-            prev += k * step
-            self.total_dummy += k
-        counters = controller.counters
-        counters.access_count = self.n
-        counters.oram_cycles = float(self.n * controller.latency)
-        counters.waste = self.total_waste
-        controller.stats.real_accesses = self.n
-        controller.stats.dummy_accesses = self.total_dummy
-        controller.stats.total_waste = self.total_waste
-        return end_time
-
-
-class _StreamSlottedDynamic:
-    """Epoch-driven slot controller with learner transitions at boundaries."""
-
-    def __init__(self, controller, entries: int) -> None:
-        self.controller = controller
-        self.entries = entries
-        self.latency = controller.latency
-        self.epoch_len = controller.schedule.epoch_length
-        self.learner = controller.learner
-        self.counters = controller.counters
-        self.epochs = controller.epochs
-        self.rate = controller.rate
-        self.rate_f = float(controller.rate)
-        self.step = controller.rate + controller.latency
-        self.prev = 0  # exact integer timeline
-        self.last_was_real = False
-        self.epoch_index = 0
-        self.epoch_end = self.epoch_len(0)
-        self.ctr_access = 0
-        self.ctr_waste = 0.0
-        self.total_dummy = 0
-        self.total_waste = 0.0
-        self.n = 0
-        self.core = 0.0
-        self.buffer: deque = deque()
-
-    def _advance(self, until: float) -> None:
-        latency = self.latency
-        epoch_len = self.epoch_len
-        counters = self.counters
-        while True:
-            while self.prev >= self.epoch_end:
-                epoch_cycles = float(epoch_len(self.epoch_index))
-                counters.access_count = self.ctr_access
-                counters.oram_cycles = float(self.ctr_access * latency)
-                counters.waste = self.ctr_waste
-                decision = self.learner.decide(counters, epoch_cycles)
-                counters.reset()
-                self.ctr_access = 0
-                self.ctr_waste = 0.0
-                self.epoch_index += 1
-                epoch_start = self.epoch_end
-                self.rate = decision.chosen_rate
-                self.rate_f = float(self.rate)
-                self.step = self.rate + latency
-                self.epochs.append(
-                    EpochRecord(
-                        index=self.epoch_index,
-                        start_cycle=float(epoch_start),
-                        rate=self.rate,
-                        raw_estimate=decision.raw_estimate,
-                    )
-                )
-                self.epoch_end = epoch_start + epoch_len(self.epoch_index)
-            rate, step, prev = self.rate, self.step, self.prev
-            if prev + rate >= until:
-                return
-            k = int((until - prev - rate) // step) + 1
-            if k < 1:
-                k = 1
-            while k > 0 and prev + (k - 1) * step + rate >= until:
-                k -= 1
-            while prev + k * step + rate < until:
-                k += 1
-            span = self.epoch_end - prev
-            k2 = -(-span // step)
-            if k2 < k:
-                k = k2
-            if k <= 0:
-                continue  # epoch boundary first; transition and retry
-            self.prev = prev + k * step
-            self.total_dummy += k
-            self.last_was_real = False
-
-    def feed(self, chunk: MissChunk) -> None:
-        entries = self.entries
-        latency = self.latency
-        buffer = self.buffer
-        buf_pop = buffer.popleft
-        buf_push = buffer.append
-        core = self.core
-        gaps = chunk.gap_cycles.tolist()
-        blocking = chunk.is_blocking.tolist()
-        for i in range(len(gaps)):
-            arrival = core + gaps[i]
-            if self.prev >= self.epoch_end or self.prev + self.rate < arrival:
-                self._advance(arrival)
-            slot = self.prev + self.rate
-            if arrival <= self.prev:
-                waste = self.rate_f if self.last_was_real else slot - arrival
-            else:
-                waste = slot - arrival
-            self.ctr_waste += waste
-            self.total_waste += waste
-            completion = slot + latency
-            self.ctr_access += 1
-            self.prev = completion
-            self.last_was_real = True
-            if blocking[i]:
-                core = completion
-            else:
-                while buffer and buffer[0] <= arrival:
-                    buf_pop()
-                proceed = arrival
-                while len(buffer) >= entries:
-                    oldest = buf_pop()
-                    if oldest > proceed:
-                        proceed = oldest
-                buf_push(completion)
-                core = proceed
-        self.core = core
-        self.n += len(gaps)
-
-    def finish(self, summary: FunctionalSummary) -> float:
-        controller = self.controller
-        end_time = self.core + summary.total_compute_cycles
-        drain = self.buffer[-1] if self.buffer else 0.0
-        end_time = float(max(end_time, drain))
-        self._advance(end_time)  # finalize: trailing dummies
-        controller.rate = self.rate
-        counters = self.counters
-        counters.access_count = self.ctr_access
-        counters.oram_cycles = float(self.ctr_access * self.latency)
-        counters.waste = self.ctr_waste
-        controller.stats.real_accesses = self.n
-        controller.stats.dummy_accesses = self.total_dummy
-        controller.stats.total_waste = self.total_waste
-        return end_time

@@ -18,27 +18,36 @@ scheme.  The machine model:
   :class:`~repro.core.controller.TimingProtectedController`
   (static/dynamic) — the latter inserts dummy accesses and rate waits.
 
-Two replay kernels produce **bit-identical** :class:`SimResult`\\ s:
+Each controller type has one resumable *replay machine* with two
+methods: ``feed(chunk)`` replays one window of requests with the
+carried core/write-buffer/controller state, and ``finish`` adds the
+compute tail, fires the trailing dummies, and publishes the final state
+onto the controller.  :func:`run_timing` feeds a machine the whole miss
+trace as one chunk; :func:`repro.sim.streaming.run_timing_streaming`
+feeds the same machines bounded miss chunks, so a chunked run is
+bit-identical to the in-memory one for any chunking.  Two families of
+machines produce **bit-identical** :class:`SimResult`\\ s:
 
-* ``mode="reference"`` — the original scalar loop calling
-  ``controller.serve`` once per request (and, for slot controllers, once
-  per *dummy slot* inside ``_advance``).
-* ``mode="fast"`` (default) — per-controller kernels that do the same
-  arithmetic in bulk.  ``base_dram`` replays as a handful of numpy array
-  ops (the interleaved gap/latency ``np.cumsum`` reproduces the scalar
-  ``+=`` chain exactly, because cumsum is a sequential recurrence) with a
-  vectorized write-buffer-stall check and a reference fallback on the
-  rare full-buffer stall.  Slot controllers (static/dynamic) keep the
-  per-request loop but replace the per-dummy-slot ``_advance`` iteration
-  with closed-form integer slot arithmetic per idle window — the
-  controller timeline never depends on fractional arrival times, only on
-  comparisons against them, so the whole slot/dummy/epoch state machine
-  runs on exact Python integers whose float images match the reference's
-  accumulated floats bit for bit.
+* ``mode="reference"`` — the scalar oracle calling ``controller.serve``
+  once per request (and, for slot controllers, once per *dummy slot*
+  inside ``_advance``).
+* ``mode="fast"`` (default) — one machine per controller type doing the
+  same arithmetic in bulk.  ``base_dram`` replays each chunk as a
+  handful of numpy array ops (the interleaved gap/latency ``np.cumsum``,
+  seeded with the carried core time, reproduces the scalar ``+=`` chain
+  exactly, because cumsum is a sequential recurrence) with a vectorized
+  write-buffer-stall check; a chunk in which the buffer fills replays
+  through the scalar deque loop.  Slot controllers (static/dynamic) keep
+  the per-request loop but replace the per-dummy-slot ``_advance``
+  iteration with closed-form integer slot arithmetic per idle window —
+  the controller timeline never depends on fractional arrival times,
+  only on comparisons against them, so the whole slot/dummy/epoch state
+  machine runs on exact Python integers whose float images match the
+  reference's accumulated floats bit for bit.
 
-``record_observable_trace`` runs always use the reference kernel: the
+``record_observable_trace`` runs always use the reference machine: the
 adversary-view trace wants one append per access, which is exactly the
-per-event work the fast kernels eliminate.
+per-event work the fast machines eliminate.
 
 A third entry point batches the *configuration* axis:
 :func:`run_timing_batch` replays one miss trace under many schemes with
@@ -93,35 +102,18 @@ def run_timing(
     every memory access an adversary can observe — including dummies for
     slot-enforced schemes (the Section 4.2 capability).
 
-    ``mode`` selects the replay kernel (``"fast"``/``"reference"``); both
-    are bit-identical, enforced by
-    ``tests/sim/test_timing_equivalence.py``.
+    ``mode`` selects the replay machine (``"fast"``/``"reference"``);
+    both are bit-identical, enforced by
+    ``tests/sim/test_timing_equivalence.py``.  The whole trace is fed to
+    the machine as one chunk.
     """
-    if mode not in ("fast", "reference"):
-        raise ValueError(f"mode must be 'fast' or 'reference', got {mode!r}")
-    controller = scheme.build_controller()
-    controller.record_trace = record_observable_trace
-    if mode == "fast" and not record_observable_trace:
-        if type(controller) is FlatDramController:
-            replay = _replay_flat_dram(
-                miss_trace, controller, write_buffer_entries, record_requests
-            )
-            if replay is not None:
-                return _finish(miss_trace, scheme, controller, *replay)
-            # Rare full-buffer stall: fall through to the reference loop.
-        elif type(controller) is UnprotectedController:
-            replay = _replay_unprotected(
-                miss_trace, controller, write_buffer_entries, record_requests
-            )
-            return _finish(miss_trace, scheme, controller, *replay)
-        elif type(controller) is TimingProtectedController:
-            replay = _replay_slotted(
-                miss_trace, controller, write_buffer_entries, record_requests
-            )
-            return _finish(miss_trace, scheme, controller, *replay)
-        # Unknown controller types replay through the reference loop.
-    return _replay_reference(
-        miss_trace, scheme, controller, write_buffer_entries,
+    controller, machine = _open_replay(
+        scheme, write_buffer_entries, record_requests, mode, record_observable_trace
+    )
+    completions = machine.feed(miss_trace)
+    end_time = machine.finish(miss_trace.total_compute_cycles)
+    return _build_result(
+        miss_trace, scheme, controller, end_time, completions,
         record_requests, record_observable_trace,
     )
 
@@ -150,11 +142,10 @@ def run_timing_batch(
     ``tests/sim/test_batch_equivalence.py``).  Schemes without a slot
     controller (``base_dram``/``base_oram``) and degenerate batches of
     one slot scheme replay through their (already fast) single-config
-    kernels; ``mode="reference"`` delegates every scheme to the scalar
-    reference loop.
+    machines — a batch of one is slower than them; ``mode="reference"``
+    delegates every scheme to the scalar reference machine.
     """
-    if mode not in ("fast", "reference"):
-        raise ValueError(f"mode must be 'fast' or 'reference', got {mode!r}")
+    _check_replay_args(mode, write_buffer_entries)
     schemes = list(schemes)
     if mode == "reference":
         return [
@@ -189,404 +180,571 @@ def run_timing_batch(
             write_buffer_entries, record_requests,
         )
         for index, (end_time, completions) in zip(slotted, batch):
-            results[index] = _finish(
+            results[index] = _build_result(
                 miss_trace, schemes[index], controllers[index],
-                end_time, completions,
+                end_time, completions, record_requests,
+                record_observable_trace=False,
             )
     return results
 
 
 # ----------------------------------------------------------------------
-# Reference kernel
+# Replay machines
 # ----------------------------------------------------------------------
+#
+# ``feed(chunk)`` takes anything carrying ``gap_cycles``/``is_blocking``
+# arrays (a whole MissTrace or a streamed MissChunk) and returns the
+# chunk's completion times, or None when not recording them.  Each
+# ``feed`` loads the carried state into locals and writes it back once.
 
-def _replay_reference(
-    miss_trace, scheme, controller, write_buffer_entries,
-    record_requests, record_observable_trace,
-) -> SimResult:
-    """The original scalar replay: one ``serve`` call per request."""
-    buffer = WriteBuffer(entries=write_buffer_entries)
-
-    gaps = miss_trace.gap_cycles
-    blocking = miss_trace.is_blocking
-    n_requests = len(gaps)
-
-    completions = np.zeros(n_requests, dtype=np.float64) if record_requests else None
-
-    core_time = 0.0
-    serve = controller.serve
-    admit = buffer.admit
-
-    for index in range(n_requests):
-        issue = core_time + gaps[index]
-        completion = serve(issue)
-        if blocking[index]:
-            core_time = completion
-        else:
-            core_time = admit(issue, completion)
-        if completions is not None:
-            completions[index] = completion
-
-    # Tail: the core's final compute and any still-draining stores.
-    end_time = core_time + miss_trace.total_compute_cycles
-    end_time = max(end_time, buffer.drain_all())
-    controller.finalize(end_time)
-
-    return _build_result(
-        miss_trace, scheme, controller, end_time, completions,
-        record_requests, record_observable_trace,
-    )
+def _check_replay_args(mode: str, write_buffer_entries: int) -> None:
+    if mode not in ("fast", "reference"):
+        raise ValueError(f"mode must be 'fast' or 'reference', got {mode!r}")
+    if write_buffer_entries < 1:
+        raise ValueError(
+            f"write_buffer_entries must be positive, got {write_buffer_entries}"
+        )
 
 
-# ----------------------------------------------------------------------
-# Fast kernels
-# ----------------------------------------------------------------------
+def _open_replay(
+    scheme, write_buffer_entries, record_requests, mode,
+    record_observable_trace=False,
+):
+    """Validate the arguments; build the controller and its machine.
 
-def _replay_flat_dram(miss_trace, controller, entries, record_requests):
-    """Vectorized base_dram replay; ``None`` if the write buffer stalls.
+    Observable-trace runs and unknown controller types take the
+    reference machine.
+    """
+    _check_replay_args(mode, write_buffer_entries)
+    controller = scheme.build_controller()
+    controller.record_trace = record_observable_trace
+    kind = type(controller)
+    if mode == "reference" or record_observable_trace:
+        machine = _ReferenceReplay
+    elif kind is FlatDramController:
+        machine = _FlatDramReplay
+    elif kind is UnprotectedController:
+        machine = _UnprotectedReplay
+    elif kind is TimingProtectedController:
+        machine = _StaticReplay if controller.schedule is None else _DynamicReplay
+    else:
+        machine = _ReferenceReplay
+    return controller, machine(controller, write_buffer_entries, record_requests)
+
+
+def _end_time(core, total_compute_cycles, buffer) -> float:
+    """Program end: the core's compute tail or the last store's drain."""
+    drain = buffer[-1] if buffer else 0.0
+    return float(max(core + total_compute_cycles, drain))
+
+
+class _ReferenceReplay:
+    """The scalar oracle: one ``controller.serve`` call per request."""
+
+    def __init__(self, controller, entries, record_requests) -> None:
+        self.controller = controller
+        self.buffer = WriteBuffer(entries=entries)
+        self.record_requests = record_requests
+        self.core = 0.0
+
+    def feed(self, chunk):
+        gaps = chunk.gap_cycles
+        blocking = chunk.is_blocking
+        n_requests = len(gaps)
+        completions = (
+            np.zeros(n_requests, dtype=np.float64) if self.record_requests else None
+        )
+        core = self.core
+        serve = self.controller.serve
+        admit = self.buffer.admit
+        for index in range(n_requests):
+            issue = core + gaps[index]
+            completion = serve(issue)
+            if blocking[index]:
+                core = completion
+            else:
+                core = admit(issue, completion)
+            if completions is not None:
+                completions[index] = completion
+        self.core = core
+        return completions
+
+    def finish(self, total_compute_cycles):
+        # Tail: the core's final compute and any still-draining stores.
+        end_time = max(self.core + total_compute_cycles, self.buffer.drain_all())
+        self.controller.finalize(end_time)
+        return end_time
+
+
+class _FlatDramReplay:
+    """base_dram: a stall-free chunk replays as one ``np.cumsum``.
 
     The scalar recurrence is ``core += gap`` then, for blocking requests,
     ``core += latency`` (the admit path returns ``now`` when the buffer
-    never fills).  Interleaving those terms and taking ``np.cumsum`` —
-    a sequential recurrence — reproduces the float chain exactly.
+    never fills).  Interleaving those terms behind the carried core time
+    and taking ``np.cumsum`` — a sequential recurrence — reproduces the
+    float chain exactly.  A chunk in which some store finds the write
+    buffer full replays through the scalar deque loop instead.
     """
-    gaps = miss_trace.gap_cycles
-    blocking = miss_trace.is_blocking
-    n = len(gaps)
-    latency = controller.latency
-    if n == 0:
-        controller.stats.real_accesses = 0
-        end_time = 0.0 + miss_trace.total_compute_cycles
-        end_time = max(end_time, 0.0)
-        return end_time, (np.zeros(0) if record_requests else None)
 
-    inter = np.empty(2 * n)
-    inter[0::2] = gaps
-    inter[1::2] = np.where(blocking, float(latency), 0.0)
-    prefix = np.cumsum(inter)
-    issues = prefix[0::2]
-    core_after = prefix[1::2]
-    completions = issues + latency
+    def __init__(self, controller, entries, record_requests) -> None:
+        self.controller = controller
+        self.entries = entries
+        self.record_requests = record_requests
+        self.core = 0.0
+        self.n = 0
+        # The last `entries` store completions, oldest first (-inf: no
+        # store yet).  Entries that already left the buffer are at or
+        # below every later issue time, so they never look in flight.
+        self.recent = np.full(entries, -np.inf)
 
-    nb = completions[~blocking]
-    if len(nb) > entries:
-        # k-th non-blocking admit stalls iff the (k - entries)-th is
-        # still in flight at its issue time.
-        if (nb[:-entries] > issues[~blocking][entries:]).any():
-            return None  # reference fallback
+    def feed(self, chunk):
+        gaps = chunk.gap_cycles
+        blocking = chunk.is_blocking
+        n = len(gaps)
+        self.n += n
+        latency = self.controller.latency
+        entries = self.entries
+        inter = np.empty(2 * n + 1)
+        inter[0] = self.core
+        inter[1::2] = gaps
+        inter[2::2] = np.where(blocking, float(latency), 0.0)
+        prefix = np.cumsum(inter)
+        issues = prefix[1::2]
+        completions = issues + latency
 
-    controller.stats.real_accesses = n
-    core_end = float(core_after[-1])
-    end_time = core_end + miss_trace.total_compute_cycles
-    drain = float(nb[-1]) if len(nb) else 0.0
-    end_time = max(end_time, drain)
-    return end_time, (completions if record_requests else None)
+        stores = ~blocking
+        nb = completions[stores]
+        nb_issues = issues[stores]
+        # With non-negative gaps completions never decrease, so a store
+        # finds the buffer full iff the store `entries` admits before it
+        # (carried from an earlier chunk, or in this one) is still in
+        # flight at its issue time.
+        head = min(entries, len(nb))
+        if (self.recent[:head] > nb_issues[:head]).any() or (
+            nb[:-entries] > nb_issues[entries:]
+        ).any():
+            return self._feed_stalling(gaps, blocking)
+
+        self.core = float(prefix[-1])
+        if len(nb) >= entries:
+            self.recent = nb[-entries:].copy()
+        elif len(nb):
+            self.recent = np.concatenate((self.recent[len(nb):], nb))
+        return completions if self.record_requests else None
+
+    def _feed_stalling(self, gaps, blocking):
+        """The scalar deque loop, for a chunk where the buffer fills."""
+        gaps = gaps.tolist()
+        blocking = blocking.tolist()
+        n = len(gaps)
+        latency = self.controller.latency
+        entries = self.entries
+        completions = np.zeros(n, dtype=np.float64) if self.record_requests else None
+
+        core = self.core
+        buffer = deque(self.recent.tolist())
+        buf_pop = buffer.popleft
+        buf_push = buffer.append
+
+        for i in range(n):
+            issue = core + gaps[i]
+            completion = issue + latency
+            if blocking[i]:
+                core = completion
+            else:
+                while buffer and buffer[0] <= issue:
+                    buf_pop()
+                proceed = issue
+                while len(buffer) >= entries:
+                    oldest = buf_pop()
+                    if oldest > proceed:
+                        proceed = oldest
+                buf_push(completion)
+                core = proceed
+            if completions is not None:
+                completions[i] = completion
+
+        self.core = core
+        self.recent = np.array([-np.inf] * (entries - len(buffer)) + list(buffer))
+        return completions
+
+    def finish(self, total_compute_cycles):
+        self.controller.stats.real_accesses = self.n
+        last_store = float(self.recent[-1])
+        drain = last_store if last_store > -np.inf else 0.0
+        return float(max(self.core + total_compute_cycles, drain))
 
 
-def _replay_unprotected(miss_trace, controller, entries, record_requests):
-    """Lean base_oram replay: single-ported ORAM, no slots, no dummies."""
-    gaps = miss_trace.gap_cycles.tolist()
-    blocking = miss_trace.is_blocking.tolist()
-    n = len(gaps)
-    latency = controller.latency
-    completions = np.zeros(n, dtype=np.float64) if record_requests else None
+class _UnprotectedReplay:
+    """base_oram: single-ported ORAM, no slots, no dummies."""
 
-    core = 0.0
-    prev = 0.0
-    real = 0
-    buffer: deque = deque()
-    buf_pop = buffer.popleft
-    buf_push = buffer.append
+    def __init__(self, controller, entries, record_requests) -> None:
+        self.controller = controller
+        self.entries = entries
+        self.record_requests = record_requests
+        self.core = 0.0
+        self.prev = 0.0
+        self.n = 0
+        self.buffer: deque = deque()
 
-    for i in range(n):
-        issue = core + gaps[i]
-        start = issue if issue > prev else prev
-        completion = start + latency
-        prev = completion
-        real += 1
-        if blocking[i]:
-            core = completion
-        else:
-            while buffer and buffer[0] <= issue:
-                buf_pop()
-            proceed = issue
-            while len(buffer) >= entries:
-                oldest = buf_pop()
-                if oldest > proceed:
-                    proceed = oldest
-            buf_push(completion)
-            core = proceed
-        if completions is not None:
-            completions[i] = completion
+    def feed(self, chunk):
+        gaps = chunk.gap_cycles.tolist()
+        blocking = chunk.is_blocking.tolist()
+        n = len(gaps)
+        latency = self.controller.latency
+        entries = self.entries
+        completions = np.zeros(n, dtype=np.float64) if self.record_requests else None
 
-    controller.stats.real_accesses = real
-    end_time = core + miss_trace.total_compute_cycles
-    drain = buffer[-1] if buffer else 0.0
-    end_time = max(end_time, drain)
-    return float(end_time), completions
+        core = self.core
+        prev = self.prev
+        buffer = self.buffer
+        buf_pop = buffer.popleft
+        buf_push = buffer.append
+
+        for i in range(n):
+            issue = core + gaps[i]
+            start = issue if issue > prev else prev
+            completion = start + latency
+            prev = completion
+            if blocking[i]:
+                core = completion
+            else:
+                while buffer and buffer[0] <= issue:
+                    buf_pop()
+                proceed = issue
+                while len(buffer) >= entries:
+                    oldest = buf_pop()
+                    if oldest > proceed:
+                        proceed = oldest
+                buf_push(completion)
+                core = proceed
+            if completions is not None:
+                completions[i] = completion
+
+        self.core = core
+        self.prev = prev
+        self.n += n
+        return completions
+
+    def finish(self, total_compute_cycles):
+        self.controller.stats.real_accesses = self.n
+        return _end_time(self.core, total_compute_cycles, self.buffer)
 
 
-def _replay_slotted(miss_trace, controller, entries, record_requests):
-    """Slot-controller replay with closed-form dummy-slot arithmetic.
+class _StaticReplay:
+    """Static-rate slot controller: no epochs, no learner, one rate forever.
 
-    The controller timeline (slots, dummies, epochs) is integer-valued:
-    every quantity is a sum of ``rate``/``latency`` integers, and arrival
-    times only enter *comparisons*, never the arithmetic.  Keeping the
-    timeline in exact Python integers therefore reproduces the
-    reference's float timeline bit for bit (integer-valued doubles are
-    exact), while an idle window of k dummy slots costs O(1) arithmetic
-    instead of k loop iterations.
-
-    The advance/transition machinery is inlined into two specialized
-    request loops (static schemes skip every epoch check; dynamic
-    schemes only enter the slow path when a dummy or boundary is
-    actually pending), so the common request — arriving inside the
-    current slot window — costs a handful of local operations instead
-    of a closure call.
+    The controller timeline (slots, dummies) is integer-valued: every
+    quantity is a sum of ``rate``/``latency`` integers, and arrival times
+    only enter *comparisons*, never the arithmetic.  Keeping the timeline
+    in exact Python integers therefore reproduces the reference's float
+    timeline bit for bit (integer-valued doubles are exact), while an
+    idle window of k dummy slots costs O(1) arithmetic instead of k loop
+    iterations.  The advance is inlined, so the common request — arriving
+    inside the current slot window — costs a handful of local operations.
     """
-    if controller.schedule is None:
-        return _replay_slotted_static(miss_trace, controller, entries, record_requests)
-    return _replay_slotted_dynamic(miss_trace, controller, entries, record_requests)
 
+    def __init__(self, controller, entries, record_requests) -> None:
+        self.controller = controller
+        self.entries = entries
+        self.record_requests = record_requests
+        self.prev = 0  # _completion_prev, exact integer timeline
+        self.last_was_real = False
+        self.total_dummy = 0
+        self.total_waste = 0.0
+        self.n = 0
+        self.core = 0.0
+        self.buffer: deque = deque()
 
-def _replay_slotted_static(miss_trace, controller, entries, record_requests):
-    """Static-rate slot controller: no epochs, no learner, one rate forever."""
-    gaps = miss_trace.gap_cycles.tolist()
-    blocking = miss_trace.is_blocking.tolist()
-    n = len(gaps)
-    latency = controller.latency
-    rate = controller.rate
-    rate_f = float(rate)
-    step = rate + latency
+    def feed(self, chunk):
+        gaps = chunk.gap_cycles.tolist()
+        blocking = chunk.is_blocking.tolist()
+        n = len(gaps)
+        latency = self.controller.latency
+        rate = self.controller.rate
+        rate_f = float(rate)
+        step = rate + latency
+        entries = self.entries
+        completions = np.zeros(n, dtype=np.float64) if self.record_requests else None
 
-    prev = 0  # _completion_prev, exact integer timeline
-    last_was_real = False
-    total_dummy = 0
-    total_waste = 0.0
+        prev = self.prev
+        last_was_real = self.last_was_real
+        total_dummy = self.total_dummy
+        total_waste = self.total_waste
+        core = self.core
+        buffer = self.buffer
+        buf_pop = buffer.popleft
+        buf_push = buffer.append
 
-    completions = np.zeros(n, dtype=np.float64) if record_requests else None
+        for i in range(n):
+            arrival = core + gaps[i]
+            # ---- inline advance(arrival): fire dummies before the arrival ----
+            if prev + rate < arrival:
+                # Count of dummy slots before `arrival`: j in [0, k) with
+                # prev + j*step + rate < arrival.  Estimate with float
+                # division, correct with exact integer/float comparisons.
+                k = int((arrival - prev - rate) // step) + 1
+                if k < 1:
+                    k = 1
+                while k > 0 and prev + (k - 1) * step + rate >= arrival:
+                    k -= 1
+                while prev + k * step + rate < arrival:
+                    k += 1
+                prev += k * step
+                total_dummy += k
+                last_was_real = False
+            # ---- serve(arrival) ----
+            slot = prev + rate
+            if arrival <= prev:
+                if last_was_real:
+                    waste = rate_f  # Req 3
+                else:
+                    waste = slot - arrival  # Req 2: dummy remainder + gap
+            else:
+                waste = slot - arrival  # Req 1: idle wait, <= rate
+            total_waste += waste
+            completion = slot + latency
+            prev = completion
+            last_was_real = True
+            # ---- core/write-buffer reaction ----
+            if blocking[i]:
+                core = completion
+            else:
+                while buffer and buffer[0] <= arrival:
+                    buf_pop()
+                proceed = arrival
+                while len(buffer) >= entries:
+                    oldest = buf_pop()
+                    if oldest > proceed:
+                        proceed = oldest
+                buf_push(completion)
+                core = proceed
+            if completions is not None:
+                completions[i] = completion
 
-    core = 0.0
-    buffer: deque = deque()
-    buf_pop = buffer.popleft
-    buf_push = buffer.append
+        self.prev = prev
+        self.last_was_real = last_was_real
+        self.total_dummy = total_dummy
+        self.total_waste = total_waste
+        self.core = core
+        self.n += n
+        return completions
 
-    for i in range(n):
-        arrival = core + gaps[i]
-        # ---- inline advance(arrival): fire dummies before the arrival ----
-        if prev + rate < arrival:
-            # Count of dummy slots before `arrival`: j in [0, k) with
-            # prev + j*step + rate < arrival.  Estimate with float
-            # division, correct with exact integer/float comparisons.
-            k = int((arrival - prev - rate) // step) + 1
+    def finish(self, total_compute_cycles):
+        controller = self.controller
+        latency = controller.latency
+        rate = controller.rate
+        step = rate + latency
+        prev = self.prev
+        end_time = _end_time(self.core, total_compute_cycles, self.buffer)
+        # Trailing dummies up to program termination.
+        if prev + rate < end_time:
+            k = int((end_time - prev - rate) // step) + 1
             if k < 1:
                 k = 1
-            while k > 0 and prev + (k - 1) * step + rate >= arrival:
+            while k > 0 and prev + (k - 1) * step + rate >= end_time:
                 k -= 1
-            while prev + k * step + rate < arrival:
+            while prev + k * step + rate < end_time:
                 k += 1
-            prev += k * step
-            total_dummy += k
-            last_was_real = False
-        # ---- serve(arrival) ----
-        slot = prev + rate
-        if arrival <= prev:
-            if last_was_real:
-                waste = rate_f  # Req 3
-            else:
-                waste = slot - arrival  # Req 2: dummy remainder + gap
-        else:
-            waste = slot - arrival  # Req 1: idle wait, <= rate
-        total_waste += waste
-        completion = slot + latency
-        prev = completion
-        last_was_real = True
-        # ---- core/write-buffer reaction ----
-        if blocking[i]:
-            core = completion
-        else:
-            while buffer and buffer[0] <= arrival:
-                buf_pop()
-            proceed = arrival
-            while len(buffer) >= entries:
-                oldest = buf_pop()
-                if oldest > proceed:
-                    proceed = oldest
-            buf_push(completion)
-            core = proceed
-        if completions is not None:
-            completions[i] = completion
+            self.total_dummy += k
 
-    end_time = core + miss_trace.total_compute_cycles
-    drain = buffer[-1] if buffer else 0.0
-    end_time = float(max(end_time, drain))
-    # Finalize: trailing dummies up to program termination.
-    if prev + rate < end_time:
-        k = int((end_time - prev - rate) // step) + 1
-        if k < 1:
-            k = 1
-        while k > 0 and prev + (k - 1) * step + rate >= end_time:
-            k -= 1
-        while prev + k * step + rate < end_time:
-            k += 1
-        prev += k * step
-        total_dummy += k
-
-    # Publish the final state back onto the controller.  The epoch
-    # counters never reset (no transitions), so they equal the run
-    # totals; oram_cycles is n exact integer additions of `latency`,
-    # which is n * latency exactly.
-    counters = controller.counters
-    counters.access_count = n
-    counters.oram_cycles = float(n * latency)
-    counters.waste = total_waste
-    controller.stats.real_accesses = n
-    controller.stats.dummy_accesses = total_dummy
-    controller.stats.total_waste = total_waste
-    return end_time, completions
+        # Publish the final state back onto the controller.  The epoch
+        # counters never reset (no transitions), so they equal the run
+        # totals; oram_cycles is n exact integer additions of `latency`,
+        # which is n * latency exactly.
+        n = self.n
+        counters = controller.counters
+        counters.access_count = n
+        counters.oram_cycles = float(n * latency)
+        counters.waste = self.total_waste
+        controller.stats.real_accesses = n
+        controller.stats.dummy_accesses = self.total_dummy
+        controller.stats.total_waste = self.total_waste
+        return end_time
 
 
-def _replay_slotted_dynamic(miss_trace, controller, entries, record_requests):
-    """Epoch-driven slot controller: learner transitions at boundaries."""
-    gaps = miss_trace.gap_cycles.tolist()
-    blocking = miss_trace.is_blocking.tolist()
-    n = len(gaps)
-    latency = controller.latency
-    schedule = controller.schedule
-    epoch_len = schedule.epoch_length
-    learner = controller.learner
-    counters = controller.counters
-    epochs = controller.epochs
+class _DynamicReplay:
+    """Epoch-driven slot controller: learner transitions at boundaries.
 
-    rate = controller.rate
-    rate_f = float(rate)
-    step = rate + latency
-    prev = 0  # _completion_prev, exact integer timeline
-    last_was_real = False
-    epoch_index = 0
-    epoch_end = epoch_len(0)
+    The same exact-integer timeline as :class:`_StaticReplay`, with the
+    advance/transition machinery in a closure the request loop only
+    enters when a dummy or an epoch boundary is actually pending.
+    """
 
-    # Epoch counters (flushed into `counters` at each learner call).
-    # ``oram_cycles`` is derived: the reference accumulates `latency`
-    # once per served request, and integer-valued float accumulation is
-    # exact, so it always equals access_count * latency.
-    ctr_access = 0
-    ctr_waste = 0.0
-    # Run totals (flushed into controller.stats at the end).
-    total_dummy = 0
-    total_waste = 0.0
+    def __init__(self, controller, entries, record_requests) -> None:
+        self.controller = controller
+        self.entries = entries
+        self.record_requests = record_requests
+        self.rate = controller.rate
+        self.prev = 0  # _completion_prev, exact integer timeline
+        self.last_was_real = False
+        self.epoch_index = 0
+        self.epoch_end = controller.schedule.epoch_length(0)
+        # Epoch counters (flushed into `counters` at each learner call).
+        # ``oram_cycles`` is derived: the reference accumulates `latency`
+        # once per served request, and integer-valued float accumulation
+        # is exact, so it always equals access_count * latency.
+        self.ctr_access = 0
+        self.ctr_waste = 0.0
+        # Run totals (flushed into controller.stats at the end).
+        self.total_dummy = 0
+        self.total_waste = 0.0
+        self.n = 0
+        self.core = 0.0
+        self.buffer: deque = deque()
 
-    def advance(until: float) -> None:
-        """Fire every dummy slot starting strictly before ``until``,
-        processing epoch transitions as the timeline crosses them."""
-        nonlocal prev, last_was_real, total_dummy
-        nonlocal rate, rate_f, step, epoch_index, epoch_end
-        nonlocal ctr_access, ctr_waste
-        while True:
-            while prev >= epoch_end:
-                # ---- epoch transition ----
-                epoch_cycles = float(epoch_len(epoch_index))
-                counters.access_count = ctr_access
-                counters.oram_cycles = float(ctr_access * latency)
-                counters.waste = ctr_waste
-                decision = learner.decide(counters, epoch_cycles)
-                counters.reset()
-                ctr_access = 0
-                ctr_waste = 0.0
-                epoch_index += 1
-                epoch_start = epoch_end
-                rate = decision.chosen_rate
-                rate_f = float(rate)
-                step = rate + latency
-                epochs.append(
-                    EpochRecord(
-                        index=epoch_index,
-                        start_cycle=float(epoch_start),
-                        rate=rate,
-                        raw_estimate=decision.raw_estimate,
+    def feed(self, chunk):
+        return self._replay(chunk.gap_cycles.tolist(), chunk.is_blocking.tolist())
+
+    def finish(self, total_compute_cycles):
+        end_time = _end_time(self.core, total_compute_cycles, self.buffer)
+        self._replay([], [], until=end_time)  # trailing dummies
+
+        # Publish the final state back onto the controller.
+        controller = self.controller
+        controller.rate = self.rate
+        counters = controller.counters
+        counters.access_count = self.ctr_access
+        counters.oram_cycles = float(self.ctr_access * controller.latency)
+        counters.waste = self.ctr_waste
+        controller.stats.real_accesses = self.n
+        controller.stats.dummy_accesses = self.total_dummy
+        controller.stats.total_waste = self.total_waste
+        return end_time
+
+    def _replay(self, gaps, blocking, until=None):
+        """Serve the requests, then fire the dummy slots before ``until``."""
+        controller = self.controller
+        latency = controller.latency
+        epoch_len = controller.schedule.epoch_length
+        learner = controller.learner
+        counters = controller.counters
+        epochs = controller.epochs
+        entries = self.entries
+        n = len(gaps)
+        completions = np.zeros(n, dtype=np.float64) if self.record_requests else None
+
+        rate = self.rate
+        rate_f = float(rate)
+        step = rate + latency
+        prev = self.prev
+        last_was_real = self.last_was_real
+        epoch_index = self.epoch_index
+        epoch_end = self.epoch_end
+        ctr_access = self.ctr_access
+        ctr_waste = self.ctr_waste
+        total_dummy = self.total_dummy
+        total_waste = self.total_waste
+        core = self.core
+        buffer = self.buffer
+        buf_pop = buffer.popleft
+        buf_push = buffer.append
+
+        def advance(until: float) -> None:
+            """Fire every dummy slot starting strictly before ``until``,
+            processing epoch transitions as the timeline crosses them."""
+            nonlocal prev, last_was_real, total_dummy
+            nonlocal rate, rate_f, step, epoch_index, epoch_end
+            nonlocal ctr_access, ctr_waste
+            while True:
+                while prev >= epoch_end:
+                    # ---- epoch transition ----
+                    epoch_cycles = float(epoch_len(epoch_index))
+                    counters.access_count = ctr_access
+                    counters.oram_cycles = float(ctr_access * latency)
+                    counters.waste = ctr_waste
+                    decision = learner.decide(counters, epoch_cycles)
+                    counters.reset()
+                    ctr_access = 0
+                    ctr_waste = 0.0
+                    epoch_index += 1
+                    epoch_start = epoch_end
+                    rate = decision.chosen_rate
+                    rate_f = float(rate)
+                    step = rate + latency
+                    epochs.append(
+                        EpochRecord(
+                            index=epoch_index,
+                            start_cycle=float(epoch_start),
+                            rate=rate,
+                            raw_estimate=decision.raw_estimate,
+                        )
                     )
-                )
-                epoch_end = epoch_start + epoch_len(epoch_index)
-            if prev + rate >= until:
-                return
-            # Count of dummy slots before `until`: j in [0, k) with
-            # prev + j*step + rate < until.  Estimate with float division
-            # and correct with exact integer/float comparisons.
-            k = int((until - prev - rate) // step) + 1
-            if k < 1:
-                k = 1
-            while k > 0 and prev + (k - 1) * step + rate >= until:
-                k -= 1
-            while prev + k * step + rate < until:
-                k += 1
-            # Dummies may only fire while prev stays inside the epoch;
-            # the transition at the boundary can change the rate.
-            span = epoch_end - prev
-            k2 = -(-span // step)
-            if k2 < k:
-                k = k2
-            if k <= 0:
-                continue  # epoch boundary first; transition and retry
-            prev += k * step
-            total_dummy += k
-            last_was_real = False
+                    epoch_end = epoch_start + epoch_len(epoch_index)
+                if prev + rate >= until:
+                    return
+                # Count of dummy slots before `until`: j in [0, k) with
+                # prev + j*step + rate < until.  Estimate with float
+                # division and correct with exact integer/float comparisons.
+                k = int((until - prev - rate) // step) + 1
+                if k < 1:
+                    k = 1
+                while k > 0 and prev + (k - 1) * step + rate >= until:
+                    k -= 1
+                while prev + k * step + rate < until:
+                    k += 1
+                # Dummies may only fire while prev stays inside the epoch;
+                # the transition at the boundary can change the rate.
+                span = epoch_end - prev
+                k2 = -(-span // step)
+                if k2 < k:
+                    k = k2
+                if k <= 0:
+                    continue  # epoch boundary first; transition and retry
+                prev += k * step
+                total_dummy += k
+                last_was_real = False
 
-    completions = np.zeros(n, dtype=np.float64) if record_requests else None
-
-    core = 0.0
-    buffer: deque = deque()
-    buf_pop = buffer.popleft
-    buf_push = buffer.append
-
-    for i in range(n):
-        arrival = core + gaps[i]
-        # ---- serve(arrival) ----
-        if prev >= epoch_end or prev + rate < arrival:
-            advance(arrival)
-        slot = prev + rate
-        if arrival <= prev:
-            if last_was_real:
-                waste = rate_f  # Req 3
+        for i in range(n):
+            arrival = core + gaps[i]
+            # ---- serve(arrival) ----
+            if prev >= epoch_end or prev + rate < arrival:
+                advance(arrival)
+            slot = prev + rate
+            if arrival <= prev:
+                if last_was_real:
+                    waste = rate_f  # Req 3
+                else:
+                    waste = slot - arrival  # Req 2: dummy remainder + gap
             else:
-                waste = slot - arrival  # Req 2: dummy remainder + gap
-        else:
-            waste = slot - arrival  # Req 1: idle wait, <= rate
-        ctr_waste += waste
-        total_waste += waste
-        completion = slot + latency
-        ctr_access += 1
-        prev = completion
-        last_was_real = True
-        # ---- core/write-buffer reaction ----
-        if blocking[i]:
-            core = completion
-        else:
-            while buffer and buffer[0] <= arrival:
-                buf_pop()
-            proceed = arrival
-            while len(buffer) >= entries:
-                oldest = buf_pop()
-                if oldest > proceed:
-                    proceed = oldest
-            buf_push(completion)
-            core = proceed
-        if completions is not None:
-            completions[i] = completion
+                waste = slot - arrival  # Req 1: idle wait, <= rate
+            ctr_waste += waste
+            total_waste += waste
+            completion = slot + latency
+            ctr_access += 1
+            prev = completion
+            last_was_real = True
+            # ---- core/write-buffer reaction ----
+            if blocking[i]:
+                core = completion
+            else:
+                while buffer and buffer[0] <= arrival:
+                    buf_pop()
+                proceed = arrival
+                while len(buffer) >= entries:
+                    oldest = buf_pop()
+                    if oldest > proceed:
+                        proceed = oldest
+                buf_push(completion)
+                core = proceed
+            if completions is not None:
+                completions[i] = completion
+        if until is not None:
+            advance(until)
 
-    end_time = core + miss_trace.total_compute_cycles
-    drain = buffer[-1] if buffer else 0.0
-    end_time = float(max(end_time, drain))
-    advance(end_time)  # finalize: trailing dummies
-
-    # Publish the final state back onto the controller.
-    controller.rate = rate
-    counters.access_count = ctr_access
-    counters.oram_cycles = float(ctr_access * latency)
-    counters.waste = ctr_waste
-    controller.stats.real_accesses = n
-    controller.stats.dummy_accesses = total_dummy
-    controller.stats.total_waste = total_waste
-    return end_time, completions
+        self.rate = rate
+        self.prev = prev
+        self.last_was_real = last_was_real
+        self.epoch_index = epoch_index
+        self.epoch_end = epoch_end
+        self.ctr_access = ctr_access
+        self.ctr_waste = ctr_waste
+        self.total_dummy = total_dummy
+        self.total_waste = total_waste
+        self.core = core
+        self.n += n
+        return completions
 
 
 # ----------------------------------------------------------------------
@@ -993,14 +1151,6 @@ def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
 # ----------------------------------------------------------------------
 # Shared result assembly
 # ----------------------------------------------------------------------
-
-def _finish(miss_trace, scheme, controller, end_time, completions):
-    return _build_result(
-        miss_trace, scheme, controller, end_time, completions,
-        record_requests=completions is not None,
-        record_observable_trace=False,
-    )
-
 
 def _build_result(
     miss_trace, scheme, controller, end_time, completions,

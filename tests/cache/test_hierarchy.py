@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cache.hierarchy import HierarchyConfig, PAPER_HIERARCHY, simulate_hierarchy
+from repro.cache.hierarchy import (
+    HierarchyConfig,
+    PAPER_HIERARCHY,
+    StreamingHierarchyPass,
+    simulate_hierarchy,
+)
 from repro.cpu.trace import MemoryTrace
 from repro.util.units import KB, MB
 
@@ -116,3 +121,21 @@ class TestEnergyEvents:
         addresses = [i * 64 * 1024 for i in range(8)]
         result = simulate_hierarchy(make_trace(addresses))
         assert result.energy.llc_misses == 8
+
+
+class TestResumablePassLifecycle:
+    def test_feed_after_finish_raises(self):
+        trace = make_trace([0, 64, 128])
+        machine = StreamingHierarchyPass(trace)
+        machine.feed(trace)
+        machine.finish()
+        with pytest.raises(RuntimeError, match="after finish"):
+            machine.feed(trace)
+
+    def test_second_finish_raises(self):
+        trace = make_trace([0, 64, 128])
+        machine = StreamingHierarchyPass(trace)
+        machine.feed(trace)
+        machine.finish()
+        with pytest.raises(RuntimeError, match="twice"):
+            machine.finish()
