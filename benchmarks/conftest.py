@@ -2,9 +2,9 @@
 
 The figure benches run declarative specs (:mod:`repro.api.figures`) on a
 session-scoped :class:`~repro.api.engine.Engine`.  The engine's serial
-backend shares one simulator, so each benchmark's functional cache pass
-runs once per session; benches then replay it per scheme.  Environment
-knobs:
+backend keeps one process-local simulator per configuration, so each
+benchmark's functional cache pass runs once per session; benches then
+replay it per scheme.  Environment knobs:
 
 - ``REPRO_BENCH_INSTRUCTIONS`` — instruction budget per run (default 2M).
 - ``REPRO_BENCH_WORKERS`` — shard cells across a process pool this wide.
@@ -12,7 +12,9 @@ knobs:
   repeated harness runs (near-)free.
 
 The ``sim`` fixture remains for ablation/extension benches that drive
-scheme objects the spec-string grammar does not cover.
+scheme objects the spec-string grammar does not cover; it is the
+engine's own simulator for the bench configuration, so those benches
+share functional passes with the figure benches.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import pytest
 from repro.api.backends import ProcessPoolBackend, SerialBackend
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
-from repro.sim.simulator import SecureProcessorSim, SimConfig
+from repro.api.execution import sim_for_cell
+from repro.api.figures import figure6_spec
+from repro.sim.simulator import SecureProcessorSim
 
 DEFAULT_INSTRUCTIONS = 2_000_000
 
@@ -41,18 +45,18 @@ def bench_sim_params() -> dict:
 
 @pytest.fixture(scope="session")
 def sim() -> SecureProcessorSim:
-    """Session-shared simulator with cached functional passes."""
-    return SecureProcessorSim(SimConfig(n_instructions=bench_instructions(), seed=0))
+    """The engine's process-local simulator at the bench configuration."""
+    return sim_for_cell(next(iter(figure6_spec(**bench_sim_params()).cells())))
 
 
 @pytest.fixture(scope="session")
-def engine(sim) -> Engine:
+def engine() -> Engine:
     """Session-shared engine; backend and cache selected by env knobs."""
     workers = os.environ.get("REPRO_BENCH_WORKERS")
     if workers:
         backend = ProcessPoolBackend(max_workers=int(workers))
     else:
-        backend = SerialBackend(sim=sim)
+        backend = SerialBackend()
     cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR")
     cache = ExperimentCache(cache_dir) if cache_dir else None
     return Engine(backend=backend, cache=cache)

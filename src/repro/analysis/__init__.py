@@ -9,13 +9,6 @@ from repro.analysis.experiments import (
     Figure7Result,
     Figure8Result,
     LeakageTableResult,
-    default_sim,
-    run_figure2,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_figure8a,
-    run_figure8b,
     run_leakage_table,
 )
 from repro.analysis.export import (
@@ -72,13 +65,6 @@ __all__ = [
     "Figure7Result",
     "Figure8Result",
     "LeakageTableResult",
-    "default_sim",
-    "run_figure2",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8a",
-    "run_figure8b",
     "run_leakage_table",
     "BenchmarkRow",
     "SchemeComparison",

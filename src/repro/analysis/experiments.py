@@ -1,17 +1,14 @@
-"""Per-figure result classes and deprecated ``run_*`` shims.
+"""Per-figure result classes and their ResultSet converters.
 
-Each paper artifact is now one declarative spec (:mod:`repro.api.figures`)
+Each paper artifact is one declarative spec (:mod:`repro.api.figures`)
 executed by the :class:`~repro.api.engine.Engine`; the
 ``figure*_from_resultset`` converters here reshape the engine's uniform
 :class:`~repro.api.records.ResultSet` into the per-figure result classes
-whose ``render()`` prints the same rows/series the paper reports.
+whose ``render()`` prints the same rows/series the paper reports::
 
-The ``run_figure*`` functions are kept as thin deprecation shims: they
-accept the legacy shared :class:`~repro.sim.simulator.SecureProcessorSim`
-(reusing its warm functional-pass cache through the serial backend) and
-return their documented result types.  New code should build a spec and
-call the engine directly — that path adds parallel execution, persistent
-caching, and multi-seed sweeps for free.
+    from repro.api import Engine, figure6_spec
+
+    result = figure6_from_resultset(Engine().run(figure6_spec()))
 """
 
 from __future__ import annotations
@@ -23,20 +20,7 @@ import numpy as np
 
 from repro.analysis.overhead import BenchmarkRow, SchemeComparison, relative_change
 from repro.analysis.tables import Table, format_value
-from repro.api.backends import SerialBackend
-from repro.api.engine import Engine
-from repro.api.figures import (
-    DEFAULT_N_INSTRUCTIONS,
-    FIG5_RATES,
-    FIG6_BENCHMARKS,
-    FIG6_SCHEMES,
-    figure2_spec,
-    figure5_spec,
-    figure6_spec,
-    figure7_spec,
-    figure8a_spec,
-    figure8b_spec,
-)
+from repro.api.figures import FIG6_BENCHMARKS, FIG6_SCHEMES
 from repro.api.records import ResultSet
 from repro.core.leakage import (
     report_for_dynamic,
@@ -45,30 +29,6 @@ from repro.core.leakage import (
     unprotected_leakage_bits_estimate,
 )
 from repro.core.scheme import scheme_from_spec
-from repro.sim.simulator import SecureProcessorSim, SimConfig
-
-
-def default_sim(n_instructions: int = DEFAULT_N_INSTRUCTIONS, seed: int = 0) -> SecureProcessorSim:
-    """The shared scaled simulator used by legacy harness call sites."""
-    return SecureProcessorSim(SimConfig(n_instructions=n_instructions, seed=seed))
-
-
-def _sim_params(sim: SecureProcessorSim | None) -> dict:
-    """Spec parameters matching a legacy simulator (or the defaults)."""
-    if sim is None:
-        return {}
-    config = sim.config
-    return {
-        "n_instructions": config.n_instructions,
-        "seeds": (config.seed,),
-        "warmup_fraction": config.warmup_fraction,
-        "write_buffer_entries": config.write_buffer_entries,
-    }
-
-
-def _engine_for(sim: SecureProcessorSim | None) -> Engine:
-    """A serial engine that reuses the caller's warm simulator, if any."""
-    return Engine(backend=SerialBackend(sim=sim))
 
 
 # ----------------------------------------------------------------------
@@ -125,15 +85,6 @@ def figure2_from_resultset(results: ResultSet) -> Figure2Result:
     return Figure2Result(series=series, n_windows=n_windows)
 
 
-def run_figure2(sim: SecureProcessorSim | None = None, n_windows: int = 50) -> Figure2Result:
-    """Windowed ORAM access rates for perlbench and astar inputs (1 MB LLC).
-
-    Deprecated shim; equivalent to running ``figure2_spec`` on an engine.
-    """
-    spec = figure2_spec(n_windows=n_windows, **_sim_params(sim))
-    return figure2_from_resultset(_engine_for(sim).run(spec))
-
-
 # ----------------------------------------------------------------------
 # Figure 5: static rate sweep for mcf and h264ref
 # ----------------------------------------------------------------------
@@ -172,16 +123,13 @@ class Figure5Result:
         ).render()
 
 
-def figure5_from_resultset(
-    results: ResultSet, rates: list[int] | None = None
-) -> Figure5Result:
+def figure5_from_resultset(results: ResultSet) -> Figure5Result:
     """Reshape a :func:`~repro.api.figures.figure5_spec` run."""
-    if rates is None:
-        rates = sorted(
-            int(record.scheme_spec.split(":", 1)[1])
-            for record in results.select(benchmark="mcf")
-            if record.scheme_spec.startswith("static:")
-        )
+    rates = sorted(
+        int(record.scheme_spec.split(":", 1)[1])
+        for record in results.select(benchmark="mcf")
+        if record.scheme_spec.startswith("static:")
+    )
     perf: dict[str, list[float]] = {}
     power: dict[str, list[float]] = {}
     benchmarks = sorted({record.benchmark for record in results})
@@ -193,20 +141,7 @@ def figure5_from_resultset(
             record = results.get(benchmark, f"static:{rate}")
             perf[benchmark].append(record.cycles / base.cycles)
             power[benchmark].append(record.power_watts / base.power_watts)
-    return Figure5Result(rates=list(rates), perf_overhead=perf, power_overhead=power)
-
-
-def run_figure5(
-    sim: SecureProcessorSim | None = None,
-    rates: list[int] | None = None,
-) -> Figure5Result:
-    """Sweep static rates on mcf (memory bound) and h264ref (compute bound).
-
-    Deprecated shim; equivalent to running ``figure5_spec`` on an engine.
-    """
-    rates = list(FIG5_RATES) if rates is None else list(rates)
-    spec = figure5_spec(rates=tuple(rates), **_sim_params(sim))
-    return figure5_from_resultset(_engine_for(sim).run(spec), rates=rates)
+    return Figure5Result(rates=rates, perf_overhead=perf, power_overhead=power)
 
 
 # ----------------------------------------------------------------------
@@ -309,15 +244,6 @@ def figure6_from_resultset(results: ResultSet) -> Figure6Result:
     )
 
 
-def run_figure6(sim: SecureProcessorSim | None = None) -> Figure6Result:
-    """The main comparison across all benchmarks and schemes.
-
-    Deprecated shim; equivalent to running ``figure6_spec`` on an engine.
-    """
-    spec = figure6_spec(**_sim_params(sim))
-    return figure6_from_resultset(_engine_for(sim).run(spec))
-
-
 # ----------------------------------------------------------------------
 # Figure 7: IPC stability over time
 # ----------------------------------------------------------------------
@@ -361,17 +287,6 @@ def figure7_from_resultset(results: ResultSet) -> Figure7Result:
             transitions[record.benchmark] = list(record.epoch_transitions)
             final_rates[record.benchmark] = record.final_rate
     return Figure7Result(series=series, transitions=transitions, final_rates=final_rates)
-
-
-def run_figure7(
-    sim: SecureProcessorSim | None = None, n_windows: int = 100
-) -> Figure7Result:
-    """IPC over time for libquantum, gobmk, h264ref (paper's trio).
-
-    Deprecated shim; equivalent to running ``figure7_spec`` on an engine.
-    """
-    spec = figure7_spec(n_windows=n_windows, **_sim_params(sim))
-    return figure7_from_resultset(_engine_for(sim).run(spec))
 
 
 # ----------------------------------------------------------------------
@@ -441,24 +356,6 @@ def figure8_from_resultset(results: ResultSet, label: str) -> Figure8Result:
         avg_power_watts=power,
         leakage_bits=leakage,
     )
-
-
-def run_figure8a(sim: SecureProcessorSim | None = None) -> Figure8Result:
-    """Vary |R| in {16, 8, 4, 2} with epoch doubling (E2).
-
-    Deprecated shim; equivalent to running ``figure8a_spec`` on an engine.
-    """
-    spec = figure8a_spec(**_sim_params(sim))
-    return figure8_from_resultset(_engine_for(sim).run(spec), label="a")
-
-
-def run_figure8b(sim: SecureProcessorSim | None = None) -> Figure8Result:
-    """Vary epoch growth in {2, 4, 8, 16} with |R| = 4.
-
-    Deprecated shim; equivalent to running ``figure8b_spec`` on an engine.
-    """
-    spec = figure8b_spec(**_sim_params(sim))
-    return figure8_from_resultset(_engine_for(sim).run(spec), label="b")
 
 
 # ----------------------------------------------------------------------

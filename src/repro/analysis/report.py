@@ -1,9 +1,9 @@
 """One-call consolidated experiment report.
 
-``full_report`` runs every experiment in the registry against a shared
-simulator and renders a single text document — the programmatic
-counterpart of ``pytest benchmarks/ --benchmark-only`` for users who want
-the reproduction results from a script or notebook.
+``full_report`` runs every selected figure spec on one engine and renders
+a single text document — the programmatic counterpart of
+``pytest benchmarks/ --benchmark-only`` for users who want the
+reproduction results from a script or notebook.
 """
 
 from __future__ import annotations
@@ -12,16 +12,22 @@ from dataclasses import dataclass, field
 
 from repro.analysis.calibration import run_calibration
 from repro.analysis.experiments import (
-    default_sim,
-    run_figure2,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_figure8a,
-    run_figure8b,
+    figure2_from_resultset,
+    figure5_from_resultset,
+    figure6_from_resultset,
+    figure7_from_resultset,
+    figure8_from_resultset,
     run_leakage_table,
 )
-from repro.sim.simulator import SecureProcessorSim
+from repro.api.engine import Engine
+from repro.api.figures import (
+    figure2_spec,
+    figure5_spec,
+    figure6_spec,
+    figure7_spec,
+    figure8a_spec,
+    figure8b_spec,
+)
 
 
 @dataclass
@@ -46,32 +52,42 @@ class FullReport:
 
 
 def full_report(
-    sim: SecureProcessorSim | None = None,
     include: tuple[str, ...] = (
         "calibration", "leakage", "fig2", "fig5", "fig6", "fig7", "fig8a", "fig8b",
     ),
+    **sim_params,
 ) -> FullReport:
     """Run the selected experiments and collect their rendered tables.
 
     ``include`` selects sections by id; the default regenerates every
-    table and figure.  A shared simulator amortizes the functional cache
+    table and figure.  ``sim_params`` (``n_instructions``, ``seeds``, ...)
+    pass through to every figure spec.  All sections share one serial
+    engine, whose process-local simulators amortize the functional cache
     passes across sections exactly as the benchmark harness does.
     """
-    sim = sim or default_sim()
-    report = FullReport()
+    engine = Engine()
+
+    def figure(spec_builder, convert):
+        return lambda: convert(engine.run(spec_builder(**sim_params))).render()
+
     runners = {
         "calibration": ("Tables 1-2: derived constants",
                         lambda: run_calibration().render()),
         "leakage": ("Leakage accounting", lambda: run_leakage_table().render()),
         "fig2": ("Figure 2: input sensitivity",
-                 lambda: run_figure2(sim).render()),
+                 figure(figure2_spec, figure2_from_resultset)),
         "fig5": ("Figure 5: static rate sweep",
-                 lambda: run_figure5(sim).render()),
-        "fig6": ("Figure 6: main result", lambda: run_figure6(sim).render()),
-        "fig7": ("Figure 7: IPC stability", lambda: run_figure7(sim).render()),
-        "fig8a": ("Figure 8a: varying |R|", lambda: run_figure8a(sim).render()),
-        "fig8b": ("Figure 8b: varying epochs", lambda: run_figure8b(sim).render()),
+                 figure(figure5_spec, figure5_from_resultset)),
+        "fig6": ("Figure 6: main result",
+                 figure(figure6_spec, figure6_from_resultset)),
+        "fig7": ("Figure 7: IPC stability",
+                 figure(figure7_spec, figure7_from_resultset)),
+        "fig8a": ("Figure 8a: varying |R|",
+                  figure(figure8a_spec, lambda r: figure8_from_resultset(r, label="a"))),
+        "fig8b": ("Figure 8b: varying epochs",
+                  figure(figure8b_spec, lambda r: figure8_from_resultset(r, label="b"))),
     }
+    report = FullReport()
     for key in include:
         if key not in runners:
             raise ValueError(f"unknown section {key!r}; options: {sorted(runners)}")

@@ -14,7 +14,7 @@ from statistics import mean, stdev
 
 from scipy import stats
 
-from repro.analysis.experiments import FIG6_BENCHMARKS
+from repro.api.figures import FIG6_BENCHMARKS
 from repro.core.scheme import BaseDramScheme, BaseOramScheme, StaticScheme, dynamic
 from repro.sim.result import performance_overhead
 from repro.sim.simulator import SecureProcessorSim, SimConfig

@@ -24,7 +24,6 @@ from repro.api.backends import (
     ProcessPoolBackend,
     SerialBackend,
     default_start_method,
-    warm_local_sims,
 )
 from repro.api.cache import (
     ExperimentCache,
@@ -77,5 +76,4 @@ __all__ = [
     "frontier_spec",
     "run_spec",
     "split_benchmark",
-    "warm_local_sims",
 ]

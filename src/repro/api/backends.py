@@ -6,9 +6,7 @@ built-ins produce identical records for identical cells (see
 work happens:
 
 - :class:`SerialBackend` — in this process, sharing functional passes
-  through per-config simulators (and optionally an injected legacy
-  simulator, which is how the deprecated ``run_figure*`` shims reuse a
-  caller's warm cache).
+  through per-config simulators.
 - :class:`ProcessPoolBackend` — shards cells across worker processes.
   Cells are deterministic and independent, so sharding needs no
   coordination; the persistent trace cache (when the engine has one)
@@ -32,14 +30,10 @@ from repro.api.execution import (
     _init_worker,
     execute_cells_batch,
     functional_pass_key,
-    lookup_cached_trace,
-    sim_for_cell,
 )
-from repro.api.shm import SharedTraceArena
 from repro.api.records import RunRecord
 from repro.api.spec import Cell
 from repro.faults import counters
-from repro.sim.simulator import SecureProcessorSim
 from repro.util.backoff import full_jitter
 
 #: Attempts a batch gets before its cells are quarantined as poison.
@@ -76,100 +70,22 @@ class ExecutionBackend(Protocol):
 
 
 class SerialBackend:
-    """In-process execution, one cell at a time.
+    """In-process execution, batching replays per (benchmark, seed).
 
-    Args:
-        sim: Optional pre-warmed simulator to reuse for cells whose
-            configuration matches it (the bridge from legacy shared-sim
-            call sites).  Cells whose scalar parameters don't match get
-            their own per-config simulator.  A custom hierarchy/core on
-            the injected sim is honored for *uncached* runs — that is
-            the legacy behavior the shims rely on — but bypassed (with
-            a RuntimeWarning) when a persistent cache is configured,
-            because cell hashes assume the default substrate.
+    Every cell routes through
+    :func:`~repro.api.execution.execute_cells_batch`, which replays every
+    scheme of one benchmark-seed group with a single config-batched
+    kernel call — records stay bit-identical to cell-at-a-time
+    execution, in input order.
     """
 
     name = "serial"
 
-    def __init__(self, sim: SecureProcessorSim | None = None) -> None:
-        self._injected = sim
-
-    def _has_default_substrate(self) -> bool:
-        from repro.cache.hierarchy import PAPER_HIERARCHY
-        from repro.cpu.core import DEFAULT_CORE
-
-        config = self._injected.config
-        return config.hierarchy == PAPER_HIERARCHY and config.core == DEFAULT_CORE
-
-    def _matches_injected(self, cell: Cell, persistent_cache: bool) -> bool:
-        if self._injected is None:
-            return False
-        config = self._injected.config
-        if not (
-            cell.n_instructions == config.n_instructions
-            and cell.seed == config.seed
-            and cell.warmup_fraction == config.warmup_fraction
-            and cell.write_buffer_entries == config.write_buffer_entries
-        ):
-            return False
-        if self._has_default_substrate():
-            return True
-        # A custom hierarchy/core is honored for uncached runs (the
-        # legacy shim behavior: the caller's substrate is the point).
-        # With a persistent cache it must be bypassed — cell hashes
-        # assume the default substrate, so its results would poison the
-        # cache for every future default run.
-        if not persistent_cache:
-            return True
-        warnings.warn(
-            "SerialBackend: injected simulator has a non-default "
-            "hierarchy/core and a persistent cache is configured; "
-            "running cells under the default substrate instead",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return False
-
     def run_cells(
         self, cells: Sequence[Cell], cache: ExperimentCache | None = None
     ) -> list[RunRecord]:
-        """Execute every cell, batching replays per (benchmark, seed).
-
-        Cells are partitioned by whether they run on the injected
-        simulator, and each partition routes through
-        :func:`~repro.api.execution.execute_cells_batch`, which replays
-        every scheme of one benchmark-seed group with a single
-        config-batched kernel call — records stay bit-identical to
-        cell-at-a-time execution, in input order.
-        """
-        trace_store = cache.traces if cache else None
-        cells = list(cells)
-        injected: list[int] = []
-        local: list[int] = []
-        for index, cell in enumerate(cells):
-            if self._matches_injected(cell, persistent_cache=cache is not None):
-                injected.append(index)
-            else:
-                local.append(index)
-        records: list[RunRecord | None] = [None] * len(cells)
-        if injected:
-            # Point the injected sim at this engine's store so a
-            # cached serial run warms later pool runs (but never
-            # clobber a caller-provided store with None).
-            if trace_store is not None:
-                self._injected.trace_store = trace_store
-            for index, record in zip(
-                injected,
-                execute_cells_batch([cells[i] for i in injected], sim=self._injected),
-            ):
-                records[index] = record
-        if local:
-            for index, record in zip(
-                local,
-                execute_cells_batch([cells[i] for i in local], trace_store=trace_store),
-            ):
-                records[index] = record
-        return records
+        """Execute every cell on this process's simulators."""
+        return execute_cells_batch(cells, trace_store=cache.traces if cache else None)
 
 
 @dataclass
@@ -209,10 +125,8 @@ class ProcessPoolBackend:
     work beyond the crashed cells themselves.
 
     Args:
-        max_workers: Pool size (default: ``os.cpu_count()``, capped at
-            the number of cell groups).
-        start_method: ``"fork"`` where available (cheap on Linux), else
-            ``"spawn"``; override for debugging.
+        max_workers: Pool size (>= 1; default: ``os.cpu_count()``),
+            capped at the number of cell groups.
         max_batch_attempts: Worker crashes a group survives before its
             cells are poisoned (>= 1).
         retry_backoff_s: Retry-delay scale: each retry round sleeps a
@@ -225,28 +139,25 @@ class ProcessPoolBackend:
     def __init__(
         self,
         max_workers: int | None = None,
-        start_method: str | None = None,
         max_batch_attempts: int = DEFAULT_MAX_BATCH_ATTEMPTS,
         retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
     ) -> None:
-        if start_method is None:
-            start_method = default_start_method()
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if max_batch_attempts < 1:
             raise ValueError(f"max_batch_attempts must be >= 1, got {max_batch_attempts}")
         if retry_backoff_s < 0:
             raise ValueError(f"retry_backoff_s cannot be negative, got {retry_backoff_s}")
         self.max_workers = max_workers
-        self.start_method = start_method
         self.max_batch_attempts = max_batch_attempts
         self.retry_backoff_s = retry_backoff_s
 
-    def _make_pool(self, workers: int, cache_root: str | None,
-                   shm_traces: dict[str, dict]) -> ProcessPoolExecutor:
+    def _make_pool(self, workers: int, cache_root: str | None) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=get_context(self.start_method),
+            mp_context=get_context(default_start_method()),
             initializer=_init_worker,
-            initargs=(cache_root, shm_traces),
+            initargs=(cache_root,),
         )
 
     def _dispatch_round(
@@ -254,10 +165,9 @@ class ProcessPoolBackend:
         states: list[_BatchState],
         workers: int,
         cache_root: str | None,
-        shm_traces: dict[str, dict],
     ) -> list[_BatchState]:
         """Run one pool over ``states``; returns the groups that crashed."""
-        with self._make_pool(workers, cache_root, shm_traces) as pool:
+        with self._make_pool(workers, cache_root) as pool:
             futures = [
                 (state, pool.submit(_execute_batch_in_worker, state.batch))
                 for state in states
@@ -290,64 +200,43 @@ class ProcessPoolBackend:
             _BatchState(indices=indices, batch=[cells[i] for i in indices])
             for indices in groups.values()
         ]
-        # Groups whose miss trace the parent already holds (warm sims or
-        # a persistent-cache hit) ship it through shared memory instead
-        # of making the worker recompute or re-unpickle it; cold groups
-        # compute their own pass in parallel, exactly as before.
-        arena = SharedTraceArena()
-        shm_traces: dict[str, dict] = {}
-        try:
-            for state in states:
-                head = state.batch[0]
-                trace = lookup_cached_trace(head, cache)
-                if trace is not None:
-                    descriptor = arena.publish(
-                        str(functional_pass_key(head)), trace
+        pending = self._dispatch_round(states, workers, cache_root)
+        retry_round = 0
+        while pending:
+            counters.bump("pool_rebuilds")
+            survivors: list[_BatchState] = []
+            for state in pending:
+                if state.attempts >= self.max_batch_attempts:
+                    # Deterministic crasher: quarantine the group as
+                    # poison instead of aborting the whole sweep.
+                    state.poisoned = True
+                    counters.bump("cells_poisoned", len(state.batch))
+                    warnings.warn(
+                        f"ProcessPoolBackend: poisoned {len(state.batch)} cell(s) "
+                        f"of group {functional_pass_key(state.batch[0])} after "
+                        f"{state.attempts} worker crashes",
+                        RuntimeWarning,
+                        stacklevel=2,
                     )
-                    if descriptor is not None:
-                        shm_traces[str(functional_pass_key(head))] = descriptor
-
-            pending = self._dispatch_round(states, workers, cache_root, shm_traces)
-            retry_round = 0
-            while pending:
-                counters.bump("pool_rebuilds")
-                survivors: list[_BatchState] = []
-                for state in pending:
-                    if state.attempts >= self.max_batch_attempts:
-                        # Deterministic crasher: quarantine the group as
-                        # poison instead of aborting the whole sweep.
-                        state.poisoned = True
-                        counters.bump("cells_poisoned", len(state.batch))
-                        warnings.warn(
-                            f"ProcessPoolBackend: poisoned {len(state.batch)} cell(s) "
-                            f"of group {functional_pass_key(state.batch[0])} after "
-                            f"{state.attempts} worker crashes",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                    else:
-                        counters.bump("worker_retries")
-                        survivors.append(state)
-                if not survivors:
-                    break
-                if self.retry_backoff_s:
-                    # Full jitter: concurrent sweeps whose pools broke on
-                    # the same event (OOM killer, host pressure) would
-                    # otherwise retry in lockstep (repro.util.backoff).
-                    time.sleep(full_jitter(
-                        self.retry_backoff_s, retry_round, RETRY_BACKOFF_CAP_S
-                    ))
-                retry_round += 1
-                # One single-group pool per crashed batch: exact failure
-                # attribution (a shared pool's break condemns every
-                # in-flight future, innocent or not).
-                pending = []
-                for state in survivors:
-                    pending.extend(
-                        self._dispatch_round([state], 1, cache_root, shm_traces)
-                    )
-        finally:
-            arena.close()
+                else:
+                    counters.bump("worker_retries")
+                    survivors.append(state)
+            if not survivors:
+                break
+            if self.retry_backoff_s:
+                # Full jitter: concurrent sweeps whose pools broke on
+                # the same event (OOM killer, host pressure) would
+                # otherwise retry in lockstep (repro.util.backoff).
+                time.sleep(full_jitter(
+                    self.retry_backoff_s, retry_round, RETRY_BACKOFF_CAP_S
+                ))
+            retry_round += 1
+            # One single-group pool per crashed batch: exact failure
+            # attribution (a shared pool's break condemns every
+            # in-flight future, innocent or not).
+            pending = []
+            for state in survivors:
+                pending.extend(self._dispatch_round([state], 1, cache_root))
         records: list[RunRecord | None] = [None] * len(cells)
         for state in states:
             if state.records is None:
@@ -356,17 +245,3 @@ class ProcessPoolBackend:
                 records[index] = record
         return records
 
-
-def warm_local_sims(cells: Sequence[Cell]) -> None:
-    """Precompute functional passes in-process for a batch of cells.
-
-    Useful before a serial sweep over many schemes of one benchmark; the
-    pool backend warms through the persistent cache instead.
-    """
-    seen = set()
-    for cell in cells:
-        key = functional_pass_key(cell)
-        if key in seen:
-            continue
-        seen.add(key)
-        sim_for_cell(cell).miss_trace(cell.benchmark, cell.input_name)

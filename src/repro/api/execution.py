@@ -3,10 +3,9 @@
 Everything here is module-level and picklable so the process-pool backend
 can ship cells to workers.  Each process keeps one
 :class:`SecureProcessorSim` per distinct simulation configuration, so
-cells sharing a (benchmark, seed, budget) reuse the in-memory functional
-pass exactly like the legacy shared-simulator pattern; the optional
-persistent trace cache extends that sharing across processes and
-sessions.
+cells sharing a (benchmark, seed, budget) reuse one in-memory functional
+pass; the optional persistent trace cache extends that sharing across
+processes and sessions.
 
 Determinism: a cell's result is a pure function of its fields.  Workload
 generation draws from ``make_rng(seed, name)`` streams, the timing replay
@@ -27,10 +26,8 @@ from __future__ import annotations
 
 from repro.api.cache import TraceCache
 from repro.api.records import RunRecord
-from repro.api.shm import attach_miss_trace
 from repro.api.spec import Cell
 from repro.core.scheme import scheme_from_spec
-from repro.cpu.trace import MissTrace
 from repro.faults.plan import fault_point
 from repro.sim.simulator import SecureProcessorSim, SimConfig
 from repro.sim.windows import (
@@ -44,10 +41,6 @@ _SIMS: dict[tuple, SecureProcessorSim] = {}
 
 #: Per-process persistent trace store (set by the pool initializer).
 _WORKER_TRACE_CACHE: TraceCache | None = None
-
-#: Shared-memory trace descriptors published by the pool's parent,
-#: keyed by ``str(functional_pass_key(cell))``.
-_WORKER_SHM_TRACES: dict[str, dict] = {}
 
 
 class _DictTraceStore:
@@ -131,11 +124,7 @@ def execute_cell(
     return _record_from_result(cell, sim, scheme, result)
 
 
-def execute_cells_batch(
-    cells,
-    sim: SecureProcessorSim | None = None,
-    trace_store: TraceCache | None = None,
-) -> list[RunRecord]:
+def execute_cells_batch(cells, trace_store: TraceCache | None = None) -> list[RunRecord]:
     """Run a group of cells, batching their timing replays per trace.
 
     Cells sharing a simulator configuration and benchmark dispatch one
@@ -146,11 +135,8 @@ def execute_cells_batch(
     still replay individually.  Records are bit-identical to
     :func:`execute_cell` per cell and returned in input order, so both
     backends can route their groups through here without changing any
-    result byte.
-
-    ``sim`` pins every cell to one injected simulator (the serial
-    backend's legacy-shim bridge); otherwise each subgroup resolves its
-    own process-local simulator against ``trace_store``.
+    result byte.  Each subgroup resolves its process-local simulator
+    against ``trace_store``.
     """
     cells = list(cells)
     records: list[RunRecord | None] = [None] * len(cells)
@@ -166,7 +152,7 @@ def execute_cells_batch(
         batched: set[int] = set()
         if len(plain) >= 2:
             first = cells[plain[0]]
-            group_sim = sim if sim is not None else sim_for_cell(first, trace_store)
+            group_sim = sim_for_cell(first, trace_store)
             schemes = [scheme_from_spec(cells[i].scheme_spec) for i in plain]
             results = group_sim.run_batch(
                 first.benchmark,
@@ -179,7 +165,7 @@ def execute_cells_batch(
             batched = set(plain)
         for i in indices:
             if i not in batched:
-                records[i] = execute_cell(cells[i], sim=sim, trace_store=trace_store)
+                records[i] = execute_cell(cells[i], trace_store=trace_store)
     return records
 
 
@@ -239,14 +225,10 @@ def reset_local_sims() -> None:
     _PROCESS_TRACE_STORE.entries.clear()
 
 
-def _init_worker(
-    cache_root: str | None, shm_traces: dict[str, dict] | None = None
-) -> None:
-    """Pool initializer: attach the persistent trace cache and the
-    parent's shared-memory trace descriptors in each worker."""
-    global _WORKER_TRACE_CACHE, _WORKER_SHM_TRACES
+def _init_worker(cache_root: str | None) -> None:
+    """Pool initializer: attach the persistent trace cache in each worker."""
+    global _WORKER_TRACE_CACHE
     _WORKER_TRACE_CACHE = TraceCache(cache_root) if cache_root else None
-    _WORKER_SHM_TRACES = dict(shm_traces or {})
 
 
 def functional_pass_key(cell: Cell) -> tuple:
@@ -274,53 +256,13 @@ def trace_store_key(cell: Cell) -> str:
     )
 
 
-def lookup_cached_trace(
-    cell: Cell, cache: "ExperimentCache | None" = None
-) -> MissTrace | None:
-    """A cell's miss trace if this process already holds it, else None.
-
-    Consults warm in-process simulators first, then the persistent
-    trace cache — never computing a functional pass.  The pool backend
-    uses this to decide which groups' traces it can publish to shared
-    memory before dispatch.
-    """
-    memory_key = (cell.benchmark, cell.input_name, cell.n_instructions, cell.seed)
-    sim = _SIMS.get(_sim_key(cell))
-    if sim is not None:
-        trace = sim._miss_traces.get(memory_key)
-        if trace is not None:
-            return trace
-    if cache is not None:
-        sim = sim_for_cell(cell, cache.traces)
-        return cache.traces.get(sim._store_key("workload", *memory_key))
-    return None
-
-
-def _seed_shared_traces(cells: list[Cell]) -> None:
-    """Pre-load worker sims with traces the parent published via shm."""
-    if not _WORKER_SHM_TRACES:
-        return
-    seen: set[str] = set()
-    for cell in cells:
-        shm_key = str(functional_pass_key(cell))
-        if shm_key in seen or shm_key not in _WORKER_SHM_TRACES:
-            continue
-        seen.add(shm_key)
-        sim = sim_for_cell(cell, _WORKER_TRACE_CACHE)
-        memory_key = (cell.benchmark, cell.input_name, cell.n_instructions, cell.seed)
-        if memory_key not in sim._miss_traces:
-            trace = attach_miss_trace(_WORKER_SHM_TRACES[shm_key])
-            if trace is not None:
-                sim._miss_traces[memory_key] = trace
-
-
 def _execute_batch_in_worker(cells: list[Cell]) -> list[RunRecord]:
     """Pool entry point: one batch of cells sharing a functional pass.
 
     The group replays through the config-batched kernel — one
     functional pass and one batched timing replay per (benchmark,
-    seed), not one replay task per scheme — and skips the pass
-    entirely when the parent shipped its trace through shared memory.
+    seed), not one replay task per scheme — and reads the pass from the
+    persistent trace cache when an earlier run already stored it.
 
     Each cell arms the ``worker-cell`` fault site before the batch
     executes, so a chaos plan can kill this worker deterministically
@@ -328,5 +270,4 @@ def _execute_batch_in_worker(cells: list[Cell]) -> list[RunRecord]:
     """
     for _ in cells:
         fault_point("worker-cell")
-    _seed_shared_traces(cells)
     return execute_cells_batch(cells, trace_store=_WORKER_TRACE_CACHE)

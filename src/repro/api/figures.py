@@ -28,7 +28,7 @@ FIG6_BENCHMARKS: list[tuple[str, str | None]] = [
     ("perlbench", "diffmail"),
 ]
 
-#: Default instruction budget matching the legacy ``default_sim``.
+#: Instruction budget every figure spec runs at unless overridden.
 DEFAULT_N_INSTRUCTIONS = 2_000_000
 
 #: Figure 5's swept static rates.

@@ -261,7 +261,8 @@ class ResultSet:
         reporting convention.
         """
         # Imported lazily: repro.analysis pulls in repro.api (the figure
-        # shims), so a module-level import here would be circular.
+        # converters and the report), so a module-level import here
+        # would be circular.
         from repro.analysis.tables import Table, format_value
 
         have_baseline = any(r.scheme_name == "base_dram" for r in self.records)

@@ -189,9 +189,10 @@ def run_worker(
 ) -> int:
     """CLI entry point: drain one queue under a fresh Worker.
 
-    Queue tuning parameters default to the values persisted at submit
-    time being unnecessary — the queue directory layout is self
-    describing, and TTL/attempt knobs only shape *this worker's*
+    Queue tuning parameters (``lease_ttl_s``, ``max_attempts``) default
+    to the :class:`WorkQueue` defaults; nothing is persisted at submit
+    time because nothing needs to be — the queue directory layout is
+    self describing, and TTL/attempt knobs only shape *this worker's*
     behavior, so they are safe to vary per worker.
     """
     from repro.dist.queue import QUEUE_SUBDIR

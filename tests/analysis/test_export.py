@@ -71,10 +71,13 @@ class TestExportFigure8:
 
 
 class TestEndToEndExport:
-    def test_export_from_real_run(self, tmp_path, shared_sim):
-        from repro.analysis.experiments import run_figure2
+    def test_export_from_real_run(self, tmp_path):
+        from repro.analysis.experiments import figure2_from_resultset
+        from repro.api.engine import Engine
+        from repro.api.figures import figure2_spec
 
-        result = run_figure2(shared_sim, n_windows=5)
+        spec = figure2_spec(n_windows=5, n_instructions=120_000, seeds=(3,))
+        result = figure2_from_resultset(Engine().run(spec))
         target = tmp_path / "fig2_real.csv"
         export_figure2(result, target)
         rows = read_csv(target)

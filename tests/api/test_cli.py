@@ -50,6 +50,29 @@ class TestSweep:
                      "--seeds", "0,1", "-n", "40000"]) == 0
         assert "2 cells" in capsys.readouterr().out
 
+    def test_zero_workers_is_a_clean_error(self, capsys):
+        code = main(["sweep", "--benchmarks", "mcf", "--schemes", "base_dram",
+                     "-n", "40000", "--workers", "0"])
+        assert code == 2
+        assert "max_workers must be >= 1" in capsys.readouterr().err
+
+
+class TestFrontier:
+    def test_warm_trace_pool_rerun_is_verified_and_quiet(self, capfd, tmp_path):
+        argv = ["frontier", "--grid", "grid:dynamic:{rates=2..3}x{epochs=2..3}",
+                "--static", "300", "--benchmarks", "mcf,libquantum",
+                "-n", "40000", "--workers", "2",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        capfd.readouterr()
+        # Recompute every cell on the pool against the warm trace cache:
+        # workers read both functional passes from disk, and nothing
+        # (no worker or resource-tracker output) reaches stderr.
+        assert main(argv + ["--no-cache-read"]) == 0
+        captured = capfd.readouterr()
+        assert "functional passes 0/2 (verified)" in captured.out
+        assert captured.err == ""
+
 
 class TestListWorkloads:
     def test_lists_registry(self, capsys):

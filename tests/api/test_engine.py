@@ -12,11 +12,11 @@ The acceptance properties of the api subsystem live here:
 import pytest
 
 import repro.sim.simulator as simulator_module
-from repro.api.backends import ProcessPoolBackend, SerialBackend
+from repro.api.backends import ProcessPoolBackend, default_start_method
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine, run_spec
+from repro.api.execution import sim_for_cell
 from repro.api.spec import ExperimentSpec
-from repro.sim.simulator import SecureProcessorSim, SimConfig
 
 N_INSTRUCTIONS = 40_000
 
@@ -57,62 +57,6 @@ class TestSerialEngine:
         # 2 benchmarks, 3 schemes: one pass per benchmark, not per cell.
         assert count_functional_passes["n"] == 2
 
-    def test_injected_sim_is_reused(self, count_functional_passes):
-        sim = SecureProcessorSim(SimConfig(n_instructions=N_INSTRUCTIONS, seed=0))
-        engine = Engine(backend=SerialBackend(sim=sim))
-        engine.run(tiny_spec())
-        assert count_functional_passes["n"] == 2
-        engine.run(tiny_spec())  # warm in-memory traces on the injected sim
-        assert count_functional_passes["n"] == 2
-
-    def test_mismatched_injected_sim_not_used(self):
-        sim = SecureProcessorSim(SimConfig(n_instructions=999, seed=9))
-        results = Engine(backend=SerialBackend(sim=sim)).run(tiny_spec())
-        # A wrong-config injected sim must not leak into the results: the
-        # records match a plain engine run of the same spec exactly.
-        assert results.records == Engine().run(tiny_spec()).records
-
-    def test_custom_substrate_honored_without_cache(self):
-        from repro.cache.hierarchy import HierarchyConfig
-
-        sim = SecureProcessorSim(SimConfig(
-            n_instructions=N_INSTRUCTIONS, seed=0,
-            hierarchy=HierarchyConfig(l2_bytes=128 * 1024, l2_ways=4),
-        ))
-        spec = tiny_spec(benchmarks=("hmmer",), schemes=("base_oram",))
-        custom = Engine(backend=SerialBackend(sim=sim)).run(spec)
-        default = Engine().run(spec)
-        # Legacy shim semantics: an uncached engine runs on the caller's
-        # substrate, so a much smaller LLC must change the result.
-        assert custom.get("hmmer", "base_oram").cycles != \
-            default.get("hmmer", "base_oram").cycles
-
-    def test_custom_substrate_bypassed_with_cache(self, tmp_path):
-        import warnings as warnings_module
-
-        from repro.cache.hierarchy import HierarchyConfig
-
-        sim = SecureProcessorSim(SimConfig(
-            n_instructions=N_INSTRUCTIONS, seed=0,
-            hierarchy=HierarchyConfig(l2_bytes=256 * 1024),
-        ))
-        engine = Engine(backend=SerialBackend(sim=sim),
-                        cache=ExperimentCache(tmp_path))
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            results = engine.run(tiny_spec())
-        # The cache's cell hashes assume the default substrate, so the
-        # custom sim is bypassed (with a warning) and records match a
-        # plain default run.
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-        assert results.records == Engine().run(tiny_spec()).records
-
-    def test_injected_sim_populates_persistent_trace_cache(self, tmp_path):
-        sim = SecureProcessorSim(SimConfig(n_instructions=N_INSTRUCTIONS, seed=0))
-        cache = ExperimentCache(tmp_path)
-        Engine(backend=SerialBackend(sim=sim), cache=cache).run(tiny_spec())
-        assert len(list(cache.traces.root.glob("*.pkl"))) == 2
-
     def test_two_engines_different_cache_dirs_do_not_cross_pollute(self, tmp_path):
         spec = tiny_spec(benchmarks=("mcf",), schemes=("base_dram",))
         cache_a = ExperimentCache(tmp_path / "a")
@@ -135,6 +79,34 @@ class TestSerialEngine:
         # process-local trace store shares the functional pass.
         assert count_functional_passes["n"] == 1
 
+    def test_process_local_sims_reused_across_engines(self, count_functional_passes):
+        Engine().run(tiny_spec())
+        assert count_functional_passes["n"] == 2
+        # A second engine in the same process replays the warm in-memory
+        # traces of the engine-owned simulators.
+        Engine().run(tiny_spec())
+        assert count_functional_passes["n"] == 2
+
+    def test_cached_serial_run_persists_one_trace_per_benchmark(self, tmp_path):
+        cache = ExperimentCache(tmp_path)
+        Engine(cache=cache).run(tiny_spec())
+        assert len(list(cache.traces.root.glob("*.pkl"))) == 2
+
+    def test_sim_for_cell_follows_cell_config(self):
+        cells = list(tiny_spec(seeds=(0, 1)).cells())
+        sims = {(cell.benchmark, cell.scheme_spec, cell.seed): sim_for_cell(cell)
+                for cell in cells}
+        for cell in cells:
+            sim = sims[cell.benchmark, cell.scheme_spec, cell.seed]
+            assert (sim.config.n_instructions, sim.config.seed) == \
+                (cell.n_instructions, cell.seed)
+        # One simulator per configuration, shared by every benchmark and
+        # scheme under it.
+        assert len({id(sim) for sim in sims.values()}) == 2
+        other = next(iter(tiny_spec(n_instructions=N_INSTRUCTIONS + 8).cells()))
+        assert sim_for_cell(other).config.n_instructions == N_INSTRUCTIONS + 8
+        assert sim_for_cell(other) not in sims.values()
+
 
 class TestBackendEquivalence:
     def test_pool_matches_serial_byte_identical(self, tmp_path):
@@ -146,6 +118,36 @@ class TestBackendEquivalence:
         serial.save(a)
         parallel.save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.skipif(
+        default_start_method() != "fork",
+        reason="only forked workers inherit the parent's simulators",
+    )
+    def test_forked_pool_reuses_warm_parent_traces(self, monkeypatch):
+        spec = tiny_spec(seeds=(0, 1))
+        serial = Engine().run(spec)
+
+        def no_functional_pass(*args, **kwargs):
+            raise AssertionError("worker recomputed a trace its parent held")
+
+        monkeypatch.setattr(simulator_module, "simulate_hierarchy", no_functional_pass)
+        pool = Engine(ProcessPoolBackend(max_workers=2)).run(spec)
+        assert pool.records == serial.records
+
+    def test_pool_starts_workers_with_default_method(self, monkeypatch):
+        import repro.api.backends as backends_module
+
+        seen = {}
+
+        def recording_executor(**kwargs):
+            seen.update(kwargs)
+
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", recording_executor)
+        ProcessPoolBackend()._make_pool(2, "traces-root")
+        assert seen["max_workers"] == 2
+        assert seen["mp_context"].get_start_method() == default_start_method()
+        # Workers receive only the persistent trace cache's location.
+        assert seen["initargs"] == ("traces-root",)
 
     def test_single_worker_pool_degrades_to_serial(self):
         spec = tiny_spec()
@@ -195,6 +197,55 @@ class TestPersistentCache:
         assert rerun.meta["cells_run"] == 6
         assert count_functional_passes["n"] == 2
         assert rerun.records == cold.records
+
+    @pytest.mark.skipif(
+        default_start_method() != "fork",
+        reason="spawned workers do not inherit the patched functional pass",
+    )
+    def test_warm_trace_pool_rerun_computes_no_functional_pass(
+        self, tmp_path, monkeypatch
+    ):
+        spec = tiny_spec(seeds=(0, 1))
+        cache = ExperimentCache(tmp_path)
+        cold = Engine(cache=cache).run(spec)
+        from repro.api.execution import reset_local_sims
+
+        reset_local_sims()
+
+        def no_functional_pass(*args, **kwargs):
+            raise AssertionError("functional pass recomputed despite a warm trace cache")
+
+        monkeypatch.setattr(simulator_module, "simulate_hierarchy", no_functional_pass)
+        # Four (benchmark, seed) groups across two workers: every worker
+        # must read its miss traces from the persistent cache.
+        rerun = Engine(ProcessPoolBackend(max_workers=2), cache).run(spec, use_cache=False)
+        assert rerun.meta["cells_run"] == 12
+        assert rerun.records == cold.records
+
+    def test_worker_entry_point_reads_persistent_trace_cache(self, tmp_path, monkeypatch):
+        from repro.api import execution
+        from repro.api.records import ResultSet
+
+        spec = tiny_spec()
+        cache = ExperimentCache(tmp_path)
+        cold = Engine(cache=cache).run(spec)
+        execution.reset_local_sims()
+        monkeypatch.setattr(execution, "_WORKER_TRACE_CACHE", None)
+        execution._init_worker(str(cache.traces.root))
+
+        def no_functional_pass(*args, **kwargs):
+            raise AssertionError("functional pass recomputed despite a warm trace cache")
+
+        monkeypatch.setattr(simulator_module, "simulate_hierarchy", no_functional_pass)
+        # The pool's entry points, run in this process: one batch per
+        # functional pass, each reading its miss trace from disk.
+        batches: dict[tuple, list] = {}
+        for cell in spec.cells():
+            batches.setdefault(execution.functional_pass_key(cell), []).append(cell)
+        records = []
+        for batch in batches.values():
+            records.extend(execution._execute_batch_in_worker(batch))
+        assert ResultSet(records=tuple(records)).records == cold.records
 
     def test_spec_change_invalidates(self, tmp_path):
         engine = Engine(cache=ExperimentCache(tmp_path))

@@ -27,8 +27,17 @@ DOCTESTED_MODULES = (
     "repro.core.epochs",
     "repro.core.leakage",
     "repro.core.learner",
-    "repro.util.backoff",
+    "repro.service",
+    "repro.service.jobs",
+    "repro.service.metrics",
+    "repro.service.client",
+    "repro.service.loadgen",
+    "repro.service.journal",
+    "repro.faults.counters",
     "repro.faults.plan",
+    "repro.util.backoff",
+    "repro.ingest.errors",
+    "repro.ingest.store",
 )
 
 

@@ -92,6 +92,9 @@ class TestPoisonQuarantine:
         assert delta["cells_poisoned"] == SPEC.n_cells
 
     def test_validates_attempt_floor(self):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="max_workers"):
+                ProcessPoolBackend(max_workers=workers)
         with pytest.raises(ValueError, match="max_batch_attempts"):
             ProcessPoolBackend(max_batch_attempts=0)
         with pytest.raises(ValueError, match="retry_backoff_s"):
