@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
 The figure benches run declarative specs (:mod:`repro.api.figures`) on a
-session-scoped :class:`~repro.api.engine.Engine`.  The engine's serial
-backend keeps one process-local simulator per configuration, so each
+session-scoped :class:`~repro.api.engine.Engine`.  The serial backend's
+simulators share the process-wide functional-pass memo, so each
 benchmark's functional cache pass runs once per session; benches then
 replay it per scheme.  Environment knobs:
 
@@ -12,9 +12,9 @@ replay it per scheme.  Environment knobs:
   repeated harness runs (near-)free.
 
 The ``sim`` fixture remains for ablation/extension benches that drive
-scheme objects the spec-string grammar does not cover; it is the
-engine's own simulator for the bench configuration, so those benches
-share functional passes with the figure benches.
+scheme objects the spec-string grammar does not cover; it is a
+simulator at the bench configuration, so through the same memo those
+benches share functional passes with the figure benches.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ import pytest
 from repro.api.backends import ProcessPoolBackend, SerialBackend
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
-from repro.api.execution import sim_for_cell
-from repro.api.figures import figure6_spec
-from repro.sim.simulator import SecureProcessorSim
+from repro.sim.simulator import SecureProcessorSim, SimConfig
 
 DEFAULT_INSTRUCTIONS = 2_000_000
 
@@ -45,8 +43,8 @@ def bench_sim_params() -> dict:
 
 @pytest.fixture(scope="session")
 def sim() -> SecureProcessorSim:
-    """The engine's process-local simulator at the bench configuration."""
-    return sim_for_cell(next(iter(figure6_spec(**bench_sim_params()).cells())))
+    """A simulator at the bench configuration (shares the pass memo)."""
+    return SecureProcessorSim(SimConfig(n_instructions=bench_instructions(), seed=0))
 
 
 @pytest.fixture(scope="session")

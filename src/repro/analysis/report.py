@@ -62,7 +62,7 @@ def full_report(
     ``include`` selects sections by id; the default regenerates every
     table and figure.  ``sim_params`` (``n_instructions``, ``seeds``, ...)
     pass through to every figure spec.  All sections share one serial
-    engine, whose process-local simulators amortize the functional cache
+    engine, and the process-wide pass memo amortizes the functional cache
     passes across sections exactly as the benchmark harness does.
     """
     engine = Engine()

@@ -6,7 +6,7 @@ built-ins produce identical records for identical cells (see
 work happens:
 
 - :class:`SerialBackend` — in this process, sharing functional passes
-  through per-config simulators.
+  through the simulator's process-wide memo.
 - :class:`ProcessPoolBackend` — shards cells across worker processes.
   Cells are deterministic and independent, so sharding needs no
   coordination; the persistent trace cache (when the engine has one)
@@ -27,7 +27,6 @@ from typing import Protocol, Sequence
 from repro.api.cache import ExperimentCache
 from repro.api.execution import (
     _execute_batch_in_worker,
-    _init_worker,
     execute_cells_batch,
     functional_pass_key,
 )
@@ -84,7 +83,7 @@ class SerialBackend:
     def run_cells(
         self, cells: Sequence[Cell], cache: ExperimentCache | None = None
     ) -> list[RunRecord]:
-        """Execute every cell on this process's simulators."""
+        """Execute every cell in this process."""
         return execute_cells_batch(cells, trace_store=cache.traces if cache else None)
 
 
@@ -152,12 +151,10 @@ class ProcessPoolBackend:
         self.max_batch_attempts = max_batch_attempts
         self.retry_backoff_s = retry_backoff_s
 
-    def _make_pool(self, workers: int, cache_root: str | None) -> ProcessPoolExecutor:
+    def _make_pool(self, workers: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=workers,
             mp_context=get_context(default_start_method()),
-            initializer=_init_worker,
-            initargs=(cache_root,),
         )
 
     def _dispatch_round(
@@ -167,9 +164,9 @@ class ProcessPoolBackend:
         cache_root: str | None,
     ) -> list[_BatchState]:
         """Run one pool over ``states``; returns the groups that crashed."""
-        with self._make_pool(workers, cache_root) as pool:
+        with self._make_pool(workers) as pool:
             futures = [
-                (state, pool.submit(_execute_batch_in_worker, state.batch))
+                (state, pool.submit(_execute_batch_in_worker, state.batch, cache_root))
                 for state in states
             ]
             crashed: list[_BatchState] = []

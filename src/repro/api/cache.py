@@ -4,10 +4,10 @@ Two content-addressed stores under one root directory:
 
 - ``traces/`` — pickled :class:`~repro.cpu.trace.MissTrace` objects, keyed
   by a digest of everything that determines the functional cache pass
-  (workload, seed, instruction budget, hierarchy, core).  This generalizes
-  ``SecureProcessorSim._miss_traces`` across processes and sessions: pool
-  workers and repeated sweeps reuse each benchmark's expensive functional
-  pass instead of recomputing it.
+  (workload, seed, instruction budget, hierarchy, core).  This extends
+  the simulator's process-wide pass memo across processes and sessions:
+  pool workers and repeated sweeps reuse each benchmark's expensive
+  functional pass instead of recomputing it.
 - ``results/`` — JSON :class:`~repro.api.records.RunRecord` rows keyed by
   the spec cell's content hash, so a warm repeated sweep runs nothing at
   all.
@@ -115,7 +115,7 @@ class TraceCache:
     """Content-addressed store of pickled miss traces.
 
     Satisfies the :class:`repro.sim.simulator.TraceStore` protocol, so it
-    plugs straight into ``SecureProcessorSim(config, trace_store=...)``.
+    plugs straight into ``SecureProcessorSim.miss_trace(..., store=...)``.
     """
 
     def __init__(self, root: str | Path) -> None:

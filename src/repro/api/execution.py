@@ -1,10 +1,10 @@
 """Cell execution: one spec cell in, one run record out.
 
 Everything here is module-level and picklable so the process-pool backend
-can ship cells to workers.  Each process keeps one
-:class:`SecureProcessorSim` per distinct simulation configuration, so
-cells sharing a (benchmark, seed, budget) reuse one in-memory functional
-pass; the optional persistent trace cache extends that sharing across
+can ship cells to workers.  Cells sharing a (benchmark, seed, budget)
+reuse one functional pass through the simulator's process-wide memo
+(keyed by :meth:`~repro.sim.simulator.SimConfig.pass_key`); the optional
+persistent trace cache, passed per call, extends that sharing across
 processes and sessions.
 
 Determinism: a cell's result is a pure function of its fields.  Workload
@@ -36,83 +36,27 @@ from repro.sim.windows import (
     ipc_windows,
 )
 
-#: Per-process simulator pool: sim-config key -> simulator.
-_SIMS: dict[tuple, SecureProcessorSim] = {}
-
-#: Per-process persistent trace store (set by the pool initializer).
-_WORKER_TRACE_CACHE: TraceCache | None = None
-
-
-class _DictTraceStore:
-    """Process-local TraceStore: shares functional passes across sims.
-
-    Store keys fold in ``SimConfig.substrate_digest`` — which excludes
-    timing-only knobs like ``write_buffer_entries`` — so two sims that
-    differ only in timing parameters share one functional pass here even
-    without a persistent cache.
-    """
-
-    def __init__(self) -> None:
-        self.entries: dict[str, object] = {}
-
-    def get(self, key: str):
-        return self.entries.get(key)
-
-    def put(self, key: str, trace) -> None:
-        self.entries[key] = trace
-
-    def has(self, key: str) -> bool:
-        return key in self.entries
+def _sim_config(cell: Cell) -> SimConfig:
+    """The simulation configuration a cell runs under."""
+    return SimConfig(
+        n_instructions=cell.n_instructions,
+        seed=cell.seed,
+        write_buffer_entries=cell.write_buffer_entries,
+        warmup_fraction=cell.warmup_fraction,
+    )
 
 
-_PROCESS_TRACE_STORE = _DictTraceStore()
-
-
-def _sim_key(cell: Cell) -> tuple:
-    """The sim-config identity a cell runs under."""
-    return (cell.n_instructions, cell.seed, cell.warmup_fraction,
-            cell.write_buffer_entries)
-
-
-def sim_for_cell(cell: Cell, trace_store: TraceCache | None = None) -> SecureProcessorSim:
-    """The process-local simulator for a cell's configuration (cached).
-
-    The caller's ``trace_store`` always wins: engine-owned sims are
-    re-pointed at the current engine's cache on every call, so two
-    engines with different cache directories in one process never leak
-    entries into each other's cache.  Without a persistent store, a
-    process-local store still shares functional passes across sims that
-    differ only in timing knobs.
-    """
-    key = _sim_key(cell)
-    sim = _SIMS.get(key)
-    if sim is None:
-        sim = SecureProcessorSim(
-            SimConfig(
-                n_instructions=cell.n_instructions,
-                seed=cell.seed,
-                write_buffer_entries=cell.write_buffer_entries,
-                warmup_fraction=cell.warmup_fraction,
-            ),
-        )
-        _SIMS[key] = sim
-    sim.trace_store = trace_store if trace_store is not None else _PROCESS_TRACE_STORE
-    return sim
-
-
-def execute_cell(
-    cell: Cell,
-    sim: SecureProcessorSim | None = None,
-    trace_store: TraceCache | None = None,
-) -> RunRecord:
+def execute_cell(cell: Cell, sim: SecureProcessorSim | None = None) -> RunRecord:
     """Run one cell and flatten the outcome into a :class:`RunRecord`.
 
-    When the cell asks for windows, the run records per-request arrays,
-    reduces them to fixed-size window series, and drops the arrays — so
-    records stay small and JSON-native regardless of run length.
+    ``sim`` defaults to a fast-kernel simulator for the cell's own
+    configuration.  When the cell asks for windows, the run records
+    per-request arrays, reduces them to fixed-size window series, and
+    drops the arrays — so records stay small and JSON-native regardless
+    of run length.
     """
     if sim is None:
-        sim = sim_for_cell(cell, trace_store)
+        sim = SecureProcessorSim(_sim_config(cell))
     scheme = scheme_from_spec(cell.scheme_spec)
     want_windows = cell.n_windows is not None
     result = sim.run(
@@ -127,32 +71,33 @@ def execute_cell(
 def execute_cells_batch(cells, trace_store: TraceCache | None = None) -> list[RunRecord]:
     """Run a group of cells, batching their timing replays per trace.
 
-    Cells sharing a simulator configuration and benchmark dispatch one
+    Cells sharing a functional pass and write-buffer depth form one
+    group on one simulator, which resolves the pass once against
+    ``trace_store``; the group's plain cells then dispatch one
     :meth:`~repro.sim.simulator.SecureProcessorSim.run_batch` call —
     the config-batched slotted kernel replays the shared miss trace
     under every scheme in lockstep — instead of one replay per cell.
     Cells that need per-request arrays (windows, ``record_requests``)
     still replay individually.  Records are bit-identical to
-    :func:`execute_cell` per cell and returned in input order, so both
-    backends can route their groups through here without changing any
-    result byte.  Each subgroup resolves its process-local simulator
-    against ``trace_store``.
+    :func:`execute_cell` per cell and returned in input order, so every
+    backend can route its groups through here without changing any
+    result byte.
     """
     cells = list(cells)
     records: list[RunRecord | None] = [None] * len(cells)
     groups: dict[tuple, list[int]] = {}
     for index, cell in enumerate(cells):
-        key = _sim_key(cell) + (cell.benchmark, cell.input_name)
+        key = functional_pass_key(cell) + (cell.write_buffer_entries,)
         groups.setdefault(key, []).append(index)
     for indices in groups.values():
+        first = cells[indices[0]]
+        group_sim = SecureProcessorSim(_sim_config(first))
+        group_sim.miss_trace(first.benchmark, first.input_name, trace_store)
         plain = [
             i for i in indices
             if cells[i].n_windows is None and not cells[i].record_requests
         ]
-        batched: set[int] = set()
         if len(plain) >= 2:
-            first = cells[plain[0]]
-            group_sim = sim_for_cell(first, trace_store)
             schemes = [scheme_from_spec(cells[i].scheme_spec) for i in plain]
             results = group_sim.run_batch(
                 first.benchmark,
@@ -162,10 +107,9 @@ def execute_cells_batch(cells, trace_store: TraceCache | None = None) -> list[Ru
             )
             for i, scheme, result in zip(plain, schemes, results):
                 records[i] = _record_from_result(cells[i], group_sim, scheme, result)
-            batched = set(plain)
         for i in indices:
-            if i not in batched:
-                records[i] = execute_cell(cells[i], trace_store=trace_store)
+            if records[i] is None:
+                records[i] = execute_cell(cells[i], sim=group_sim)
     return records
 
 
@@ -219,18 +163,6 @@ def _record_from_result(cell: Cell, sim: SecureProcessorSim, scheme, result) -> 
     )
 
 
-def reset_local_sims() -> None:
-    """Drop the per-process simulator pool (test isolation, memory)."""
-    _SIMS.clear()
-    _PROCESS_TRACE_STORE.entries.clear()
-
-
-def _init_worker(cache_root: str | None) -> None:
-    """Pool initializer: attach the persistent trace cache in each worker."""
-    global _WORKER_TRACE_CACHE
-    _WORKER_TRACE_CACHE = TraceCache(cache_root) if cache_root else None
-
-
 def functional_pass_key(cell: Cell) -> tuple:
     """Identity of the functional cache pass a cell depends on.
 
@@ -245,24 +177,23 @@ def functional_pass_key(cell: Cell) -> tuple:
 def trace_store_key(cell: Cell) -> str:
     """Persistent-store key of the functional pass a cell depends on.
 
-    Lets services check ``cache.traces.has(trace_store_key(cell))``
+    A pure function of the cell (its configuration's ``pass_key``).  Lets
+    services check ``cache.traces.has(trace_store_key(cell))``
     without loading the (large) trace — the per-key accounting behind
     the sweep daemon's zero-redundant-pass metric, which a global
     entry-count delta cannot provide once groups run concurrently.
     """
-    sim = sim_for_cell(cell)
-    return sim._store_key(
-        "workload", cell.benchmark, cell.input_name, cell.n_instructions, cell.seed
-    )
+    return _sim_config(cell).pass_key(cell.benchmark, cell.input_name)
 
 
-def _execute_batch_in_worker(cells: list[Cell]) -> list[RunRecord]:
+def _execute_batch_in_worker(cells: list[Cell], trace_root: str | None) -> list[RunRecord]:
     """Pool entry point: one batch of cells sharing a functional pass.
 
     The group replays through the config-batched kernel — one
     functional pass and one batched timing replay per (benchmark,
     seed), not one replay task per scheme — and reads the pass from the
-    persistent trace cache when an earlier run already stored it.
+    persistent trace cache under ``trace_root`` when an earlier run
+    already stored it.
 
     Each cell arms the ``worker-cell`` fault site before the batch
     executes, so a chaos plan can kill this worker deterministically
@@ -270,4 +201,5 @@ def _execute_batch_in_worker(cells: list[Cell]) -> list[RunRecord]:
     """
     for _ in cells:
         fault_point("worker-cell")
-    return execute_cells_batch(cells, trace_store=_WORKER_TRACE_CACHE)
+    trace_store = TraceCache(trace_root) if trace_root else None
+    return execute_cells_batch(cells, trace_store=trace_store)

@@ -10,7 +10,7 @@ run to prove recovery actually happened.
 
 Counters are process-global (not per-engine) deliberately: recovery can
 happen below any object a caller holds — inside a pool worker's cache
-write, inside a module-level ``sim_for_cell`` — and the operator's
+write, inside a simulator's trace-store read — and the operator's
 question is "did *this process* retry/quarantine anything".
 
 >>> from repro.faults import counters

@@ -103,7 +103,7 @@ def scenario_corrupt_artifact(workdir: Path) -> dict:
     quarantine all of them and still reproduce the digest."""
     from repro.api.cache import ExperimentCache
     from repro.api.engine import Engine
-    from repro.api.execution import reset_local_sims
+    from repro.sim.simulator import clear_pass_memo
 
     root = workdir / "cache-corrupt"
     baseline = Engine(cache=ExperimentCache(root)).run(spec := _chaos_spec())
@@ -116,7 +116,7 @@ def scenario_corrupt_artifact(workdir: Path) -> dict:
     for path in traces:
         path.write_bytes(path.read_bytes()[:16])
 
-    reset_local_sims()  # force disk reads: no warm in-process traces
+    clear_pass_memo()  # force disk reads: no warm in-process traces
     before = counters.snapshot()
     second = Engine(cache=ExperimentCache(root)).run(spec)
     delta = counters.delta(before)
@@ -143,7 +143,7 @@ def scenario_torn_write(workdir: Path) -> dict:
     the stub, recompute exactly that cell, and match the digest."""
     from repro.api.cache import ExperimentCache
     from repro.api.engine import Engine
-    from repro.api.execution import reset_local_sims
+    from repro.sim.simulator import clear_pass_memo
 
     root = workdir / "cache-torn"
     spec = _chaos_spec()
@@ -154,7 +154,7 @@ def scenario_torn_write(workdir: Path) -> dict:
     with plan.activated():
         first = Engine(cache=ExperimentCache(root)).run(spec)
 
-    reset_local_sims()
+    clear_pass_memo()
     before = counters.snapshot()
     second = Engine(cache=ExperimentCache(root)).run(spec)
     delta = counters.delta(before)

@@ -6,9 +6,9 @@ where ``<digest>`` is exactly ``MemoryTrace.content_digest()`` — the
 same sha-256 the rest of the stack keys on.  That one invariant is what
 lets imported traces flow through the Engine, persistent caches,
 frontier sweeps, tenancy, and the service daemon unchanged: the
-simulator's ``("external", digest)`` miss-trace keys and
-``trace_store_key`` cells see an imported SPEC trace and a synthetic
-workload trace as the same kind of object.
+simulator memoizes an external trace's functional pass by this digest,
+so an imported SPEC trace and a synthetic workload trace are the same
+kind of object to it.
 
 The digest is computed without ever materializing the trace: the
 canonical file is written first, then hashed in three sequential

@@ -598,8 +598,8 @@ def bench_tenancy_step(
 def bench_sweep(n_instructions: int) -> SweepBench:
     """Time an end-to-end engine sweep (fast kernels, serial backend)."""
     from repro.api.engine import Engine
-    from repro.api.execution import reset_local_sims
     from repro.api.spec import ExperimentSpec
+    from repro.sim.simulator import clear_pass_memo
 
     benchmarks = ("libquantum", "h264ref")
     spec = ExperimentSpec(
@@ -608,11 +608,11 @@ def bench_sweep(n_instructions: int) -> SweepBench:
         schemes=PERF_SCHEMES,
         n_instructions=n_instructions,
     )
-    reset_local_sims()  # cold caches: measure real work, not dict hits
+    clear_pass_memo()  # cold caches: measure real work, not dict hits
     t0 = time.perf_counter()
     Engine().run(spec, use_cache=False)
     wall = time.perf_counter() - t0
-    reset_local_sims()
+    clear_pass_memo()
     return SweepBench(
         benchmarks=benchmarks,
         schemes=PERF_SCHEMES,

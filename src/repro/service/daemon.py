@@ -1,7 +1,7 @@
 """The long-running sweep service: one warm Engine, many concurrent jobs.
 
 :class:`SweepService` wraps a single :class:`~repro.api.engine.Engine`
-(shared persistent trace/result cache, warm in-process simulators) behind
+(shared persistent trace/result cache, warm in-process pass memo) behind
 an asyncio scheduler.  Submitted specs become :class:`~repro.service.jobs.Job`
 objects; up to ``max_concurrency`` run at once, each split into its
 (benchmark, seed) groups so progress streams at group granularity and

@@ -1,6 +1,6 @@
 """Top-level secure-processor simulation: workload -> caches -> timing.
 
-``SecureProcessorSim`` wires the substrates together and caches the
+``SecureProcessorSim`` wires the substrates together and memoizes the
 expensive functional cache pass per benchmark, so sweeping many schemes
 over the same workload (Figures 5, 6, 8) costs one cache simulation plus
 one cheap timing replay per scheme — the two-phase structure described in
@@ -8,10 +8,13 @@ DESIGN.md.
 
 Two cache layers exist:
 
-- an in-memory per-instance dict (``_miss_traces``), as before; and
-- an optional pluggable ``trace_store`` consulted on in-memory misses,
-  which lets the :mod:`repro.api` engine persist functional passes across
-  worker processes and sessions (see :class:`repro.api.cache.TraceCache`).
+- one process-wide memo keyed by :meth:`SimConfig.pass_key`, shared by
+  every fast-kernel simulator (a ``kernel_mode="reference"`` simulator
+  keeps a private dict, so the scalar oracle always recomputes); and
+- an optional persistent ``store`` passed per call to
+  :meth:`SecureProcessorSim.miss_trace`, which lets the :mod:`repro.api`
+  engine share functional passes across worker processes and sessions
+  (see :class:`repro.api.cache.TraceCache`).
 """
 
 from __future__ import annotations
@@ -27,9 +30,17 @@ from repro.sim.result import SimResult
 from repro.sim.timing import run_timing, run_timing_batch
 from repro.workloads.registry import build_trace
 
+#: Process-wide memo of fast-kernel functional passes.
+_PASSES: dict[str | tuple, MissTrace] = {}
+
+
+def clear_pass_memo() -> None:
+    """Drop every memoized functional pass (test isolation, memory)."""
+    _PASSES.clear()
+
 
 class TraceStore(Protocol):
-    """Persistent miss-trace storage consulted on in-memory cache misses."""
+    """Persistent miss-trace storage consulted on memo misses."""
 
     def get(self, key: str) -> MissTrace | None: ...
 
@@ -76,131 +87,94 @@ class SimConfig:
         ))
         return hashlib.sha256(payload.encode()).hexdigest()
 
+    def pass_key(self, benchmark: str, input_name: str | None = None) -> str:
+        """Storage key of one benchmark's functional pass under this config.
+
+        Keys both the process memo and persistent trace stores.  Timing-only
+        knobs leave it unchanged, so their runs share one pass:
+
+        >>> key = SimConfig(n_instructions=40_000).pass_key("mcf")
+        >>> SimConfig(n_instructions=40_000, write_buffer_entries=2).pass_key("mcf") == key
+        True
+        >>> SimConfig(n_instructions=40_000, seed=1).pass_key("mcf") == key
+        False
+        """
+        parts = ("workload", benchmark, input_name, self.n_instructions, self.seed)
+        return hashlib.sha256(
+            (self.substrate_digest() + repr(parts)).encode()
+        ).hexdigest()
+
 
 class SecureProcessorSim:
-    """Simulator facade with per-benchmark miss-trace caching.
+    """Simulator facade with memoized functional passes.
+
+    Fast-kernel simulators share the process-wide memo, so two simulators
+    with equal configurations never compute one pass twice; a
+    ``kernel_mode="reference"`` simulator memoizes into a private dict.
 
     Args:
         config: Simulation parameters.
-        trace_store: Optional persistent store (e.g. the api engine's
-            on-disk cache).  Consulted when the in-memory dict misses and
-            populated after each fresh functional pass.
     """
 
-    def __init__(
-        self, config: SimConfig | None = None, trace_store: TraceStore | None = None
-    ) -> None:
+    def __init__(self, config: SimConfig | None = None) -> None:
         self.config = config or SimConfig()
-        self.trace_store = trace_store
-        self._miss_traces: dict[tuple, MissTrace] = {}
-        #: (store id, key) pairs known to be present in that store.
-        self._synced: set[tuple[object, str]] = set()
-
-    def _store_key(self, *parts: object) -> str:
-        """Stable string key for the persistent store (config-qualified)."""
-        payload = repr(parts)
-        return hashlib.sha256(
-            (self.config.substrate_digest() + payload).encode()
-        ).hexdigest()
-
-    def _sync_store(self, store_key: str, trace: MissTrace) -> None:
-        """Backfill ``trace_store`` with an in-memory trace it lacks.
-
-        ``trace_store`` can be (re)attached after traces were computed —
-        e.g. the same process-local simulator serving engines with
-        different cache directories — so memory hits still propagate to
-        whichever store is current.  The sync marker keeps this to one
-        existence check per (store, key).
-        """
-        store = self.trace_store
-        if store is None:
-            return
-        marker = (self._store_identity(store), store_key)
-        if marker in self._synced:
-            return
-        present = store.has(store_key) if hasattr(store, "has") else (
-            store.get(store_key) is not None
-        )
-        if not present:
-            store.put(store_key, trace)
-        self._synced.add(marker)
-
-    @staticmethod
-    def _store_identity(store: TraceStore) -> object:
-        """Durable identity for the sync markers.
-
-        ``id(store)`` alone is unsafe: a store object can be garbage
-        collected and its id reused by a *different* store (e.g. two
-        short-lived cache directories in one process), which would make
-        the sync marker silently skip the backfill.  Prefer the store's
-        root path — stable and collision-free per directory.
-        """
-        root = getattr(store, "root", None)
-        return str(root) if root is not None else id(store)
-
-    def _cached_pass(self, key: tuple, store_key: str, compute) -> MissTrace:
-        """Memory -> store -> compute lookup chain for functional passes."""
-        if key in self._miss_traces:
-            trace = self._miss_traces[key]
-            self._sync_store(store_key, trace)
-            return trace
-        trace = self.trace_store.get(store_key) if self.trace_store else None
-        if trace is None:
-            trace = compute()
-            if self.trace_store is not None:
-                self.trace_store.put(store_key, trace)
-                self._synced.add(
-                    (self._store_identity(self.trace_store), store_key)
-                )
-        else:
-            self._synced.add(
-                (self._store_identity(self.trace_store), store_key)
-            )
-        self._miss_traces[key] = trace
-        return trace
+        self._passes = _PASSES if self.config.kernel_mode == "fast" else {}
 
     def miss_trace(
-        self, benchmark: str, input_name: str | None = None
+        self,
+        benchmark: str,
+        input_name: str | None = None,
+        store: TraceStore | None = None,
     ) -> MissTrace:
-        """Functional cache pass for one benchmark (cached)."""
-        key = (benchmark, input_name, self.config.n_instructions, self.config.seed)
+        """Functional cache pass for one benchmark (memoized).
 
-        def compute() -> MissTrace:
+        With a persistent ``store`` (e.g. the api engine's on-disk cache),
+        a memo hit checks ``store.has`` and backfills a store that lacks
+        the pass; a memo miss reads ``store.get`` before computing, then
+        persists what it computed.
+        """
+        key = self.config.pass_key(benchmark, input_name)
+        trace = self._passes.get(key)
+        if trace is not None:
+            if store is not None and not store.has(key):
+                store.put(key, trace)
+            return trace
+        trace = store.get(key) if store is not None else None
+        if trace is None:
             warmup = int(self.config.n_instructions * self.config.warmup_fraction)
-            trace = build_trace(
+            memory_trace = build_trace(
                 benchmark,
                 seed=self.config.seed,
                 n_instructions=self.config.n_instructions + warmup,
                 input_name=input_name,
             )
-            return simulate_hierarchy(
-                trace,
+            trace = simulate_hierarchy(
+                memory_trace,
                 self.config.hierarchy,
                 self.config.core,
                 warmup_instructions=warmup,
                 mode=self.config.kernel_mode,
             )
-
-        return self._cached_pass(key, self._store_key("workload", *key), compute)
+            if store is not None:
+                store.put(key, trace)
+        self._passes[key] = trace
+        return trace
 
     def miss_trace_for(self, trace: MemoryTrace) -> MissTrace:
-        """Functional cache pass for an externally built trace (cached).
+        """Functional cache pass for an externally built trace (memoized).
 
         External traces are replayed verbatim (no warmup prefix is added);
-        use :meth:`miss_trace` for registry benchmarks.  Cached by a
+        use :meth:`miss_trace` for registry benchmarks.  Memoized by a
         content digest of the trace, so distinct traces that happen to
         share a name and reference count never collide.
         """
-        digest = trace.content_digest()
-        key = ("__external__", digest)
-
-        def compute() -> MissTrace:
-            return simulate_hierarchy(
+        key = ("external", self.config.substrate_digest(), trace.content_digest())
+        if key not in self._passes:
+            self._passes[key] = simulate_hierarchy(
                 trace, self.config.hierarchy, self.config.core,
                 mode=self.config.kernel_mode,
             )
-
-        return self._cached_pass(key, self._store_key("external", digest), compute)
+        return self._passes[key]
 
     def run(
         self,

@@ -40,10 +40,10 @@ def make_record():
 
 
 @pytest.fixture(autouse=True)
-def fresh_local_sims():
-    """Isolate the per-process simulator pool between tests."""
-    from repro.api.execution import reset_local_sims
+def fresh_pass_memo():
+    """Isolate the process-wide functional-pass memo between tests."""
+    from repro.sim.simulator import clear_pass_memo
 
-    reset_local_sims()
+    clear_pass_memo()
     yield
-    reset_local_sims()
+    clear_pass_memo()

@@ -66,8 +66,11 @@ class TestFrontier:
         assert main(argv) == 0
         capfd.readouterr()
         # Recompute every cell on the pool against the warm trace cache:
-        # workers read both functional passes from disk, and nothing
-        # (no worker or resource-tracker output) reaches stderr.
+        # the run exits 0, its pass check holds, and nothing (no worker or
+        # resource-tracker output) reaches stderr.  The check counts new
+        # trace files, which a recompute does not add; TestPersistentCache::
+        # test_warm_trace_pool_rerun_computes_no_functional_pass in
+        # test_engine.py is what catches a recomputed functional pass.
         assert main(argv + ["--no-cache-read"]) == 0
         captured = capfd.readouterr()
         assert "functional passes 0/2 (verified)" in captured.out

@@ -9,14 +9,18 @@ The acceptance properties of the api subsystem live here:
 - changing any result-determining spec field invalidates the cache.
 """
 
+import sys
+import threading
+
 import pytest
 
 import repro.sim.simulator as simulator_module
 from repro.api.backends import ProcessPoolBackend, default_start_method
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine, run_spec
-from repro.api.execution import sim_for_cell
+from repro.api.execution import execute_cell, trace_store_key
 from repro.api.spec import ExperimentSpec
+from repro.sim.simulator import SecureProcessorSim, SimConfig, clear_pass_memo
 
 N_INSTRUCTIONS = 40_000
 
@@ -68,6 +72,71 @@ class TestSerialEngine:
         assert len(list(cache_a.traces.root.glob("*.pkl"))) == 1
         assert len(list(cache_b.traces.root.glob("*.pkl"))) == 1
 
+    def test_concurrent_engines_different_cache_dirs_do_not_cross_pollute(
+        self, tmp_path
+    ):
+        specs = {
+            name: tiny_spec(benchmarks=benchmarks, schemes=("base_dram",),
+                            n_instructions=300_000)
+            for name, benchmarks in (
+                ("a", ("mcf", "astar/rivers", "gobmk")),
+                ("b", ("libquantum", "h264ref", "sjeng")),
+                ("c", ("omnetpp", "gcc", "perlbench/diffmail")),
+                ("d", ("hmmer", "bzip2", "astar/biglakes")),
+            )
+        }
+        caches = {name: ExperimentCache(tmp_path / name) for name in specs}
+        errors = []
+
+        def run(name):
+            try:
+                Engine(cache=caches[name]).run(specs[name])
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # Same seed and budget: one configuration, but each engine's
+        # passes must land in its own cache and nowhere else.
+        for name, spec in specs.items():
+            traces = caches[name].traces
+            own = {trace_store_key(cell) for cell in spec.cells()}
+            assert all(traces.has(key) for key in own)
+            assert traces.entry_count() == len(own)
+
+    def test_trace_store_key_does_not_divert_a_running_pass(self, tmp_path):
+        spec = tiny_spec(benchmarks=("mcf", "astar/rivers", "gobmk"),
+                         schemes=("base_dram",), n_instructions=300_000)
+        cells = list(spec.cells())
+        cache = ExperimentCache(tmp_path)
+        done = threading.Event()
+
+        def account():
+            # The sweep daemon's per-key accounting call, racing the run.
+            while not done.is_set():
+                for cell in cells:
+                    trace_store_key(cell)
+
+        accountant = threading.Thread(target=account)
+        accountant.start()
+        try:
+            Engine(cache=cache).run(spec)
+        finally:
+            done.set()
+            accountant.join(timeout=60)
+        assert not accountant.is_alive()
+        assert all(cache.traces.has(trace_store_key(cell)) for cell in cells)
+
     def test_timing_only_config_change_shares_functional_pass(
         self, count_functional_passes
     ):
@@ -76,36 +145,40 @@ class TestSerialEngine:
         Engine().run(tiny_spec(benchmarks=("mcf",), schemes=("base_oram",),
                                write_buffer_entries=16))
         # write_buffer_entries only affects the timing replay; the
-        # process-local trace store shares the functional pass.
+        # pass memo shares the functional pass.
         assert count_functional_passes["n"] == 1
 
     def test_process_local_sims_reused_across_engines(self, count_functional_passes):
         Engine().run(tiny_spec())
         assert count_functional_passes["n"] == 2
-        # A second engine in the same process replays the warm in-memory
-        # traces of the engine-owned simulators.
+        # A second engine in the same process replays the functional
+        # passes memoized in this process.
         Engine().run(tiny_spec())
         assert count_functional_passes["n"] == 2
+
+    def test_reference_sim_recomputes_a_pass_the_engine_memoized(self, monkeypatch):
+        spec = tiny_spec(benchmarks=("mcf",), schemes=("dynamic:4x4",))
+        (fast,) = Engine().run(spec).records
+        modes = []
+        real = simulator_module.simulate_hierarchy
+
+        def recording(*args, **kwargs):
+            modes.append(kwargs["mode"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "simulate_hierarchy", recording)
+        # How an output check recomputes a sampled cell on the oracle.
+        (cell,) = spec.cells()
+        reference = SecureProcessorSim(SimConfig(
+            n_instructions=cell.n_instructions, seed=cell.seed, kernel_mode="reference",
+        ))
+        assert execute_cell(cell, sim=reference) == fast
+        assert modes == ["reference"]
 
     def test_cached_serial_run_persists_one_trace_per_benchmark(self, tmp_path):
         cache = ExperimentCache(tmp_path)
         Engine(cache=cache).run(tiny_spec())
         assert len(list(cache.traces.root.glob("*.pkl"))) == 2
-
-    def test_sim_for_cell_follows_cell_config(self):
-        cells = list(tiny_spec(seeds=(0, 1)).cells())
-        sims = {(cell.benchmark, cell.scheme_spec, cell.seed): sim_for_cell(cell)
-                for cell in cells}
-        for cell in cells:
-            sim = sims[cell.benchmark, cell.scheme_spec, cell.seed]
-            assert (sim.config.n_instructions, sim.config.seed) == \
-                (cell.n_instructions, cell.seed)
-        # One simulator per configuration, shared by every benchmark and
-        # scheme under it.
-        assert len({id(sim) for sim in sims.values()}) == 2
-        other = next(iter(tiny_spec(n_instructions=N_INSTRUCTIONS + 8).cells()))
-        assert sim_for_cell(other).config.n_instructions == N_INSTRUCTIONS + 8
-        assert sim_for_cell(other) not in sims.values()
 
 
 class TestBackendEquivalence:
@@ -121,7 +194,7 @@ class TestBackendEquivalence:
 
     @pytest.mark.skipif(
         default_start_method() != "fork",
-        reason="only forked workers inherit the parent's simulators",
+        reason="only forked workers inherit the parent's pass memo",
     )
     def test_forked_pool_reuses_warm_parent_traces(self, monkeypatch):
         spec = tiny_spec(seeds=(0, 1))
@@ -143,11 +216,11 @@ class TestBackendEquivalence:
             seen.update(kwargs)
 
         monkeypatch.setattr(backends_module, "ProcessPoolExecutor", recording_executor)
-        ProcessPoolBackend()._make_pool(2, "traces-root")
+        ProcessPoolBackend()._make_pool(2)
         assert seen["max_workers"] == 2
         assert seen["mp_context"].get_start_method() == default_start_method()
-        # Workers receive only the persistent trace cache's location.
-        assert seen["initargs"] == ("traces-root",)
+        # Each batch carries its trace-cache root; workers keep no state.
+        assert "initializer" not in seen
 
     def test_single_worker_pool_degrades_to_serial(self):
         spec = tiny_spec()
@@ -167,11 +240,9 @@ class TestPersistentCache:
         assert passes_after_cold == 2
         assert cold.meta["cache_hits"] == 0
 
-        # A fresh engine and fresh process-local sims: everything must
-        # come from disk, with zero functional cache passes re-run.
-        from repro.api.execution import reset_local_sims
-
-        reset_local_sims()
+        # A fresh engine and an empty pass memo: everything must come
+        # from disk, with zero functional cache passes re-run.
+        clear_pass_memo()
         warm_engine = Engine(cache=ExperimentCache(tmp_path))
         warm = warm_engine.run(tiny_spec())
         assert warm.meta == {"backend": "serial", "cells": 6,
@@ -190,9 +261,7 @@ class TestPersistentCache:
         # functional passes all come from disk.
         for entry in cache.results.root.glob("*.json"):
             entry.unlink()
-        from repro.api.execution import reset_local_sims
-
-        reset_local_sims()
+        clear_pass_memo()
         rerun = Engine(cache=cache).run(tiny_spec())
         assert rerun.meta["cells_run"] == 6
         assert count_functional_passes["n"] == 2
@@ -208,9 +277,7 @@ class TestPersistentCache:
         spec = tiny_spec(seeds=(0, 1))
         cache = ExperimentCache(tmp_path)
         cold = Engine(cache=cache).run(spec)
-        from repro.api.execution import reset_local_sims
-
-        reset_local_sims()
+        clear_pass_memo()
 
         def no_functional_pass(*args, **kwargs):
             raise AssertionError("functional pass recomputed despite a warm trace cache")
@@ -229,9 +296,7 @@ class TestPersistentCache:
         spec = tiny_spec()
         cache = ExperimentCache(tmp_path)
         cold = Engine(cache=cache).run(spec)
-        execution.reset_local_sims()
-        monkeypatch.setattr(execution, "_WORKER_TRACE_CACHE", None)
-        execution._init_worker(str(cache.traces.root))
+        clear_pass_memo()
 
         def no_functional_pass(*args, **kwargs):
             raise AssertionError("functional pass recomputed despite a warm trace cache")
@@ -244,7 +309,9 @@ class TestPersistentCache:
             batches.setdefault(execution.functional_pass_key(cell), []).append(cell)
         records = []
         for batch in batches.values():
-            records.extend(execution._execute_batch_in_worker(batch))
+            records.extend(
+                execution._execute_batch_in_worker(batch, str(cache.traces.root))
+            )
         assert ResultSet(records=tuple(records)).records == cold.records
 
     def test_spec_change_invalidates(self, tmp_path):

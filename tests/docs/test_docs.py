@@ -38,6 +38,7 @@ DOCTESTED_MODULES = (
     "repro.util.backoff",
     "repro.ingest.errors",
     "repro.ingest.store",
+    "repro.sim.simulator",
 )
 
 

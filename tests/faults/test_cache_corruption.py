@@ -12,9 +12,9 @@ import pytest
 
 from repro.api.cache import QUARANTINE_DIR, ExperimentCache, ResultCache, TraceCache
 from repro.api.engine import Engine
-from repro.api.execution import reset_local_sims
 from repro.api.spec import ExperimentSpec
 from repro.faults import counters
+from repro.sim.simulator import clear_pass_memo
 from tests.api.conftest import build_record
 from tests.api.test_api_cache import tiny_miss_trace
 
@@ -117,7 +117,7 @@ class TestEngineRecomputesThroughCorruption:
         baseline = Engine(cache=ExperimentCache(root)).run(spec)
         for path in ExperimentCache(root).results.root.glob("*.json"):
             rot(path)
-        reset_local_sims()
+        clear_pass_memo()
         second = Engine(cache=ExperimentCache(root)).run(spec)
         assert second.digest() == baseline.digest()
         assert second.meta["cache_hits"] == 0
@@ -132,7 +132,7 @@ class TestEngineRecomputesThroughCorruption:
             path.write_bytes(path.read_bytes()[:32])
         for path in cache.results.root.glob("*.json"):
             path.unlink()                     # force cells through the trace
-        reset_local_sims()
+        clear_pass_memo()
         second = Engine(cache=ExperimentCache(root)).run(spec)
         assert second.digest() == baseline.digest()
         assert len(quarantined(cache.traces.root)) >= 1

@@ -177,9 +177,9 @@ class TestThreadedResume:
 
 
 @pytest.fixture(autouse=True)
-def fresh_local_sims():
-    from repro.api.execution import reset_local_sims
+def fresh_pass_memo():
+    from repro.sim.simulator import clear_pass_memo
 
-    reset_local_sims()
+    clear_pass_memo()
     yield
-    reset_local_sims()
+    clear_pass_memo()

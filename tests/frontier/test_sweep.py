@@ -28,12 +28,12 @@ SMALL = FrontierConfig(
 
 
 @pytest.fixture(autouse=True)
-def fresh_local_sims():
-    from repro.api.execution import reset_local_sims
+def fresh_pass_memo():
+    from repro.sim.simulator import clear_pass_memo
 
-    reset_local_sims()
+    clear_pass_memo()
     yield
-    reset_local_sims()
+    clear_pass_memo()
 
 
 class TestFrontierConfig:

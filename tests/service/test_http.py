@@ -121,7 +121,7 @@ class TestCancelAndShutdown:
     def test_cancel_over_http(self, hosted):
         client = hosted.client()
         # Seed 23 is unique to this test, so the functional pass is cold
-        # even when other tests have warmed the process-local sim pool.
+        # even when other tests have warmed the process-wide pass memo.
         # The victims share the holder's pass key and therefore queue
         # behind its pass lock, keeping them cancellable while it runs.
         holder = client.submit(make_spec(name="holder", seeds=(23,)))["job"]["id"]

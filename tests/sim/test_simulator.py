@@ -2,8 +2,9 @@
 
 import pytest
 
+import repro.sim.simulator as simulator_module
 from repro.core.scheme import BaseDramScheme, BaseOramScheme
-from repro.sim.simulator import SecureProcessorSim, SimConfig
+from repro.sim.simulator import SecureProcessorSim, SimConfig, clear_pass_memo
 
 
 class TestCaching:
@@ -83,27 +84,86 @@ class TestTraceStore:
         def put(self, key, trace):
             self.entries[key] = trace
 
+        def has(self, key):
+            return key in self.entries
+
     def test_store_populated_and_consulted(self):
         store = self.RecordingStore()
         config = SimConfig(n_instructions=50_000, seed=5)
-        first = SecureProcessorSim(config, trace_store=store)
-        trace = first.miss_trace("mcf")
+        clear_pass_memo()
+        trace = SecureProcessorSim(config).miss_trace("mcf", store=store)
         assert len(store.entries) == 1
 
-        # A fresh simulator (empty in-memory cache) hits the store and
-        # never recomputes.
-        second = SecureProcessorSim(config, trace_store=store)
-        assert second.miss_trace("mcf") is trace
+        # With the process memo cleared, a fresh simulator hits the store
+        # and never recomputes.
+        clear_pass_memo()
+        second = SecureProcessorSim(config)
+        assert second.miss_trace("mcf", store=store) is trace
+        assert store.gets == 2
+
+    def test_memo_hit_backfills_a_store_lacking_the_pass(self):
+        config = SimConfig(n_instructions=50_000, seed=5)
+        trace = SecureProcessorSim(config).miss_trace("mcf")
+        store = self.RecordingStore()
+        assert SecureProcessorSim(config).miss_trace("mcf", store=store) is trace
+        assert list(store.entries.values()) == [trace]
+        assert store.gets == 0
 
     def test_store_key_depends_on_config(self):
         store = self.RecordingStore()
-        SecureProcessorSim(
-            SimConfig(n_instructions=50_000, seed=5), trace_store=store
-        ).miss_trace("mcf")
-        SecureProcessorSim(
-            SimConfig(n_instructions=50_000, seed=6), trace_store=store
-        ).miss_trace("mcf")
+        SecureProcessorSim(SimConfig(n_instructions=50_000, seed=5)).miss_trace(
+            "mcf", store=store
+        )
+        SecureProcessorSim(SimConfig(n_instructions=50_000, seed=6)).miss_trace(
+            "mcf", store=store
+        )
         assert len(store.entries) == 2
+
+
+class TestPassKey:
+    def test_golden_keys(self):
+        # Persisted trace caches are keyed by these digests: a change
+        # orphans every cached functional pass.
+        config = SimConfig(n_instructions=40_000, seed=0)
+        assert config.pass_key("mcf") == (
+            "fef523702a136b3d8d2ed0d2c611968d8780392f435fd9047eee5fa36f351906"
+        )
+        assert config.pass_key("astar", "rivers") == (
+            "39619d0b22ce881e7c9a4fd483666221d4f994d91f3f6d3571f90e10844a5fa5"
+        )
+
+    def test_timing_knobs_share_a_key_and_pass_knobs_do_not(self):
+        key = SimConfig(n_instructions=40_000).pass_key("mcf")
+        assert SimConfig(n_instructions=40_000, write_buffer_entries=2).pass_key("mcf") == key
+        assert SimConfig(n_instructions=40_000, kernel_mode="reference").pass_key("mcf") == key
+        assert SimConfig(n_instructions=40_000, seed=1).pass_key("mcf") != key
+        assert SimConfig(n_instructions=40_000, warmup_fraction=0.1).pass_key("mcf") != key
+
+
+class TestPassMemo:
+    def test_fast_simulators_share_one_pass(self):
+        config = SimConfig(n_instructions=50_000, seed=7)
+        assert (SecureProcessorSim(config).miss_trace("mcf")
+                is SecureProcessorSim(config).miss_trace("mcf"))
+
+    def test_reference_simulator_recomputes_a_memoized_pass(self, monkeypatch):
+        config = SimConfig(n_instructions=50_000, seed=7)
+        fast = SecureProcessorSim(config).miss_trace("mcf")
+        modes = []
+        real = simulator_module.simulate_hierarchy
+
+        def recording(*args, **kwargs):
+            modes.append(kwargs["mode"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "simulate_hierarchy", recording)
+        reference_config = SimConfig(n_instructions=50_000, seed=7, kernel_mode="reference")
+        reference = SecureProcessorSim(reference_config)
+        trace = reference.miss_trace("mcf")
+        assert reference.miss_trace("mcf") is trace
+        assert modes == ["reference"]
+        assert trace is not fast
+        assert trace.checksum() == fast.checksum()
 
 
 class TestWarmupConfig:
