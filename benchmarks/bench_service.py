@@ -27,6 +27,7 @@ from pathlib import Path
 
 from benchmarks.conftest import emit
 from repro.service import LoadProfile, ThreadedService, default_templates, run_saturation
+from repro.sim.simulator import clear_pass_memo
 
 PINNED_PATH = Path(__file__).parent / "BENCH_service.json"
 
@@ -37,6 +38,9 @@ BENCH_INSTRUCTIONS = 20_000
 
 def _saturate(levels, requests_per_client, templates):
     """One cold daemon, one saturation sweep (fresh cache per call)."""
+    # The daemon counts computed passes; a memo warmed by earlier runs in
+    # this process would serve the lattice without computing it.
+    clear_pass_memo()
     with tempfile.TemporaryDirectory(prefix="repro-bench-service-") as tmp:
         with ThreadedService(cache=tmp, max_concurrency=2) as hosted:
             return run_saturation(

@@ -52,7 +52,6 @@ from repro.api import (
     ResultSet,
     RunRecord,
     SerialBackend,
-    run_spec,
 )
 from repro.core import (
     AveragingLearner,
@@ -115,7 +114,6 @@ __all__ = [
     "ResultSet",
     "RunRecord",
     "SerialBackend",
-    "run_spec",
     "scheme_from_spec",
     "AveragingLearner",
     "BaseDramScheme",

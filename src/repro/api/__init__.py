@@ -31,7 +31,7 @@ from repro.api.cache import (
     TraceCache,
     default_cache_dir,
 )
-from repro.api.engine import Engine, run_spec
+from repro.api.engine import Engine
 from repro.api.execution import execute_cell
 from repro.api.figures import (
     FIG5_RATES,
@@ -74,6 +74,5 @@ __all__ = [
     "figure8a_spec",
     "figure8b_spec",
     "frontier_spec",
-    "run_spec",
     "split_benchmark",
 ]

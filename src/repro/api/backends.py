@@ -33,6 +33,7 @@ from repro.api.execution import (
 from repro.api.records import RunRecord
 from repro.api.spec import Cell
 from repro.faults import counters
+from repro.sim.simulator import add_passes
 from repro.util.backoff import full_jitter
 
 #: Attempts a batch gets before its cells are quarantined as poison.
@@ -163,7 +164,10 @@ class ProcessPoolBackend:
         workers: int,
         cache_root: str | None,
     ) -> list[_BatchState]:
-        """Run one pool over ``states``; returns the groups that crashed."""
+        """Run one pool over ``states``; returns the groups that crashed.
+
+        Passes computed by a worker that then crashed are not counted.
+        """
         with self._make_pool(workers) as pool:
             futures = [
                 (state, pool.submit(_execute_batch_in_worker, state.batch, cache_root))
@@ -173,9 +177,11 @@ class ProcessPoolBackend:
             for state, future in futures:
                 state.attempts += 1
                 try:
-                    state.records = future.result()
+                    state.records, passes = future.result()
                 except BrokenProcessPool:
                     crashed.append(state)
+                else:
+                    add_passes(passes)
         return crashed
 
     def run_cells(

@@ -158,12 +158,8 @@ class TraceCache:
         return self._path(key).is_file()
 
     def entry_count(self) -> int:
-        """Number of persisted traces (= functional passes ever computed).
-
-        The frontier sweep reads this before/after a run to *prove* the
-        one-functional-pass-per-(benchmark, seed) invariant: the delta is
-        exactly how many passes the sweep paid for.
-        """
+        """Number of persisted traces (a gauge, not a pass count: a
+        recompute rewrites its file, and concurrent runs add theirs)."""
         return len(list(self.root.glob("*.pkl"))) if self.root.is_dir() else 0
 
 

@@ -18,6 +18,7 @@ from repro.api.backends import ExecutionBackend, SerialBackend
 from repro.api.cache import ExperimentCache
 from repro.api.records import ResultSet, RunRecord
 from repro.api.spec import ExperimentSpec
+from repro.sim.simulator import count_passes
 
 
 class Engine:
@@ -59,7 +60,8 @@ class Engine:
         else:
             pending = cells
 
-        fresh = self.backend.run_cells(pending, self.cache) if pending else []
+        with count_passes() as passes:
+            fresh = self.backend.run_cells(pending, self.cache) if pending else []
         # A backend may return None for cells it quarantined as poison
         # after repeated worker crashes; the sweep completes without
         # them rather than aborting (meta reports the loss).
@@ -75,6 +77,7 @@ class Engine:
             "cells": len(cells),
             "cache_hits": len(cached),
             "cells_run": len(pending) - poisoned,
+            "passes_computed": passes.n,
         }
         if poisoned:
             meta["cells_poisoned"] = poisoned
@@ -83,21 +86,3 @@ class Engine:
             spec=spec,
             meta=meta,
         )
-
-
-def run_spec(
-    spec: ExperimentSpec,
-    parallel: bool = False,
-    cache_dir: str | Path | None = None,
-    max_workers: int | None = None,
-) -> ResultSet:
-    """One-call convenience wrapper around :class:`Engine`.
-
-    ``parallel=True`` selects the process pool;``cache_dir`` roots a
-    persistent cache there.
-    """
-    from repro.api.backends import ProcessPoolBackend
-
-    backend = ProcessPoolBackend(max_workers=max_workers) if parallel else SerialBackend()
-    cache = ExperimentCache(cache_dir) if cache_dir is not None else None
-    return Engine(backend=backend, cache=cache).run(spec)

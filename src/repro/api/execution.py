@@ -29,7 +29,7 @@ from repro.api.records import RunRecord
 from repro.api.spec import Cell
 from repro.core.scheme import scheme_from_spec
 from repro.faults.plan import fault_point
-from repro.sim.simulator import SecureProcessorSim, SimConfig
+from repro.sim.simulator import SecureProcessorSim, SimConfig, count_passes
 from repro.sim.windows import (
     epoch_transition_instructions,
     instructions_per_access_windows,
@@ -178,22 +178,24 @@ def trace_store_key(cell: Cell) -> str:
     """Persistent-store key of the functional pass a cell depends on.
 
     A pure function of the cell (its configuration's ``pass_key``).  Lets
-    services check ``cache.traces.has(trace_store_key(cell))``
-    without loading the (large) trace — the per-key accounting behind
-    the sweep daemon's zero-redundant-pass metric, which a global
-    entry-count delta cannot provide once groups run concurrently.
+    callers check ``cache.traces.has(trace_store_key(cell))`` without
+    loading the (large) trace — how the frontier sweep counts the passes
+    its trace store cannot serve before a run.
     """
     return _sim_config(cell).pass_key(cell.benchmark, cell.input_name)
 
 
-def _execute_batch_in_worker(cells: list[Cell], trace_root: str | None) -> list[RunRecord]:
+def _execute_batch_in_worker(
+    cells: list[Cell], trace_root: str | None
+) -> tuple[list[RunRecord], int]:
     """Pool entry point: one batch of cells sharing a functional pass.
 
     The group replays through the config-batched kernel — one
     functional pass and one batched timing replay per (benchmark,
     seed), not one replay task per scheme — and reads the pass from the
     persistent trace cache under ``trace_root`` when an earlier run
-    already stored it.
+    already stored it.  Returns the records and the number of
+    functional passes this batch computed.
 
     Each cell arms the ``worker-cell`` fault site before the batch
     executes, so a chaos plan can kill this worker deterministically
@@ -202,4 +204,6 @@ def _execute_batch_in_worker(cells: list[Cell], trace_root: str | None) -> list[
     for _ in cells:
         fault_point("worker-cell")
     trace_store = TraceCache(trace_root) if trace_root else None
-    return execute_cells_batch(cells, trace_store=trace_store)
+    with count_passes() as passes:
+        records = execute_cells_batch(cells, trace_store=trace_store)
+    return records, passes.n

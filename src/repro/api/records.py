@@ -125,9 +125,9 @@ class RunRecord:
 class ResultSet:
     """An ordered, queryable collection of :class:`RunRecord` rows.
 
-    ``meta`` carries session diagnostics (backend name, cache hit counts)
-    and is deliberately excluded from :meth:`save` so that repeated runs
-    of the same spec serialize byte-identically.
+    ``meta`` carries session diagnostics (backend name, cache hit counts,
+    ``passes_computed``) and is deliberately excluded from :meth:`save` so
+    that repeated runs of the same spec serialize byte-identically.
     """
 
     records: tuple[RunRecord, ...]

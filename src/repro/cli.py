@@ -320,11 +320,12 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     if args.csv:
         sweep.report.save_csv(args.csv)
         print(f"flat CSV saved to {args.csv}")
-    if sweep.meta.get("passes_verified") is False:
+    if not sweep.meta["passes_verified"]:
         print(
             "error: functional-pass invariant violated "
-            f"({sweep.meta['functional_passes']} passes for "
-            f"{sweep.meta['expected_passes']} benchmark-seed pairs)",
+            f"({sweep.meta['passes_computed']} passes computed, but the trace "
+            f"store lacked only {sweep.meta['expected_passes']}: passes were "
+            "computed for keys the store claimed to hold)",
             file=sys.stderr,
         )
         return 1
@@ -926,8 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     frontier.add_argument(
         "--dist-workers", type=int, default=None,
-        help="local queue workers for --dist (default 2; 0 = coordinate an "
-             "externally launched fleet)",
+        help="local queue workers for --dist (default 2; 0 = drain in-process, "
+             "alongside any workers launched elsewhere)",
     )
     frontier.add_argument(
         "-n", "--instructions", type=int, default=200_000,
@@ -935,8 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     frontier.add_argument(
         "--cache-dir", default=None,
-        help="root a persistent trace/result cache there; also enables the "
-             "functional-pass verification in the summary",
+        help="root a persistent trace/result cache there",
     )
     frontier.add_argument(
         "--no-cache-read", action="store_true",
@@ -1063,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--dist-workers", type=int, default=None,
         help="local queue workers per job group for --backend queue "
-             "(default 2; 0 = coordinate an externally launched fleet)",
+             "(default 2; 0 = drain in-process, alongside outside workers)",
     )
     serve.add_argument(
         "--smoke", action="store_true",

@@ -36,6 +36,7 @@ from repro.api.records import RunRecord
 from repro.api.spec import Cell
 from repro.dist.queue import WorkQueue
 from repro.dist.worker import Worker
+from repro.sim.simulator import add_passes
 
 #: Default local worker fleet size.
 DEFAULT_DIST_WORKERS = 2
@@ -93,20 +94,14 @@ class WorkQueueBackend:
     """Distributed execution over a filesystem work queue.
 
     Args:
-        workers: Local worker processes to spawn (0 = coordinate only,
-            for fleets launched elsewhere — but see ``inline_fallback``).
+        workers: Local worker processes to spawn.  0 drains the queue
+            with an in-process :class:`Worker`; workers launched
+            elsewhere on the same cache may claim tasks alongside it.
         lease_ttl_s: Lease TTL handed to queue and workers.
         max_attempts: Failed claims before a task poisons.
-        max_respawns: Replacement workers spawned beyond the initial
-            fleet before the coordinator stops replacing the dead (the
-            queue's poison threshold then terminates the sweep).
         poll_s: Coordinator loop interval.
         wait_timeout_s: Hard wall-clock cap on one ``run_cells`` call;
             None (default) trusts the poison threshold to terminate.
-        inline_fallback: With ``workers=0`` and no external fleet, drain
-            the queue with an in-process :class:`Worker` instead of
-            spinning forever (True by default — it makes the backend
-            usable as a drop-in serial backend and keeps tests hermetic).
         clock: Injectable time source for coordinator timeouts (tests).
     """
 
@@ -117,10 +112,8 @@ class WorkQueueBackend:
         workers: int = DEFAULT_DIST_WORKERS,
         lease_ttl_s: float | None = None,
         max_attempts: int | None = None,
-        max_respawns: int = DEFAULT_MAX_RESPAWNS,
         poll_s: float = DEFAULT_COORDINATOR_POLL_S,
         wait_timeout_s: float | None = None,
-        inline_fallback: bool = True,
         clock: Callable[[], float] = time.time,
     ) -> None:
         if workers < 0:
@@ -128,10 +121,8 @@ class WorkQueueBackend:
         self.workers = workers
         self.lease_ttl_s = lease_ttl_s
         self.max_attempts = max_attempts
-        self.max_respawns = max_respawns
         self.poll_s = poll_s
         self.wait_timeout_s = wait_timeout_s
-        self.inline_fallback = inline_fallback
         self.clock = clock
         #: Live local worker processes of the current run (chaos tests
         #: SIGKILL entries of this list mid-sweep).
@@ -178,10 +169,15 @@ class WorkQueueBackend:
             return []
         queue = WorkQueue.for_cells(cache.root, cells, **self._queue_kwargs())
         self.queue = queue
-        if self.workers == 0 and self.inline_fallback:
+        # The engine dispatches only cells it needs executed, so a board
+        # reattached from an earlier run re-runs its done tasks.
+        for task_id in queue.task_ids():
+            queue.reopen(task_id)
+        if self.workers == 0:
             Worker(cache, queue, worker_id=f"inline-{os.getpid()}").run()
         else:
             self._coordinate(cache, queue)
+        add_passes(queue.passes_computed())
         return self._assemble(cells, cache, queue)
 
     def _coordinate(self, cache: ExperimentCache, queue: WorkQueue) -> None:
@@ -205,13 +201,13 @@ class WorkQueueBackend:
                 for index, proc in enumerate(self.procs):
                     if proc.poll() is None:
                         continue
-                    if respawns < self.max_respawns:
+                    if respawns < DEFAULT_MAX_RESPAWNS:
                         respawns += 1
                         self.procs[index] = self._spawn(
                             cache, queue, self.workers + respawns
                         )
                 if all(proc.poll() is not None for proc in self.procs) and (
-                    respawns >= self.max_respawns
+                    respawns >= DEFAULT_MAX_RESPAWNS
                 ):
                     # Every worker is dead and the respawn budget is
                     # spent: reap what remains so attempts accrue, then

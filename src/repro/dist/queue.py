@@ -15,7 +15,7 @@ Layout, one file per fact::
         leases/<task>.json    live ownership: worker, attempt, deadline
         failed/<task>.<n>     one marker per expired/failed claim
         backoff/<task>.json   earliest next claim time (requeue backoff)
-        done/<task>.json      completion marker (results are in the cache)
+        done/<task>.json      completion marker and the passes it computed
         poison/<task>         permanently quarantined after K failed claims
         workers/<id>.json     worker heartbeats (``repro dist workers``)
 
@@ -470,23 +470,36 @@ class WorkQueue:
         counters.bump("tasks_poisoned")
         counters.bump("cells_poisoned", task.n_cells if task else 0)
 
-    def complete(self, task_id: str, worker_id: str) -> None:
+    def complete(self, task_id: str, worker_id: str, passes: int = 0) -> None:
         """Mark a task done and release its lease.
 
-        The done marker lands *before* the lease is removed, so no scan
+        The done marker records the functional ``passes`` the task
+        computed, and lands *before* the lease is removed, so no scan
         can observe a task that is neither leased nor done while its
         results exist.  Duplicate completions (two workers raced the
-        same task across a lease expiry) are harmless: the marker is
-        content-free and the records they wrote are byte-identical.
+        same task across a lease expiry) are harmless: the last marker
+        wins and the records they wrote are byte-identical.
         """
         fault_point("dist-complete")
         _atomic_write_bytes(self._done_path(task_id), json.dumps({
             "worker": worker_id,
             "completed_at": self.clock(),
+            "passes": passes,
         }, sort_keys=True).encode())
         lease = self.lease_of(task_id)
         if lease is not None and lease.get("worker") == worker_id:
             self._remove(self._lease_path(task_id))
+
+    def reopen(self, task_id: str) -> None:
+        """Return a done task to the pool by removing its done marker."""
+        self._remove(self._done_path(task_id))
+
+    def passes_computed(self) -> int:
+        """Functional passes the board's done markers report."""
+        return sum(
+            int((self._read_json(path) or {}).get("passes", 0))
+            for path in self._dir("done").glob("*.json")
+        )
 
     def reap_expired(self) -> int:
         """Reap every expired lease on the board; returns how many."""

@@ -10,7 +10,7 @@ ID``) that needs nothing but the shared cache directory.  Its loop:
 4. execute the task's cells through the ordinary batched execution
    path, persisting each record into the content-addressed result
    cache the moment it exists,
-5. mark the task done and go back to 3.
+5. mark the task done with its pass count and go back to 3.
 
 While a task executes, a daemon thread renews the lease every
 ``ttl / 3`` seconds.  If a renewal is refused — the lease expired or
@@ -36,6 +36,7 @@ from repro.api.cache import ExperimentCache
 from repro.api.execution import execute_cells_batch
 from repro.dist.queue import Claim, WorkQueue
 from repro.faults.plan import fault_point
+from repro.sim.simulator import count_passes
 
 #: Idle sleep between claim attempts when nothing is claimable.
 DEFAULT_IDLE_POLL_S = 0.05
@@ -141,9 +142,10 @@ class Worker:
                     # The chaos plans' kill site: one arming per cell, so
                     # "die at cell K of a distributed worker" is exact.
                     fault_point("dist-cell")
-                records = execute_cells_batch(
-                    claim.task.cells, trace_store=self.cache.traces
-                )
+                with count_passes() as passes:
+                    records = execute_cells_batch(
+                        claim.task.cells, trace_store=self.cache.traces
+                    )
                 for cell, record in zip(claim.task.cells, records):
                     self.cache.results.put(cell.content_hash(), record)
                     self.cells_executed += 1
@@ -158,7 +160,7 @@ class Worker:
             # byte-identical to the new owner's), but completion belongs
             # to whoever holds the live lease now.
             return True
-        self.queue.complete(claim.task_id, self.worker_id)
+        self.queue.complete(claim.task_id, self.worker_id, passes=passes.n)
         self.tasks_completed += 1
         return True
 

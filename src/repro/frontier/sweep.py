@@ -11,10 +11,10 @@ multi-seed replication.
 Cost model: expanding the grid multiplies only the cheap *timing replay*
 axis.  A sweep of S schemes over B benchmarks and K seeds costs
 ``B * K`` functional cache passes plus ``B * K * S`` replays — the
-two-phase invariant (DESIGN.md) the engine's trace cache enforces.  With
-a persistent cache the sweep *verifies* the invariant: the number of new
-trace entries after the run must not exceed ``B * K``, and the result
-meta records the proof (``functional_passes`` vs ``expected_passes``).
+two-phase invariant (DESIGN.md) the engine's trace cache enforces.  The
+sweep *verifies* it: the engine's ``passes_computed`` must not exceed
+``expected_passes``, the sweep's passes its trace store lacked before
+the run (``B * K`` without a store).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.analysis.frontier import FrontierReport, frontier_from_resultset
 from repro.api.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
+from repro.api.execution import trace_store_key
 from repro.api.records import ResultSet
 from repro.api.spec import ExperimentSpec
 from repro.core.scheme import DEFAULT_DYNAMIC_GRID, parse_scheme_grid
@@ -104,9 +105,9 @@ class FrontierSweepResult:
     """Everything one frontier sweep produced.
 
     ``meta`` extends the engine's session diagnostics with the
-    functional-pass proof: ``expected_passes`` (benchmarks x seeds),
-    ``functional_passes`` (new persistent trace entries, when a cache
-    was attached), and ``passes_verified`` (the invariant held).
+    functional-pass proof: ``expected_passes`` (the sweep's passes the
+    trace store could not serve before the run), the engine's
+    ``passes_computed``, and ``passes_verified`` (the invariant held).
     """
 
     config: FrontierConfig
@@ -125,9 +126,9 @@ class FrontierSweepResult:
             f"{len(self.config.seeds)} seeds): "
             f"{meta.get('cache_hits', 0)} cached, {meta.get('cells_run', 0)} run"
         )
-        if "functional_passes" in meta:
+        if "passes_verified" in meta:
             summary += (
-                f"; functional passes {meta['functional_passes']}"
+                f"; functional passes {meta['passes_computed']}"
                 f"/{meta['expected_passes']} "
                 f"({'verified' if meta['passes_verified'] else 'VIOLATED'})"
             )
@@ -152,8 +153,7 @@ def run_frontier(
         parallel: Shard cells across a process pool (the default — a
             grid sweep is hundreds of independent replays).
         workers: Pool size (None: ``os.cpu_count()``).
-        cache_dir: Root a persistent trace/result cache there; also
-            enables the functional-pass verification in ``meta``.
+        cache_dir: Root a persistent trace/result cache there.
         use_cache: Read cached results (False re-measures but still
             shares traces).
     """
@@ -166,17 +166,17 @@ def run_frontier(
         engine = Engine(backend=backend, cache=cache)
 
     spec = config.spec()
-    traces_before = (
-        engine.cache.traces.entry_count() if engine.cache is not None else None
+    # One scheme's cells hold the sweep's pass keys.  A trace that exists
+    # counts as servable, so recomputing it fails the check.
+    heads = replace(spec, schemes=spec.schemes[:1]).cells()
+    keys = {trace_store_key(cell) for cell in heads}
+    expected = sum(
+        engine.cache is None or not engine.cache.traces.has(key) for key in keys
     )
     results = engine.run(spec, use_cache=use_cache)
     meta = dict(results.meta)
-    expected = len(spec.benchmarks) * len(spec.seeds)
     meta["expected_passes"] = expected
-    if traces_before is not None:
-        fresh_passes = engine.cache.traces.entry_count() - traces_before
-        meta["functional_passes"] = fresh_passes
-        meta["passes_verified"] = fresh_passes <= expected
+    meta["passes_verified"] = meta["passes_computed"] <= expected
 
     report = frontier_from_resultset(results)
     report.meta = dict(meta)

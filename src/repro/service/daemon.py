@@ -14,7 +14,7 @@ waits at the lock and then finds the trace warm in the shared cache.  N
 concurrent sweeps over the same (benchmark, seed) lattice therefore pay
 exactly the passes one sweep would — the invariant
 ``benchmarks/BENCH_service.json`` pins under load and the ``/metrics``
-``functional_passes`` counter exposes live.
+``functional_passes`` counter (the engine's ``passes_computed``) exposes live.
 
 Engine execution is synchronous, so groups run on a thread pool sized to
 ``max_concurrency``; the vectorized kernels spend their time in numpy
@@ -35,7 +35,7 @@ from pathlib import Path
 from repro.api.backends import SerialBackend
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
-from repro.api.execution import functional_pass_key, trace_store_key
+from repro.api.execution import functional_pass_key
 from repro.api.records import ResultSet
 from repro.api.spec import ExperimentSpec
 from repro.faults import counters as fault_counters
@@ -75,9 +75,8 @@ class SweepService:
     Args:
         cache: Persistent cache — an :class:`ExperimentCache`, a root
             directory, or ``None`` for the default location.  Required
-            infrastructure, not an option: the cache is both the warm
-            substrate concurrent jobs share and the measurement device
-            for the zero-redundant-pass guarantee.
+            infrastructure, not an option: the cache is the warm
+            substrate concurrent jobs share.
         max_concurrency: Jobs executing at once (thread-pool width).
         engine: Injectable pre-built engine (tests); must carry a cache.
         journal: ``True`` (default) journals admissions and terminal
@@ -93,9 +92,9 @@ class SweepService:
             same cache root, so daemon jobs become queue submissions
             that any worker fleet sharing the cache can drain.
         dist_workers: Local worker processes the queue backend spawns
-            per job group (``backend="queue"`` only); 0 coordinates an
-            externally-launched fleet, falling back to an in-process
-            drain if none appears.
+            per job group (``backend="queue"`` only); 0 drains each
+            group's queue in-process, and workers launched elsewhere on
+            the same cache may claim tasks alongside.
     """
 
     def __init__(
@@ -293,32 +292,23 @@ class SweepService:
     async def _run_group(self, job: Job, benchmark: str, seed: int,
                          subspec: ExperimentSpec) -> ResultSet:
         """Run one benchmark-seed group under its functional-pass lock."""
-        head = next(iter(subspec.cells()))
-        key = functional_pass_key(head)
+        key = functional_pass_key(next(iter(subspec.cells())))
         loop = asyncio.get_running_loop()
         async with self._pass_lock(key):
-            # Per-key accounting: a global entry-count delta would
-            # mis-attribute traces that *other* concurrent groups write
-            # while this one runs.  Under the pass lock nobody else can
-            # touch this group's key, so has()-before/after is exact.
-            traces = self.engine.cache.traces
-            store_key = trace_store_key(head)
-            was_cached = traces.has(store_key)
             started = time.monotonic()
             results = await loop.run_in_executor(
                 self._executor, self.engine.run, subspec
             )
             self.metrics.record_busy(time.monotonic() - started)
-            fresh_passes = 0 if was_cached else int(traces.has(store_key))
         meta = results.meta
         self.metrics.record_cells(
             run=meta["cells_run"], hits=meta["cache_hits"],
-            functional_passes=fresh_passes,
+            functional_passes=meta["passes_computed"],
         )
         job.add_event(
             "progress", benchmark=benchmark, seed=seed,
             cells=meta["cells"], cache_hits=meta["cache_hits"],
-            cells_run=meta["cells_run"], functional_passes=fresh_passes,
+            cells_run=meta["cells_run"], functional_passes=meta["passes_computed"],
         )
         self.metrics.record_progress_event()
         await self._notify()
@@ -332,7 +322,7 @@ class SweepService:
             self.metrics.record_job_started()
             await self._notify()
             records: list = []
-            cache_hits = cells_run = 0
+            cache_hits = cells_run = passes = 0
             try:
                 for benchmark, seed, subspec in subgroup_specs(job.spec):
                     if job.cancel_requested:
@@ -345,6 +335,7 @@ class SweepService:
                     records.extend(results.records)
                     cache_hits += results.meta["cache_hits"]
                     cells_run += results.meta["cells_run"]
+                    passes += results.meta["passes_computed"]
             except Exception:
                 job.mark_failed(traceback.format_exc(limit=8))
                 self.metrics.record_job_finished(FAILED, job.latency)
@@ -359,6 +350,7 @@ class SweepService:
                     "cells": len(records),
                     "cache_hits": cache_hits,
                     "cells_run": cells_run,
+                    "passes_computed": passes,
                 },
             ))
             self.metrics.record_job_finished(DONE, job.latency)

@@ -19,6 +19,7 @@ Two cache layers exist:
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -37,6 +38,35 @@ _PASSES: dict[str | tuple, MissTrace] = {}
 def clear_pass_memo() -> None:
     """Drop every memoized functional pass (test isolation, memory)."""
     _PASSES.clear()
+
+
+#: The innermost open count of this thread or task (None: nobody counts).
+_COUNT: contextvars.ContextVar = contextvars.ContextVar("pass_count", default=None)
+
+
+class count_passes:
+    """Count the functional passes computed inside a ``with`` block.
+
+    ``with count_passes() as passes:`` leaves the total in ``passes.n``.
+    A nested block shadows this one, so each pass is counted once.
+    """
+
+    def __init__(self) -> None:
+        self.n = 0
+
+    def __enter__(self) -> "count_passes":
+        self._token = _COUNT.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _COUNT.reset(self._token)
+
+
+def add_passes(n: int) -> None:
+    """Credit ``n`` computed passes to the innermost open count, if any."""
+    count = _COUNT.get()
+    if count is not None:
+        count.n += n
 
 
 class TraceStore(Protocol):
@@ -131,7 +161,8 @@ class SecureProcessorSim:
         With a persistent ``store`` (e.g. the api engine's on-disk cache),
         a memo hit checks ``store.has`` and backfills a store that lacks
         the pass; a memo miss reads ``store.get`` before computing, then
-        persists what it computed.
+        persists what it computed.  Only a computed pass is credited to
+        the open :func:`count_passes` block.
         """
         key = self.config.pass_key(benchmark, input_name)
         trace = self._passes.get(key)
@@ -155,6 +186,7 @@ class SecureProcessorSim:
                 warmup_instructions=warmup,
                 mode=self.config.kernel_mode,
             )
+            add_passes(1)
             if store is not None:
                 store.put(key, trace)
         self._passes[key] = trace
@@ -202,13 +234,12 @@ class SecureProcessorSim:
     ) -> list[SimResult]:
         """Replay one benchmark under many schemes with one batched kernel.
 
-        The config-batched counterpart of :meth:`sweep`: one shared
-        functional pass, then a single
+        One shared functional pass, then a single
         :func:`~repro.sim.timing.run_timing_batch` call that advances
         every slot-controller configuration in lockstep.  Results are
         bit-identical, scheme for scheme, to calling :meth:`run` per
-        scheme; ``record_requests`` defaults to aggregates-only like
-        :meth:`sweep`.
+        scheme; ``record_requests`` defaults to aggregates-only, since a
+        batch multiplies per-request arrays by its width.
         """
         miss_trace = self.miss_trace(benchmark, input_name)
         return run_timing_batch(
@@ -229,27 +260,3 @@ class SecureProcessorSim:
             record_requests=record_requests,
             mode=self.config.kernel_mode,
         )
-
-    def sweep(
-        self,
-        benchmark: str,
-        schemes: list,
-        input_name: str | None = None,
-        record_requests: bool = False,
-    ) -> dict[str, SimResult]:
-        """Run several schemes over one benchmark (shared functional pass).
-
-        ``record_requests`` defaults to aggregates-only: sweeps fan one
-        functional pass out across many schemes, and recording the full
-        per-request arrays for every scheme multiplies memory by the
-        sweep width for data most callers never read.  Pass ``True`` to
-        keep the per-request completion/instruction arrays on each
-        result.
-        """
-        return {
-            scheme.name: self.run(
-                benchmark, scheme, input_name=input_name,
-                record_requests=record_requests,
-            )
-            for scheme in schemes
-        }

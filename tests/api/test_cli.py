@@ -66,14 +66,13 @@ class TestFrontier:
         assert main(argv) == 0
         capfd.readouterr()
         # Recompute every cell on the pool against the warm trace cache:
-        # the run exits 0, its pass check holds, and nothing (no worker or
-        # resource-tracker output) reaches stderr.  The check counts new
-        # trace files, which a recompute does not add; TestPersistentCache::
-        # test_warm_trace_pool_rerun_computes_no_functional_pass in
-        # test_engine.py is what catches a recomputed functional pass.
+        # the store holds both passes, so the run may compute none.  The
+        # workers report the passes they compute, so a recomputed pass
+        # fails the check and the run exits 1.  Nothing (no worker or
+        # resource-tracker output) may reach stderr.
         assert main(argv + ["--no-cache-read"]) == 0
         captured = capfd.readouterr()
-        assert "functional passes 0/2 (verified)" in captured.out
+        assert "functional passes 0/0 (verified)" in captured.out
         assert captured.err == ""
 
 

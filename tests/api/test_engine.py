@@ -17,7 +17,7 @@ import pytest
 import repro.sim.simulator as simulator_module
 from repro.api.backends import ProcessPoolBackend, default_start_method
 from repro.api.cache import ExperimentCache
-from repro.api.engine import Engine, run_spec
+from repro.api.engine import Engine
 from repro.api.execution import execute_cell, trace_store_key
 from repro.api.spec import ExperimentSpec
 from repro.sim.simulator import SecureProcessorSim, SimConfig, clear_pass_memo
@@ -87,10 +87,12 @@ class TestSerialEngine:
         }
         caches = {name: ExperimentCache(tmp_path / name) for name in specs}
         errors = []
+        passes = {}
 
         def run(name):
             try:
-                Engine(cache=caches[name]).run(specs[name])
+                results = Engine(cache=caches[name]).run(specs[name])
+                passes[name] = results.meta["passes_computed"]
             except Exception as error:  # surfaced by the assertion below
                 errors.append(error)
 
@@ -113,6 +115,8 @@ class TestSerialEngine:
             own = {trace_store_key(cell) for cell in spec.cells()}
             assert all(traces.has(key) for key in own)
             assert traces.entry_count() == len(own)
+            # Each run's count holds its own passes and no other thread's.
+            assert passes[name] == len(own)
 
     def test_trace_store_key_does_not_divert_a_running_pass(self, tmp_path):
         spec = tiny_spec(benchmarks=("mcf", "astar/rivers", "gobmk"),
@@ -227,10 +231,6 @@ class TestBackendEquivalence:
         assert Engine(ProcessPoolBackend(max_workers=1)).run(spec).records == \
             Engine().run(spec).records
 
-    def test_run_spec_convenience(self, tmp_path):
-        results = run_spec(tiny_spec(), parallel=False, cache_dir=tmp_path / "c")
-        assert len(results) == 6
-
 
 class TestPersistentCache:
     def test_warm_result_cache_runs_nothing(self, tmp_path, count_functional_passes):
@@ -246,7 +246,7 @@ class TestPersistentCache:
         warm_engine = Engine(cache=ExperimentCache(tmp_path))
         warm = warm_engine.run(tiny_spec())
         assert warm.meta == {"backend": "serial", "cells": 6,
-                             "cache_hits": 6, "cells_run": 0}
+                             "cache_hits": 6, "cells_run": 0, "passes_computed": 0}
         assert count_functional_passes["n"] == passes_after_cold
         assert warm.records == cold.records
 
@@ -309,9 +309,11 @@ class TestPersistentCache:
             batches.setdefault(execution.functional_pass_key(cell), []).append(cell)
         records = []
         for batch in batches.values():
-            records.extend(
-                execution._execute_batch_in_worker(batch, str(cache.traces.root))
+            batch_records, passes = execution._execute_batch_in_worker(
+                batch, str(cache.traces.root)
             )
+            assert passes == 0
+            records.extend(batch_records)
         assert ResultSet(records=tuple(records)).records == cold.records
 
     def test_spec_change_invalidates(self, tmp_path):
@@ -356,3 +358,37 @@ class TestWindows:
         record = results.get("mcf", "dynamic:4x4")
         assert record.ipc_windows == ()
         assert record.epoch_rates  # cheap scalars still captured
+
+
+class TestPassCount:
+    """``meta["passes_computed"]`` counts the passes a run computed."""
+
+    def test_serial_run_counts_cold_passes_and_none_warm(self, count_functional_passes):
+        spec = tiny_spec(seeds=(0, 1))
+        cold = Engine().run(spec)
+        assert cold.meta["passes_computed"] == 4  # 2 benchmarks x 2 seeds
+        assert count_functional_passes["n"] == 4
+        warm = Engine().run(spec)
+        assert warm.meta["passes_computed"] == 0
+        assert count_functional_passes["n"] == 4
+
+    def test_store_reads_and_backfills_count_nothing(self, tmp_path, count_functional_passes):
+        spec = tiny_spec()
+        cache = ExperimentCache(tmp_path / "a")
+        assert Engine(cache=cache).run(spec).meta["passes_computed"] == 2
+        # A memo hit backfills an empty store; no pass is computed.
+        backfill = Engine(cache=ExperimentCache(tmp_path / "b")).run(spec)
+        assert backfill.meta["passes_computed"] == 0
+        # A cold memo reads the passes back from the store.
+        clear_pass_memo()
+        reread = Engine(cache=cache).run(spec, use_cache=False)
+        assert reread.meta["passes_computed"] == 0
+        assert count_functional_passes["n"] == 2
+
+    def test_pool_counts_cold_passes_and_none_warm(self, tmp_path):
+        spec = tiny_spec(seeds=(0, 1))
+        pool = Engine(ProcessPoolBackend(max_workers=2), cache=ExperimentCache(tmp_path))
+        # The workers compute every pass and hand the count back.
+        assert pool.run(spec).meta["passes_computed"] == 4
+        clear_pass_memo()
+        assert pool.run(spec, use_cache=False).meta["passes_computed"] == 0

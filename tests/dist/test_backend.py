@@ -13,6 +13,7 @@ from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
 from repro.api.spec import Cell, ExperimentSpec
 from repro.dist import WorkQueueBackend
+from repro.sim.simulator import clear_pass_memo
 
 N_INSTRUCTIONS = 40_000
 
@@ -104,6 +105,55 @@ class TestEquivalence:
         results = Engine(inline_backend(), cache=cache).run(spec)
         assert results.meta["cache_hits"] == spec.n_cells
         assert results.digest() == Engine().run(spec).digest()
+
+
+class TestRerun:
+    @pytest.mark.parametrize("workers", [0, pytest.param(2, marks=pytest.mark.slow)])
+    def test_reattached_board_reruns_cells_whose_results_were_lost(
+        self, tmp_path, workers
+    ):
+        # Queue ids derive from the cells, so this rerun reattaches to
+        # the first run's finished board.
+        spec = tiny_spec(benchmarks=("mcf", "libquantum"), seeds=(0, 1),
+                         n_instructions=30_000)
+        cache = ExperimentCache(tmp_path)
+
+        def backend():
+            return inline_backend(workers=workers, wait_timeout_s=180.0)
+
+        clear_pass_memo()
+        cold = Engine(backend(), cache=cache).run(spec)
+        assert cold.meta["passes_computed"] == 4  # 2 benchmarks x 2 seeds
+        for path in cache.results.root.glob("*.json"):
+            path.write_text("{")
+        rerun = Engine(backend(), cache=cache).run(spec)
+        assert len(rerun) == spec.n_cells
+        assert "cells_poisoned" not in rerun.meta
+        assert rerun.digest() == cold.digest()
+
+    def test_inline_rerun_executes_every_cell_from_stored_passes(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.dist.worker as worker_module
+
+        executed = []
+        real = worker_module.execute_cells_batch
+
+        def recording(cells, trace_store=None):
+            executed.extend(cells)
+            return real(cells, trace_store=trace_store)
+
+        monkeypatch.setattr(worker_module, "execute_cells_batch", recording)
+        spec = tiny_spec(seeds=(0, 1))
+        cache = ExperimentCache(tmp_path)
+        clear_pass_memo()
+        cold = Engine(inline_backend(), cache=cache).run(spec)
+        assert cold.meta["passes_computed"] == 4
+        clear_pass_memo()
+        rerun = Engine(inline_backend(), cache=cache).run(spec, use_cache=False)
+        assert len(executed) == 2 * spec.n_cells
+        assert rerun.meta["passes_computed"] == 0
+        assert rerun.records == cold.records
 
 
 class TestPoison:

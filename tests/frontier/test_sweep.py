@@ -4,11 +4,13 @@ The acceptance properties from the frontier design:
 
 * the computed frontier is identical regardless of backend (serial vs
   process pool) and cache temperature (cold vs warm);
-* a sweep pays at most one functional pass per (benchmark, seed), and
-  the result meta carries the proof when a persistent cache is attached;
+* a sweep computes at most the passes its trace store could not serve,
+  one per (benchmark, seed), and the result meta carries the proof;
 * a warm repeat runs zero cells;
 * grid/budget/anchor knobs compose into the expected scheme axis.
 """
+
+import threading
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.api.backends import ProcessPoolBackend, SerialBackend
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
 from repro.frontier import FrontierConfig, run_frontier
+from repro.sim.simulator import clear_pass_memo
 
 #: Small but non-trivial: 2x2x2 grid + anchor = 9 candidate configurations.
 SMALL = FrontierConfig(
@@ -29,8 +32,6 @@ SMALL = FrontierConfig(
 
 @pytest.fixture(autouse=True)
 def fresh_pass_memo():
-    from repro.sim.simulator import clear_pass_memo
-
     clear_pass_memo()
     yield
     clear_pass_memo()
@@ -85,11 +86,11 @@ class TestSweepInvariance:
     def test_functional_pass_invariant_verified(self, tmp_path):
         sweep = run_frontier(SMALL, parallel=False, cache_dir=tmp_path / "cache")
         assert sweep.meta["expected_passes"] == 4  # 2 benchmarks x 2 seeds
-        assert sweep.meta["functional_passes"] == 4
+        assert sweep.meta["passes_computed"] == 4
         assert sweep.meta["passes_verified"] is True
         # Warm rerun: zero new functional passes.
         warm = run_frontier(SMALL, parallel=False, cache_dir=tmp_path / "cache")
-        assert warm.meta["functional_passes"] == 0
+        assert warm.meta["passes_computed"] == 0
         assert warm.meta["passes_verified"] is True
 
     def test_pool_pays_one_functional_pass_per_benchmark(self, tmp_path):
@@ -100,8 +101,52 @@ class TestSweepInvariance:
                 cache=ExperimentCache(tmp_path / "cache"),
             ),
         )
-        assert sweep.meta["functional_passes"] == sweep.meta["expected_passes"]
+        assert sweep.meta["passes_computed"] == sweep.meta["expected_passes"]
         assert sweep.meta["passes_verified"] is True
+
+    def test_concurrent_sweeps_on_one_cache_count_only_their_own_passes(
+        self, tmp_path
+    ):
+        config = dict(grid="grid:dynamic:{rates=2..3}x{epochs=2..3}",
+                      static_anchors=(300,), n_instructions=40_000)
+        sweeps = {}
+
+        def sweep(benchmarks):
+            engine = Engine(SerialBackend(), ExperimentCache(tmp_path / "cache"))
+            sweeps[benchmarks] = run_frontier(
+                FrontierConfig(benchmarks=benchmarks, **config), engine=engine
+            )
+
+        threads = [
+            threading.Thread(target=sweep, args=(benchmarks,))
+            for benchmarks in (("mcf", "libquantum"), ("astar", "h264ref"))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(sweeps) == 2
+        for result in sweeps.values():
+            assert result.meta["passes_computed"] == result.meta["expected_passes"] == 2
+            assert result.meta["passes_verified"] is True
+
+    def test_recomputing_a_stored_pass_fails_verification(self, tmp_path):
+        config = FrontierConfig(
+            grid=SMALL.grid, benchmarks=SMALL.benchmarks, seeds=(0,),
+            n_instructions=SMALL.n_instructions, static_anchors=(300,),
+        )
+        cache = ExperimentCache(tmp_path / "cache")
+        run_frontier(config, engine=Engine(SerialBackend(), cache))
+        for trace in cache.traces.root.glob("*.pkl"):
+            trace.write_bytes(trace.read_bytes()[:64])
+        clear_pass_memo()
+        rerun = run_frontier(config, engine=Engine(SerialBackend(), cache), use_cache=False)
+        # The store claimed both passes, yet both were recomputed.
+        assert rerun.meta["passes_computed"] == 2
+        assert rerun.meta["expected_passes"] == 0
+        assert rerun.meta["passes_verified"] is False
+        assert "functional passes 2/0 (VIOLATED)" in rerun.render()
 
 
 class TestSweepReport:

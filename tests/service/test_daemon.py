@@ -3,16 +3,19 @@
 The headline test runs N=4 concurrent sweeps sharing one (benchmark,
 seed) lattice and proves — from persistent trace-cache entry counts, not
 from the service's own counters alone — that the daemon paid exactly one
-functional pass per lattice point.
+functional pass per lattice point.  The ``functional_passes`` metric
+counts passes computed, so a recompute over corrupt traces shows in it.
 """
 
 import asyncio
 
 import pytest
 
+import repro.sim.simulator as simulator_module
 from repro.api.cache import ExperimentCache
 from repro.api.spec import ExperimentSpec
 from repro.service.daemon import SweepService, subgroup_specs
+from repro.sim.simulator import clear_pass_memo
 
 BENCHMARKS = ("mcf", "libquantum")
 N_INSTRUCTIONS = 20_000
@@ -94,6 +97,38 @@ class TestZeroRedundancy:
         service = run(scenario())
         assert service.metrics.counters["functional_passes"] == len(BENCHMARKS)
         assert cache.traces.entry_count() == len(BENCHMARKS)
+
+    def test_metric_counts_passes_recomputed_over_corrupt_traces(
+        self, cache, monkeypatch
+    ):
+        calls = {"n": 0}
+        real = simulator_module.simulate_hierarchy
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "simulate_hierarchy", counting)
+
+        async def scenario():
+            service = SweepService(cache=cache, max_concurrency=2)
+            first, _ = await service.submit(make_spec(name="cold"))
+            await service.wait(first.id, timeout=300)
+            for trace in cache.traces.root.glob("*.pkl"):
+                trace.write_bytes(trace.read_bytes()[:64])
+            clear_pass_memo()
+            second, _ = await service.submit(
+                make_spec(name="recompute", schemes=("base_dram", "dynamic:4x4"))
+            )
+            await service.wait(second.id, timeout=300)
+            await service.shutdown()
+            return service, second
+
+        service, second = run(scenario())
+        # The truncated traces are quarantined and their passes recomputed.
+        assert calls["n"] == 2 * len(BENCHMARKS)
+        assert service.metrics.counters["functional_passes"] == calls["n"]
+        assert second.result.meta["passes_computed"] == len(BENCHMARKS)
 
 
 class TestDeduplication:

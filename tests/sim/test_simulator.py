@@ -25,8 +25,13 @@ class TestRun:
         assert result.scheme_name == "base_dram"
         assert result.cycles > 0
 
-    def test_sweep_shares_functional_pass(self, shared_sim):
-        results = shared_sim.sweep("libquantum", [BaseDramScheme(), BaseOramScheme()])
+    def test_run_batch_shares_functional_pass(self, shared_sim):
+        results = {
+            result.scheme_name: result
+            for result in shared_sim.run_batch(
+                "libquantum", [BaseDramScheme(), BaseOramScheme()]
+            )
+        }
         assert set(results) == {"base_dram", "base_oram"}
         assert results["base_oram"].cycles > results["base_dram"].cycles
 
