@@ -21,6 +21,7 @@ Usage::
 
 import sys
 
+from repro.api import Engine
 from repro.core.scheme import expand_scheme_grid
 from repro.frontier import FrontierConfig, run_frontier
 
@@ -40,7 +41,8 @@ def main() -> None:
         seeds=(0, 1),
         n_instructions=n_instructions,
     )
-    sweep = run_frontier(config, parallel=False)
+    engine = Engine()  # in-process; Engine(ProcessPoolBackend()) shards it
+    sweep = run_frontier(config, engine=engine)
     print(sweep.render(per_benchmark=True))
 
     # The same sweep under a 16-bit ORAM-timing budget: every
@@ -56,7 +58,7 @@ def main() -> None:
             n_instructions=n_instructions,
             budget_bits=budget,
         ),
-        parallel=False,
+        engine=engine,
     )
     print(f"\nunder a {budget:.0f}-bit budget the grid shrinks "
           f"{config.n_candidates} -> {budgeted.config.n_candidates} candidates;")

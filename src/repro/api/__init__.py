@@ -43,7 +43,6 @@ from repro.api.figures import (
     figure7_spec,
     figure8a_spec,
     figure8b_spec,
-    frontier_spec,
 )
 from repro.api.records import ResultSet, RunRecord
 from repro.api.spec import CACHE_SCHEMA_VERSION, Cell, ExperimentSpec, split_benchmark
@@ -73,6 +72,5 @@ __all__ = [
     "figure7_spec",
     "figure8a_spec",
     "figure8b_spec",
-    "frontier_spec",
     "split_benchmark",
 ]

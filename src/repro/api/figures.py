@@ -136,29 +136,3 @@ def figure8b_spec(**sim_params) -> ExperimentSpec:
         ),
         **sim_params,
     )
-
-
-def frontier_spec(
-    grid: str | None = None,
-    static_anchors: tuple[int, ...] = (300, 500, 1300),
-    **sim_params,
-) -> ExperimentSpec:
-    """The design-space sweep behind Figures 8a/8b, generalized.
-
-    Figures 8a and 8b sample two axes of the (|R|, growth, learner)
-    lattice; this spec sweeps the full default grid (or any ``grid:``
-    string) so :mod:`repro.analysis.frontier` can compute the Pareto
-    frontier those samples sit on.  Runs the Figure 6 suite by default;
-    the lighter-weight entry point with its own benchmark selection and
-    functional-pass verification lives in :mod:`repro.frontier`.
-    """
-    from repro.core.scheme import DEFAULT_DYNAMIC_GRID
-
-    sim_params.setdefault("n_instructions", DEFAULT_N_INSTRUCTIONS)
-    anchors = tuple(f"static:{rate}" for rate in static_anchors)
-    return ExperimentSpec(
-        name="Frontier: leakage vs slowdown across the dynamic design space",
-        benchmarks=_suite(),
-        schemes=("base_dram",) + anchors + (grid or DEFAULT_DYNAMIC_GRID,),
-        **sim_params,
-    )

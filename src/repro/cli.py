@@ -4,8 +4,9 @@ Installed as the ``repro`` console script and runnable as
 ``python -m repro``.  Subcommands:
 
 - ``run`` — one benchmark under one or more schemes, printed as a table.
-- ``sweep`` — a full benchmarks x schemes x seeds spec, optionally on the
-  process pool and/or a persistent cache, optionally saved to JSON.
+- ``sweep`` — a full benchmarks x schemes x seeds spec, on any backend
+  and/or a persistent cache, optionally saved to JSON; exits 1 when a
+  cell was poisoned.
 - ``list-workloads`` — the workload registry with inputs and categories.
 - ``leakage`` — the paper's leakage accounting, or the bound for one
   (|R|, growth) configuration against an optional bit budget.
@@ -39,12 +40,16 @@ Installed as the ``repro`` console script and runnable as
   SIGKILL distributed queue workers — each scenario asserts
   byte-identical digests against fault-free runs and exits 1 on any
   broken recovery contract (CI's chaos step).
-- ``dist`` — the distributed work-queue backend: ``submit`` a sweep as
-  a lease-guarded task board under the shared cache, ``worker`` drains
-  it from any process/host that sees the cache directory, ``status``
-  and ``workers`` observe the board, ``run`` does submit + a local
-  worker fleet + result assembly in one call (docs/operations.md,
+- ``dist`` — the distributed work queue's operator surface: ``submit`` a
+  sweep as a lease-guarded task board under the shared cache, ``worker``
+  drains it from any process/host that sees the cache directory,
+  ``status`` and ``workers`` observe the board (docs/operations.md,
   "Distributed workers").
+
+``run``, ``sweep``, ``frontier`` and ``serve`` pick where cells run with
+one ``--backend {serial,pool,queue}`` / ``--workers N`` pair
+(:func:`_backend_from_args`): ``--workers`` sizes the process pool, or
+the queue's local worker fleet (0 drains the queue in-process).
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.api.backends import ProcessPoolBackend, SerialBackend
+from repro.api.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
 from repro.api.spec import ExperimentSpec
@@ -83,26 +88,52 @@ def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
         help="recompute results even when cached (still reuses traces)",
     )
     parser.add_argument(
-        "--parallel", action="store_true",
-        help="shard cells across a process pool",
+        "--save", default=None, metavar="PATH",
+        help="also write the ResultSet as JSON to PATH",
+    )
+    _add_backend_arguments(parser, default="serial")
+
+
+def _add_backend_arguments(
+    parser: argparse.ArgumentParser,
+    default: str,
+    choices: tuple[str, ...] = ("serial", "pool", "queue"),
+) -> None:
+    parser.add_argument(
+        "--backend", default=default, choices=choices,
+        help=f"where cells run (default {default}); queue runs them on the "
+             f"work queue under the cache directory",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="process pool size (implies --parallel)",
+        help="pool size for pool (default: cpu count); local worker "
+             "processes for queue (default 2; 0 drains the queue in-process)",
     )
-    parser.add_argument(
-        "--save", default=None, metavar="PATH",
-        help="also write the ResultSet as JSON to PATH",
+
+
+def _backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
+    """The one place user input becomes an execution backend."""
+    if args.backend == "serial":
+        if args.workers is not None:
+            raise ValueError("--workers does not apply to --backend serial")
+        return SerialBackend()
+    if args.backend == "pool":
+        return ProcessPoolBackend(max_workers=args.workers)
+    from repro.dist.backend import DEFAULT_DIST_WORKERS, WorkQueueBackend
+
+    return WorkQueueBackend(
+        workers=DEFAULT_DIST_WORKERS if args.workers is None else args.workers
     )
 
 
 def _engine_from_args(args: argparse.Namespace) -> Engine:
-    parallel = args.parallel or args.workers is not None
-    backend = (
-        ProcessPoolBackend(max_workers=args.workers) if parallel else SerialBackend()
-    )
+    if args.backend == "queue" and not args.cache_dir:
+        raise ValueError(
+            "--backend queue needs --cache-dir (the shared cache is the "
+            "queue's coordination substrate)"
+        )
     cache = ExperimentCache(args.cache_dir) if args.cache_dir else None
-    return Engine(backend=backend, cache=cache)
+    return Engine(backend=_backend_from_args(args), cache=cache)
 
 
 def _run_and_report(spec: ExperimentSpec, args: argparse.Namespace) -> int:
@@ -110,14 +141,17 @@ def _run_and_report(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     results = engine.run(spec, use_cache=not args.no_cache_read)
     print(results.render())
     meta = results.meta
-    print(
+    line = (
         f"\n[{meta['backend']}] {meta['cells']} cells: "
         f"{meta['cache_hits']} cached, {meta['cells_run']} run"
     )
+    if meta.get("cells_poisoned"):
+        line += f", {meta['cells_poisoned']} poisoned"
+    print(line)
     if args.save:
         results.save(args.save)
         print(f"saved to {args.save}")
-    return 0
+    return 1 if meta.get("cells_poisoned") else 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -283,33 +317,9 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
         budget_bits=args.budget,
         static_anchors=statics,
     )
-    # A grid sweep is hundreds of independent replays: the pool is the
-    # default, --serial opts out, --dist fans out across the work queue
-    # (all three mutually exclusive).
-    if args.dist:
-        if not args.cache_dir:
-            print(
-                "error: --dist needs --cache-dir (the shared cache is the "
-                "queue's coordination substrate)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.dist.backend import DEFAULT_DIST_WORKERS, WorkQueueBackend
-
-        backend = WorkQueueBackend(
-            workers=(
-                DEFAULT_DIST_WORKERS
-                if args.dist_workers is None
-                else args.dist_workers
-            ),
-        )
-    elif args.serial:
-        backend = SerialBackend()
-    else:
-        backend = ProcessPoolBackend(max_workers=args.workers)
-    cache = ExperimentCache(args.cache_dir) if args.cache_dir else None
-    engine = Engine(backend=backend, cache=cache)
-    sweep = run_frontier(config, engine=engine, use_cache=not args.no_cache_read)
+    sweep = run_frontier(
+        config, engine=_engine_from_args(args), use_cache=not args.no_cache_read
+    )
     print(sweep.render(per_benchmark=args.per_benchmark))
     if args.save:
         sweep.results.save(args.save)
@@ -362,7 +372,6 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
             base=config,
             tenant_counts=tuple(int(n) for n in _split_csv(args.counts)),
             schedulers=_split_csv(args.schedulers),
-            parallel=args.parallel or args.workers is not None,
             max_workers=args.workers,
         )
         print(result.render())
@@ -400,8 +409,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service.hosting import serve_forever
 
+    backend = _backend_from_args(args)
     if args.smoke:
-        return _serve_smoke(args)
+        return _serve_smoke(args, backend)
     try:
         asyncio.run(serve_forever(
             cache=args.cache_dir,
@@ -410,15 +420,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             uds=args.uds,
             max_concurrency=args.max_concurrency,
             resume=args.resume,
-            backend=args.backend,
-            dist_workers=args.dist_workers,
+            backend=backend,
         ))
     except KeyboardInterrupt:
         print("\ninterrupted; daemon stopped")
     return 0
 
 
-def _serve_smoke(args: argparse.Namespace) -> int:
+def _serve_smoke(args: argparse.Namespace, backend: ExecutionBackend) -> int:
     """End-to-end self-test: start, submit, stream, scrape, shut down."""
     import tempfile
 
@@ -436,7 +445,7 @@ def _serve_smoke(args: argparse.Namespace) -> int:
         # Ephemeral port: the smoke test must not fight a real daemon.
         with ThreadedService(
             cache=cache_dir, max_concurrency=args.max_concurrency,
-            host=args.host, port=0, uds=args.uds,
+            host=args.host, port=0, uds=args.uds, backend=backend,
         ) as hosted:
             client = hosted.client()
             health = client.healthz()
@@ -576,25 +585,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _dist_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    return ExperimentSpec(
-        name="repro dist",
-        benchmarks=_split_csv(args.benchmarks),
-        schemes=_split_csv(args.schemes),
-        seeds=tuple(int(s) for s in _split_csv(args.seeds)),
-        n_instructions=args.instructions,
-    )
-
-
-def _dist_queue_kwargs(args: argparse.Namespace) -> dict:
-    kwargs: dict = {}
-    if getattr(args, "lease_ttl", None) is not None:
-        kwargs["lease_ttl_s"] = args.lease_ttl
-    if getattr(args, "max_attempts", None) is not None:
-        kwargs["max_attempts"] = args.max_attempts
-    return kwargs
-
-
 def _cmd_dist(args: argparse.Namespace) -> int:
     from repro.dist import WorkQueue, list_queues, run_worker
     from repro.dist.queue import QUEUE_SUBDIR
@@ -602,11 +592,14 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     cache = ExperimentCache(args.cache_dir)
 
     if args.dist_command == "submit":
-        spec = _dist_spec_from_args(args)
-        queue = WorkQueue.for_cells(
-            cache.root, list(spec.cells()), name=spec.name,
-            **_dist_queue_kwargs(args),
+        spec = ExperimentSpec(
+            name="repro dist",
+            benchmarks=_split_csv(args.benchmarks),
+            schemes=_split_csv(args.schemes),
+            seeds=tuple(int(s) for s in _split_csv(args.seeds)),
+            n_instructions=args.instructions,
         )
+        queue = WorkQueue.for_cells(cache.root, list(spec.cells()), name=spec.name)
         stats = queue.stats()
         print(f"queue {queue.root.name} at {queue.root}")
         print(
@@ -631,7 +624,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             print(f"no queues under {cache.root / QUEUE_SUBDIR}")
             return 0
         for qid, path in queues:
-            stats = WorkQueue(path, **_dist_queue_kwargs(args)).stats()
+            stats = WorkQueue(path).stats()
             state = "finished" if (
                 stats["tasks"] and stats["pending"] == stats["claimed"] == 0
             ) else "active"
@@ -672,30 +665,6 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         )
         print(f"worker done: {completed} task(s) completed")
         return 0
-
-    if args.dist_command == "run":
-        from repro.dist.backend import DEFAULT_DIST_WORKERS, WorkQueueBackend
-
-        spec = _dist_spec_from_args(args)
-        backend = WorkQueueBackend(
-            workers=DEFAULT_DIST_WORKERS if args.workers is None else args.workers,
-            **_dist_queue_kwargs(args),
-        )
-        engine = Engine(backend=backend, cache=cache)
-        results = engine.run(spec)
-        print(results.render())
-        meta = results.meta
-        line = (
-            f"\n[{meta['backend']}] {meta['cells']} cells: "
-            f"{meta['cache_hits']} cached, {meta['cells_run']} run"
-        )
-        if meta.get("cells_poisoned"):
-            line += f", {meta['cells_poisoned']} poisoned"
-        print(line)
-        if args.save:
-            results.save(args.save)
-            print(f"saved to {args.save}")
-        return 1 if meta.get("cells_poisoned") else 0
 
     raise ValueError(f"unknown dist subcommand {args.dist_command!r}")
 
@@ -911,25 +880,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--csv", default=None, metavar="PATH",
         help="also write the flat candidate table as CSV",
     )
-    backend_group = frontier.add_mutually_exclusive_group()
-    backend_group.add_argument(
-        "--serial", action="store_true",
-        help="run in-process instead of on the process pool",
-    )
-    backend_group.add_argument(
-        "--workers", type=int, default=None,
-        help="process pool size (default: cpu count)",
-    )
-    backend_group.add_argument(
-        "--dist", action="store_true",
-        help="run on the distributed work queue under --cache-dir "
-             "(requires --cache-dir; size the fleet with --dist-workers)",
-    )
-    frontier.add_argument(
-        "--dist-workers", type=int, default=None,
-        help="local queue workers for --dist (default 2; 0 = drain in-process, "
-             "alongside any workers launched elsewhere)",
-    )
+    # A grid sweep is hundreds of independent replays: the pool is the
+    # default here.
+    _add_backend_arguments(frontier, default="pool")
     frontier.add_argument(
         "-n", "--instructions", type=int, default=200_000,
         help="post-warmup instruction budget per run (default 200000)",
@@ -1011,12 +964,9 @@ def build_parser() -> argparse.ArgumentParser:
         help='sweep schedulers (default "batched,round_robin")',
     )
     tenants.add_argument(
-        "--parallel", action="store_true",
-        help="fan sweep cells across a process pool",
-    )
-    tenants.add_argument(
         "--workers", type=int, default=None,
-        help="process pool size (implies --parallel)",
+        help="fan sweep cells across a process pool of this size "
+             "(default: in-process)",
     )
     tenants.add_argument(
         "--out", default=None, metavar="PATH",
@@ -1055,16 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay the cache root's job journal before accepting traffic, "
              "re-enqueueing jobs a previous daemon admitted but never finished",
     )
-    serve.add_argument(
-        "--backend", default="serial", choices=["serial", "queue"],
-        help="job execution backend: in-process serial (default) or the "
-             "distributed work queue under the cache root",
-    )
-    serve.add_argument(
-        "--dist-workers", type=int, default=None,
-        help="local queue workers per job group for --backend queue "
-             "(default 2; 0 = drain in-process, alongside outside workers)",
-    )
+    _add_backend_arguments(serve, default="serial", choices=("serial", "queue"))
     serve.add_argument(
         "--smoke", action="store_true",
         help="self-test: start, submit one sweep, stream events, scrape "
@@ -1221,36 +1162,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dist_sub = dist.add_subparsers(dest="dist_command", required=True)
 
-    def _dist_sweep_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--benchmarks", required=True,
-            help='comma-separated benchmarks, e.g. "mcf,libquantum"',
-        )
-        p.add_argument(
-            "--schemes", required=True,
-            help='comma-separated scheme specs, e.g. "base_dram,static:300"',
-        )
-        p.add_argument("--seeds", default="0", help='comma-separated seeds (default "0")')
-        p.add_argument(
-            "-n", "--instructions", type=int, default=200_000,
-            help="post-warmup instruction budget per run (default 200000)",
-        )
-
-    def _dist_queue_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--lease-ttl", type=float, default=None, metavar="SECONDS",
-            help="lease time-to-live (default 10.0; see docs/operations.md)",
-        )
-        p.add_argument(
-            "--max-attempts", type=int, default=None,
-            help="failed claims before a task poisons (default 3)",
-        )
-
     d_submit = dist_sub.add_parser(
         "submit", help="materialize a sweep as a task board (no execution)"
     )
-    _dist_sweep_args(d_submit)
-    _dist_queue_args(d_submit)
+    d_submit.add_argument(
+        "--benchmarks", required=True,
+        help='comma-separated benchmarks, e.g. "mcf,libquantum"',
+    )
+    d_submit.add_argument(
+        "--schemes", required=True,
+        help='comma-separated scheme specs, e.g. "base_dram,static:300"',
+    )
+    d_submit.add_argument(
+        "--seeds", default="0", help='comma-separated seeds (default "0")'
+    )
+    d_submit.add_argument(
+        "-n", "--instructions", type=int, default=200_000,
+        help="post-warmup instruction budget per run (default 200000)",
+    )
 
     d_status = dist_sub.add_parser("status", help="show task-board progress")
     d_status.add_argument(
@@ -1277,20 +1206,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-tasks", type=int, default=None,
         help="exit after completing this many tasks (default: drain fully)",
     )
-    _dist_queue_args(d_worker)
-
-    d_run = dist_sub.add_parser(
-        "run", help="submit + local worker fleet + assembled results, one call"
+    d_worker.add_argument(
+        "--lease-ttl", type=float, default=None, metavar="SECONDS",
+        help="lease time-to-live (default 10.0; see docs/operations.md)",
     )
-    _dist_sweep_args(d_run)
-    _dist_queue_args(d_run)
-    d_run.add_argument(
-        "--workers", type=int, default=None,
-        help="local worker processes (default 2; 0 drains in-process)",
-    )
-    d_run.add_argument(
-        "--save", default=None, metavar="PATH",
-        help="also write the ResultSet as JSON to PATH",
+    d_worker.add_argument(
+        "--max-attempts", type=int, default=None,
+        help="failed claims before a task poisons (default 3)",
     )
 
     dist.set_defaults(func=_cmd_dist)

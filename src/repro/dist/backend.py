@@ -94,14 +94,15 @@ class WorkQueueBackend:
     """Distributed execution over a filesystem work queue.
 
     Args:
-        workers: Local worker processes to spawn.  0 drains the queue
-            with an in-process :class:`Worker`; workers launched
+        workers: Local worker processes each run spawns.  0 drains the
+            queue with an in-process :class:`Worker`; workers launched
             elsewhere on the same cache may claim tasks alongside it.
         lease_ttl_s: Lease TTL handed to queue and workers.
         max_attempts: Failed claims before a task poisons.
         poll_s: Coordinator loop interval.
         wait_timeout_s: Hard wall-clock cap on one ``run_cells`` call;
-            None (default) trusts the poison threshold to terminate.
+            None (default) trusts the poison threshold and the respawn
+            budget to end the run.
         clock: Injectable time source for coordinator timeouts (tests).
     """
 
@@ -124,10 +125,7 @@ class WorkQueueBackend:
         self.poll_s = poll_s
         self.wait_timeout_s = wait_timeout_s
         self.clock = clock
-        #: Live local worker processes of the current run (chaos tests
-        #: SIGKILL entries of this list mid-sweep).
-        self.procs: list[subprocess.Popen] = []
-        #: The queue of the current/most recent run (status inspection).
+        #: The queue of the most recent run (status inspection).
         self.queue: WorkQueue | None = None
 
     def _queue_kwargs(self) -> dict:
@@ -181,10 +179,12 @@ class WorkQueueBackend:
         return self._assemble(cells, cache, queue)
 
     def _coordinate(self, cache: ExperimentCache, queue: WorkQueue) -> None:
-        """Spawn the local fleet and babysit the board to completion."""
-        self.procs = [
-            self._spawn(cache, queue, index) for index in range(self.workers)
-        ]
+        """Spawn this run's local fleet and babysit the board to completion.
+
+        The fleet lives in this call, so runs sharing one backend (the
+        daemon's job threads) never replace or stop each other's workers.
+        """
+        procs = [self._spawn(cache, queue, index) for index in range(self.workers)]
         respawns = 0
         started = self.clock()
         try:
@@ -198,37 +198,30 @@ class WorkQueueBackend:
                         f"{self.wait_timeout_s:.1f}s: {queue.stats()}"
                     )
                 queue.reap_expired()
-                for index, proc in enumerate(self.procs):
-                    if proc.poll() is None:
-                        continue
-                    if respawns < DEFAULT_MAX_RESPAWNS:
-                        respawns += 1
-                        self.procs[index] = self._spawn(
-                            cache, queue, self.workers + respawns
-                        )
-                if all(proc.poll() is not None for proc in self.procs) and (
-                    respawns >= DEFAULT_MAX_RESPAWNS
-                ):
-                    # Every worker is dead and the respawn budget is
-                    # spent: reap what remains so attempts accrue, then
-                    # let the poison threshold end the sweep rather than
-                    # spinning forever.
-                    queue.reap_expired()
+                exited = [i for i, proc in enumerate(procs) if proc.poll() is not None]
+                if exited and queue.finished():
+                    break  # workers exit on their own once the board finishes
+                if len(exited) == len(procs) and respawns >= DEFAULT_MAX_RESPAWNS:
+                    raise RuntimeError(
+                        f"queue {queue.root.name}: every local worker exited and "
+                        f"all {DEFAULT_MAX_RESPAWNS} respawns are spent, but the "
+                        f"board is unfinished (worker logs: {queue.root / 'logs'}; "
+                        f"board: {queue.stats()})"
+                    )
+                for index in exited[: DEFAULT_MAX_RESPAWNS - respawns]:
+                    respawns += 1
+                    procs[index] = self._spawn(cache, queue, self.workers + respawns)
                 time.sleep(self.poll_s)
         finally:
-            self.terminate_workers()
-
-    def terminate_workers(self) -> None:
-        """Stop any still-running local workers (idempotent)."""
-        for proc in self.procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in self.procs:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.terminate()
+            for proc in procs:
+                try:
+                    proc.wait(timeout=5.0)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait(timeout=5.0)
 
     @staticmethod
     def _assemble(

@@ -16,11 +16,13 @@ Quickstart::
 
     from repro.frontier import FrontierConfig, run_frontier
 
-    sweep = run_frontier(FrontierConfig(seeds=(0, 1, 2)), parallel=True)
+    sweep = run_frontier(FrontierConfig(seeds=(0, 1, 2)))  # on the process pool
     print(sweep.report.render())
     sweep.report.save_csv("frontier.csv")
 
-or from the shell: ``repro frontier --grid dynamic --seeds 0,1,2``.
+``run_frontier(config, engine=Engine(backend, cache=...))`` runs it
+elsewhere; from the shell, ``repro frontier --grid dynamic --seeds 0,1,2``
+(``--backend {serial,pool,queue}`` picks where the cells run).
 """
 
 from repro.frontier.sweep import (

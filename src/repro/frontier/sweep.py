@@ -20,11 +20,9 @@ the run (``B * K`` without a store).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from repro.analysis.frontier import FrontierReport, frontier_from_resultset
-from repro.api.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend
-from repro.api.cache import ExperimentCache
+from repro.api.backends import ProcessPoolBackend
 from repro.api.engine import Engine
 from repro.api.execution import trace_store_key
 from repro.api.records import ResultSet
@@ -139,31 +137,20 @@ class FrontierSweepResult:
 def run_frontier(
     config: FrontierConfig | None = None,
     engine: Engine | None = None,
-    parallel: bool = True,
-    workers: int | None = None,
-    cache_dir: str | Path | None = None,
     use_cache: bool = True,
 ) -> FrontierSweepResult:
     """Sweep the design space and compute its Pareto frontiers.
 
     Args:
         config: What to sweep (default :class:`FrontierConfig`).
-        engine: Pre-built engine; overrides ``parallel``/``workers``/
-            ``cache_dir``.
-        parallel: Shard cells across a process pool (the default — a
-            grid sweep is hundreds of independent replays).
-        workers: Pool size (None: ``os.cpu_count()``).
-        cache_dir: Root a persistent trace/result cache there.
+        engine: The engine to run on, with its backend and cache
+            (default: an uncached process pool — a grid sweep is
+            hundreds of independent replays).
         use_cache: Read cached results (False re-measures but still
             shares traces).
     """
     config = config or FrontierConfig()
-    if engine is None:
-        backend: ExecutionBackend = (
-            ProcessPoolBackend(max_workers=workers) if parallel else SerialBackend()
-        )
-        cache = ExperimentCache(cache_dir) if cache_dir is not None else None
-        engine = Engine(backend=backend, cache=cache)
+    engine = engine or Engine(ProcessPoolBackend())
 
     spec = config.spec()
     # One scheme's cells hold the sweep's pass keys.  A trace that exists

@@ -32,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from repro.api.backends import SerialBackend
+from repro.api.backends import ExecutionBackend
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
 from repro.api.execution import functional_pass_key
@@ -78,7 +78,6 @@ class SweepService:
             infrastructure, not an option: the cache is the warm
             substrate concurrent jobs share.
         max_concurrency: Jobs executing at once (thread-pool width).
-        engine: Injectable pre-built engine (tests); must carry a cache.
         journal: ``True`` (default) journals admissions and terminal
             states to ``<cache root>/journal/jobs.ndjson`` so
             :meth:`resume` can re-enqueue interrupted jobs after a
@@ -86,52 +85,30 @@ class SweepService:
             :class:`JobJournal` uses that journal verbatim.
         events_limit: Per-job event-log ring bound (see
             :class:`~repro.service.jobs.Job`).
-        backend: ``"serial"`` (default) runs job groups in-process;
-            ``"queue"`` targets the distributed work queue
-            (:class:`~repro.dist.backend.WorkQueueBackend`) under the
-            same cache root, so daemon jobs become queue submissions
-            that any worker fleet sharing the cache can drain.
-        dist_workers: Local worker processes the queue backend spawns
-            per job group (``backend="queue"`` only); 0 drains each
-            group's queue in-process, and workers launched elsewhere on
-            the same cache may claim tasks alongside.
+        backend: Where job groups run (default: in-process serial).  A
+            :class:`~repro.dist.backend.WorkQueueBackend` turns daemon
+            jobs into queue submissions under the same cache root, which
+            any worker fleet sharing the cache can drain.  Concurrent
+            jobs share the one backend.
     """
 
     def __init__(
         self,
         cache: ExperimentCache | str | Path | None = None,
         max_concurrency: int = DEFAULT_CONCURRENCY,
-        engine: Engine | None = None,
         journal: JobJournal | bool | None = True,
         events_limit: int = DEFAULT_EVENTS_LIMIT,
-        backend: str = "serial",
-        dist_workers: int | None = None,
+        backend: ExecutionBackend | None = None,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
-        if backend not in ("serial", "queue"):
-            raise ValueError(f"backend must be 'serial' or 'queue', got {backend!r}")
-        if engine is None:
-            if backend == "queue":
-                from repro.dist.backend import DEFAULT_DIST_WORKERS, WorkQueueBackend
-
-                execution_backend = WorkQueueBackend(
-                    workers=(
-                        DEFAULT_DIST_WORKERS if dist_workers is None else dist_workers
-                    ),
-                )
-            else:
-                execution_backend = SerialBackend()
-            engine = Engine(
-                backend=execution_backend,
-                cache=cache if isinstance(cache, ExperimentCache) else ExperimentCache(cache),
-            )
-        if engine.cache is None:
-            raise ValueError("SweepService needs an engine with a persistent cache")
-        self.engine = engine
+        self.engine = Engine(
+            backend=backend,
+            cache=cache if isinstance(cache, ExperimentCache) else ExperimentCache(cache),
+        )
         self.max_concurrency = max_concurrency
         if journal is True:
-            journal = JobJournal.for_cache_root(engine.cache.root)
+            journal = JobJournal.for_cache_root(self.engine.cache.root)
         elif journal is False:
             journal = None
         self.journal = journal

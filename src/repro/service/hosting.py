@@ -13,11 +13,21 @@ from __future__ import annotations
 import asyncio
 import threading
 from pathlib import Path
+from typing import Callable
 
+from repro.api.backends import ExecutionBackend
 from repro.api.cache import ExperimentCache
 from repro.service.client import Address, ServiceClient
 from repro.service.daemon import DEFAULT_CONCURRENCY, SweepService
 from repro.service.http import ServiceHTTPServer, start_http_server
+
+
+def _announce(service: SweepService, server: ServiceHTTPServer) -> None:
+    print(
+        f"repro.service listening on {server.address} "
+        f"(cache: {service.engine.cache.root}, "
+        f"concurrency: {service.max_concurrency})"
+    )
 
 
 async def serve_forever(
@@ -26,36 +36,28 @@ async def serve_forever(
     port: int = 8642,
     uds: str | None = None,
     max_concurrency: int = DEFAULT_CONCURRENCY,
-    announce=print,
-    ready: "asyncio.Event | None" = None,
     resume: bool = False,
-    backend: str = "serial",
-    dist_workers: int | None = None,
+    backend: ExecutionBackend | None = None,
+    on_ready: Callable[[SweepService, ServiceHTTPServer], None] = _announce,
 ) -> None:
     """Run a sweep service until ``POST /shutdown`` (or cancellation).
 
     ``resume=True`` replays the cache root's job journal before
     accepting traffic, re-enqueueing every job a previous daemon
-    admitted but never finished (``repro serve --resume``).
-    ``backend="queue"`` executes job groups through the distributed
-    work queue under the cache root (``repro serve --backend queue``).
+    admitted but never finished (``repro serve --resume``).  ``backend``
+    is where job groups run (default: in-process serial).  Once the
+    server accepts connections, ``on_ready(service, server)`` runs on
+    the event loop (default: print the listening address).
     """
     service = SweepService(
-        cache=cache, max_concurrency=max_concurrency,
-        backend=backend, dist_workers=dist_workers,
+        cache=cache, max_concurrency=max_concurrency, backend=backend,
     )
     if resume:
         resumed = await service.resume()
         if resumed:
-            announce(f"resumed {len(resumed)} interrupted job(s) from journal")
+            print(f"resumed {len(resumed)} interrupted job(s) from journal")
     server = await start_http_server(service, host=host, port=port, uds=uds)
-    announce(
-        f"repro.service listening on {server.address} "
-        f"(cache: {service.engine.cache.root}, "
-        f"concurrency: {max_concurrency})"
-    )
-    if ready is not None:
-        ready.set()
+    on_ready(service, server)
     try:
         await server.serve_until_shutdown()
     finally:
@@ -71,8 +73,9 @@ class ThreadedService:
             client = ServiceClient(hosted.address)
             ...
 
-    The thread owns its own event loop; ``stop()`` requests the same
-    graceful drain the ``/shutdown`` endpoint performs.
+    The thread runs :func:`serve_forever` on its own event loop;
+    ``stop()`` requests the same graceful drain the ``/shutdown``
+    endpoint performs.
     """
 
     def __init__(
@@ -83,13 +86,11 @@ class ThreadedService:
         port: int = 0,
         uds: str | None = None,
         resume: bool = False,
-        backend: str = "serial",
-        dist_workers: int | None = None,
+        backend: ExecutionBackend | None = None,
     ) -> None:
         self._config = dict(
             cache=cache, max_concurrency=max_concurrency,
-            host=host, port=port, uds=uds, resume=resume,
-            backend=backend, dist_workers=dist_workers,
+            host=host, port=port, uds=uds, resume=resume, backend=backend,
         )
         self._uds = uds
         self._thread: threading.Thread | None = None
@@ -102,29 +103,20 @@ class ThreadedService:
 
     # ------------------------------------------------------------------
 
-    async def _amain(self) -> None:
-        config = self._config
+    def _on_ready(self, service: SweepService, server: ServiceHTTPServer) -> None:
         self._loop = asyncio.get_running_loop()
-        self.service = SweepService(
-            cache=config["cache"], max_concurrency=config["max_concurrency"],
-            backend=config["backend"], dist_workers=config["dist_workers"],
-        )
-        if config["resume"]:
-            await self.service.resume()
-        self._server = await start_http_server(
-            self.service, host=config["host"], port=config["port"], uds=config["uds"]
-        )
+        self.service = service
+        self._server = server
         if self._uds is not None:
-            self.address = ("uds", self._server.address)
+            self.address = ("uds", server.address)
         else:
-            host, _, port = self._server.address.rpartition(":")
+            host, _, port = server.address.rpartition(":")
             self.address = ("tcp", host, int(port))
         self._ready.set()
-        await self._server.serve_until_shutdown()
 
     def _main(self) -> None:
         try:
-            asyncio.run(self._amain())
+            asyncio.run(serve_forever(**self._config, on_ready=self._on_ready))
         except BaseException as error:  # surface startup/runtime failures
             self.error = error
             self._ready.set()

@@ -133,14 +133,14 @@ def run_tenancy_sweep(
     base: TenancyConfig | None = None,
     tenant_counts: tuple[int, ...] = DEFAULT_TENANT_COUNTS,
     schedulers: tuple[str, ...] = DEFAULT_SCHEDULERS,
-    parallel: bool = False,
     max_workers: int | None = None,
 ) -> TenancySweepResult:
     """Run the tenant-count x scheduler grid.
 
-    Cell order is tenant-count-major then scheduler, and records are
-    deterministic per cell, so serial and pooled sweeps produce
-    digest-identical results.
+    ``max_workers`` fans the cells across a process pool of that size;
+    None runs them in-process.  Cell order is tenant-count-major then
+    scheduler, and records are deterministic per cell, so serial and
+    pooled sweeps produce digest-identical results.
     """
     base = base or TenancyConfig()
     configs = [
@@ -148,7 +148,7 @@ def run_tenancy_sweep(
         for n in tenant_counts
         for scheduler in schedulers
     ]
-    if parallel and len(configs) > 1:
+    if max_workers is not None and len(configs) > 1:
         with ProcessPoolExecutor(
             max_workers=max_workers,
             mp_context=get_context(default_start_method()),

@@ -4,7 +4,27 @@ import json
 
 import pytest
 
+from repro.api.engine import Engine
+from repro.api.records import ResultSet
+from repro.api.spec import ExperimentSpec
 from repro.cli import main
+
+#: One lattice with two pass groups, so the pool really shards it.
+LATTICE = dict(
+    benchmarks=("mcf", "libquantum"),
+    schemes=("base_dram", "static:300", "dynamic:4x4"),
+    n_instructions=40_000,
+)
+LATTICE_SWEEP = [
+    "sweep", "--benchmarks", ",".join(LATTICE["benchmarks"]),
+    "--schemes", ",".join(LATTICE["schemes"]),
+    "-n", str(LATTICE["n_instructions"]),
+]
+
+
+@pytest.fixture(scope="module")
+def lattice_digest():
+    return Engine().run(ExperimentSpec(**LATTICE)).digest()
 
 
 class TestRun:
@@ -52,9 +72,54 @@ class TestSweep:
 
     def test_zero_workers_is_a_clean_error(self, capsys):
         code = main(["sweep", "--benchmarks", "mcf", "--schemes", "base_dram",
-                     "-n", "40000", "--workers", "0"])
+                     "-n", "40000", "--backend", "pool", "--workers", "0"])
         assert code == 2
         assert "max_workers must be >= 1" in capsys.readouterr().err
+
+    def test_poisoned_cells_exit_1(self, capsys, tmp_path, monkeypatch):
+        import repro.dist.worker as worker_module
+
+        def always_raises(cells, trace_store=None):
+            raise RuntimeError("executor down")
+
+        monkeypatch.setattr(worker_module, "execute_cells_batch", always_raises)
+        code = main(["sweep", "--benchmarks", "mcf", "--schemes", "base_dram",
+                     "-n", "40000", "--backend", "queue", "--workers", "0",
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 1
+        assert "1 cells: 0 cached, 0 run, 1 poisoned" in capsys.readouterr().out
+
+
+class TestBackendFlags:
+    @pytest.mark.parametrize("flags, name", [
+        ((), "serial"),
+        (("--backend", "pool", "--workers", "2"), "process_pool"),
+        (("--backend", "queue", "--workers", "0"), "work_queue"),
+    ])
+    def test_one_digest_on_every_backend(
+        self, flags, name, capsys, tmp_path, lattice_digest
+    ):
+        save = tmp_path / "results.json"
+        argv = [*LATTICE_SWEEP, *flags, "--save", str(save)]
+        if "queue" in flags:
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        assert f"[{name}] 6 cells: 0 cached, 6 run" in capsys.readouterr().out
+        assert ResultSet.load(save).digest() == lattice_digest
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--benchmarks", "mcf", "--schemes", "base_dram", "--workers", "2"],
+         "--workers does not apply to --backend serial"),
+        (["frontier", "--backend", "serial", "--workers", "2"],
+         "--workers does not apply to --backend serial"),
+        (["run", "mcf", "--backend", "queue"], "--backend queue needs --cache-dir"),
+        (["sweep", "--benchmarks", "mcf", "--schemes", "base_dram",
+          "--backend", "queue"], "--backend queue needs --cache-dir"),
+        (["frontier", "--backend", "queue"], "--backend queue needs --cache-dir"),
+    ])
+    def test_usage_errors_exit_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestFrontier:

@@ -7,8 +7,14 @@ workers it used, or how many of them died.  The inline-worker mode
 exercises real subprocess workers end to end.
 """
 
+import subprocess
+import sys
+import threading
+import time
+
 import pytest
 
+import repro.dist.backend as backend_module
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
 from repro.api.spec import Cell, ExperimentSpec
@@ -64,7 +70,15 @@ class TestEquivalence:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.slow
-    def test_subprocess_fleet_matches_serial(self, tmp_path):
+    def test_subprocess_fleet_matches_serial(self, tmp_path, monkeypatch):
+        spawned = []
+        real_spawn = backend_module.spawn_worker_process
+
+        def recording_spawn(*args, **kwargs):
+            spawned.append(real_spawn(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(backend_module, "spawn_worker_process", recording_spawn)
         spec = tiny_spec()
         serial = Engine().run(spec)
         backend = WorkQueueBackend(
@@ -77,7 +91,8 @@ class TestEquivalence:
         assert backend.queue is not None
         assert len(backend.queue.workers_seen()) >= 1
         # And no local worker outlived the sweep.
-        assert all(proc.poll() is not None for proc in backend.procs)
+        assert len(spawned) >= 2
+        assert all(proc.poll() is not None for proc in spawned)
 
     def test_warm_rerun_hits_cache_entirely(self, tmp_path):
         spec = tiny_spec()
@@ -198,3 +213,84 @@ class TestPoison:
         assert len(results) == 0
         assert results.meta["cells_poisoned"] == 1
         assert results.meta["cells_run"] == 0
+
+
+class TestLocalFleet:
+    @pytest.mark.slow
+    def test_concurrent_runs_on_one_backend_keep_their_own_fleets(
+        self, tmp_path, monkeypatch
+    ):
+        # The daemon shares one backend across its job threads.  Both runs
+        # spawn their fleets before either can finish (the barrier), and
+        # the short run finishes first: no run may stop or replace a
+        # worker of the other run's board.
+        real_spawn = backend_module.spawn_worker_process
+        barrier = threading.Barrier(2)
+        lock = threading.Lock()
+        board_of_thread: dict[int, str] = {}
+        spawns: dict[str, int] = {}
+        foreign_stops: list[tuple] = []
+
+        def spawn(cache_root, queue_id, worker_id, **kwargs):
+            proc = real_spawn(cache_root, queue_id, worker_id, **kwargs)
+            with lock:
+                first = threading.get_ident() not in board_of_thread
+                board_of_thread[threading.get_ident()] = queue_id
+                spawns[queue_id] = spawns.get(queue_id, 0) + 1
+            terminate = proc.terminate
+
+            def checked_terminate():
+                stopper = board_of_thread.get(threading.get_ident())
+                if stopper != queue_id:
+                    foreign_stops.append((stopper, queue_id))
+                terminate()
+
+            proc.terminate = checked_terminate
+            if first:
+                barrier.wait(timeout=60)
+            return proc
+
+        monkeypatch.setattr(backend_module, "spawn_worker_process", spawn)
+        backend = WorkQueueBackend(
+            workers=1, lease_ttl_s=5.0, poll_s=0.02, wait_timeout_s=180.0
+        )
+        specs = {
+            "short": tiny_spec(benchmarks=("mcf",), schemes=("base_dram",),
+                               n_instructions=20_000),
+            "long": tiny_spec(benchmarks=("libquantum", "astar/rivers", "h264ref"),
+                              n_instructions=200_000),
+        }
+        results = {}
+
+        def run(name):
+            cache = ExperimentCache(tmp_path / name)
+            results[name] = Engine(backend, cache=cache).run(specs[name])
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in specs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=180)
+        assert not any(thread.is_alive() for thread in threads)
+        assert set(results) == set(specs)
+        assert foreign_stops == []
+        assert sorted(spawns.values()) == [1, 1]
+        for name, spec in specs.items():
+            assert results[name].meta["cells_run"] == spec.n_cells
+
+
+class TestFleetFailure:
+    def test_fleet_that_exits_before_claiming_fails_fast(
+        self, tmp_path, monkeypatch
+    ):
+        def exits_at_once(*args, **kwargs):
+            return subprocess.Popen([sys.executable, "-c", ""])
+
+        monkeypatch.setattr(backend_module, "spawn_worker_process", exits_at_once)
+        backend = WorkQueueBackend(workers=2, wait_timeout_s=30.0)
+        spec = tiny_spec(benchmarks=("mcf",), schemes=("base_dram",))
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="respawns are spent") as error:
+            Engine(backend, cache=ExperimentCache(tmp_path)).run(spec)
+        assert time.monotonic() - started < 10.0
+        assert "logs" in str(error.value)

@@ -84,15 +84,23 @@ class TestWorker:
 
 class TestRun:
     def test_run_inline_end_to_end(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
+        # `repro sweep --backend queue` is the one-call submit + fleet +
+        # assembly over the board that `dist` operates.
+        queue = ["sweep", *SWEEP, "--backend", "queue", "--workers", "0",
+                 "--cache-dir", str(tmp_path / "cache")]
         save = tmp_path / "results.json"
-        assert main(dist(cache, "run", *SWEEP,
-                         "--workers", "0", "--save", str(save))) == 0
+        assert main([*queue, "--save", str(save)]) == 0
         out = capsys.readouterr().out
         assert "[work_queue] 2 cells: 0 cached, 2 run" in out
         payload = json.loads(save.read_text())
         assert len(payload["records"]) == 2
 
         # Warm rerun: everything from cache, nothing recomputed.
-        assert main(dist(cache, "run", *SWEEP, "--workers", "0")) == 0
+        assert main(queue) == 0
         assert "2 cached, 0 run" in capsys.readouterr().out
+
+    def test_dist_run_subcommand_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(dist(tmp_path / "cache", "run", *SWEEP))
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'run'" in capsys.readouterr().err

@@ -75,21 +75,21 @@ class TestSweepInvariance:
         assert serial.results.records == pool.results.records
 
     def test_cache_temperature_invariance(self, tmp_path):
-        cold = run_frontier(SMALL, parallel=False, cache_dir=tmp_path / "cache")
-        warm = run_frontier(SMALL, parallel=False, cache_dir=tmp_path / "cache")
-        uncached = run_frontier(SMALL, parallel=False)
+        cold = run_frontier(SMALL, engine=Engine(cache=tmp_path / "cache"))
+        warm = run_frontier(SMALL, engine=Engine(cache=tmp_path / "cache"))
+        uncached = run_frontier(SMALL, engine=Engine())
         assert cold.report.to_dict() == warm.report.to_dict()
         assert cold.report.to_dict() == uncached.report.to_dict()
         assert warm.meta["cells_run"] == 0
         assert warm.meta["cache_hits"] == cold.meta["cells"]
 
     def test_functional_pass_invariant_verified(self, tmp_path):
-        sweep = run_frontier(SMALL, parallel=False, cache_dir=tmp_path / "cache")
+        sweep = run_frontier(SMALL, engine=Engine(cache=tmp_path / "cache"))
         assert sweep.meta["expected_passes"] == 4  # 2 benchmarks x 2 seeds
         assert sweep.meta["passes_computed"] == 4
         assert sweep.meta["passes_verified"] is True
         # Warm rerun: zero new functional passes.
-        warm = run_frontier(SMALL, parallel=False, cache_dir=tmp_path / "cache")
+        warm = run_frontier(SMALL, engine=Engine(cache=tmp_path / "cache"))
         assert warm.meta["passes_computed"] == 0
         assert warm.meta["passes_verified"] is True
 
@@ -151,7 +151,7 @@ class TestSweepInvariance:
 
 class TestSweepReport:
     def test_fronts_are_antitone_for_every_benchmark(self):
-        sweep = run_frontier(SMALL, parallel=False)
+        sweep = run_frontier(SMALL, engine=Engine())
         frontiers = dict(sweep.report.benchmarks)
         frontiers["aggregate"] = sweep.report.aggregate
         for bf in frontiers.values():
@@ -161,19 +161,19 @@ class TestSweepReport:
                 assert left.slowdown > right.slowdown
 
     def test_candidate_cloud_covers_whole_grid(self):
-        sweep = run_frontier(SMALL, parallel=False)
+        sweep = run_frontier(SMALL, engine=Engine())
         for bf in sweep.report.benchmarks.values():
             assert len(bf.points) == len(SMALL.schemes()) - 1  # minus base_dram
 
     def test_render_summarizes_sweep(self):
-        sweep = run_frontier(SMALL, parallel=False)
+        sweep = run_frontier(SMALL, engine=Engine())
         text = sweep.render()
         assert "[9 configurations + baseline] x 2 benchmarks x 2 seeds" in text
         assert "40 cells" in text  # (9 + 1) x 2 x 2: the product is checkable
         assert "Knee configurations" in text
 
     def test_multi_seed_slowdowns_average_per_seed_baselines(self):
-        sweep = run_frontier(SMALL, parallel=False)
+        sweep = run_frontier(SMALL, engine=Engine())
         single = run_frontier(
             FrontierConfig(
                 grid=SMALL.grid,
@@ -182,7 +182,7 @@ class TestSweepReport:
                 n_instructions=SMALL.n_instructions,
                 static_anchors=SMALL.static_anchors,
             ),
-            parallel=False,
+            engine=Engine(),
         )
         # Multi-seed aggregation is a mean, so values differ from the
         # single-seed run unless the workload is seed-insensitive; both

@@ -14,6 +14,8 @@ import pytest
 import repro.sim.simulator as simulator_module
 from repro.api.cache import ExperimentCache
 from repro.api.spec import ExperimentSpec
+from repro.cli import main
+from repro.dist import WorkQueueBackend
 from repro.service.daemon import SweepService, subgroup_specs
 from repro.sim.simulator import clear_pass_memo
 
@@ -47,10 +49,6 @@ class TestSubgroupSpecs:
         for _, _, sub in groups:
             assert sub.schemes == spec.schemes
         assert sum(sub.n_cells for _, _, sub in groups) == spec.n_cells
-
-    def test_requires_cache(self):
-        with pytest.raises(ValueError):
-            SweepService(engine=__import__("repro.api.engine", fromlist=["Engine"]).Engine())
 
     def test_rejects_zero_concurrency(self, cache):
         with pytest.raises(ValueError):
@@ -257,9 +255,13 @@ class TestLifecycle:
 
 
 class TestQueueBackend:
-    def test_rejects_unknown_backend(self, cache):
-        with pytest.raises(ValueError, match="backend"):
-            SweepService(cache=cache, backend="carrier-pigeon")
+    def test_rejects_unknown_backend(self, capsys):
+        # The daemon takes a backend object; the CLI is what turns a
+        # name into one, and the pool is not a daemon backend.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--backend", "pool"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'pool'" in capsys.readouterr().err
 
     def test_queue_backend_job_matches_serial(self, cache, tmp_path):
         """A daemon on the distributed backend produces the same records
@@ -275,7 +277,7 @@ class TestQueueBackend:
 
         dist_cache = ExperimentCache(tmp_path / "dist-cache")
         dist_service = SweepService(
-            cache=dist_cache, backend="queue", dist_workers=0
+            cache=dist_cache, backend=WorkQueueBackend(workers=0)
         )
         dist_job, dist_snap = run(scenario(dist_service))
         serial_job, serial_snap = run(scenario(SweepService(cache=cache)))

@@ -20,6 +20,12 @@ class TestServeSmoke:
         assert "daemon up at" in out
         assert "smoke OK" in out
 
+    def test_smoke_passes_on_the_queue_backend(self, capsys):
+        assert main([
+            "serve", "--smoke", "-n", "40000", "--backend", "queue", "--workers", "0",
+        ]) == 0
+        assert "smoke OK" in capsys.readouterr().out
+
     def test_smoke_streams_lifecycle_events(self, capsys, tmp_path):
         main(["serve", "--smoke", "-n", "20000",
               "--cache-dir", str(tmp_path / "cache")])

@@ -2,6 +2,7 @@
 
 import json
 
+import repro.tenancy.sweep as sweep_module
 from repro.tenancy import TenancyConfig, run_tenancy_sweep
 from repro.tenancy.sweep import (
     WALL_CLOCK_KEYS,
@@ -29,6 +30,21 @@ class TestSweepGrid:
 
     def test_digest_is_reproducible(self):
         assert small_sweep().digest() == small_sweep().digest()
+
+    def test_pooled_sweep_matches_serial_digest(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(sweep_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_tenancy_sweep(
+            base=BASE, tenant_counts=COUNTS, schedulers=SCHEDULERS, max_workers=2
+        )
+        assert pools == [2]  # max_workers alone selects the pool
+        assert pooled.digest() == small_sweep().digest()
 
     def test_digest_ignores_wall_clock_fields(self):
         records = [dict(r) for r in small_sweep().records]
