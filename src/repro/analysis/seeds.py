@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import mean, stdev
 
-from scipy import stats
-
 from repro.api.figures import FIG6_BENCHMARKS
 from repro.core.scheme import BaseDramScheme, BaseOramScheme, StaticScheme, dynamic
 from repro.sim.result import performance_overhead
@@ -34,6 +32,10 @@ class SeededStat:
 
     def confidence_interval(self, level: float = 0.95) -> tuple[float, float]:
         """Student-t CI half-width around the mean."""
+        # scipy is a dev dependency: importing it here keeps ``import
+        # repro`` numpy-only and off scipy's ~1 s import.
+        from scipy import stats
+
         n = len(self.values)
         if n < 2:
             return (self.mean, self.mean)

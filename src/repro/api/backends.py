@@ -50,9 +50,21 @@ def default_start_method() -> str:
     ``fork`` where available (cheap on Linux — workers inherit warm
     module state), else ``spawn``.  Shared by every pool consumer
     (:class:`ProcessPoolBackend`, the tenancy sweep) so platform
-    fallback logic lives in one place.
+    fallback logic lives in one place, beside
+    :func:`worker_start_method`.
     """
     return "fork" if "fork" in get_all_start_methods() else "spawn"
+
+
+def worker_start_method() -> str:
+    """Start method for the work queue's local workers.
+
+    ``forkserver`` where available, else ``spawn``.  The queue backend
+    may run on a daemon's job threads, and forking a threaded process is
+    unsafe, so its workers fork from a single-threaded server instead
+    (see :mod:`repro.dist.backend`).
+    """
+    return "forkserver" if "forkserver" in get_all_start_methods() else "spawn"
 
 
 class ExecutionBackend(Protocol):
@@ -61,7 +73,10 @@ class ExecutionBackend(Protocol):
     Returned records align with ``cells`` by index.  An entry may be
     ``None`` when the backend quarantined that cell as poison after
     repeated worker crashes — the engine drops those from the ResultSet
-    and reports them in ``meta["cells_poisoned"]``.
+    and reports them in ``meta["cells_poisoned"]``.  A backend whose
+    records are read back out of ``cache.results`` sets a true
+    ``records_from_cache`` attribute, and the engine does not write them
+    again.
     """
 
     def run_cells(

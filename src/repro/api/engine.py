@@ -2,8 +2,9 @@
 
 ``Engine.run`` expands an :class:`~repro.api.spec.ExperimentSpec` into
 cells, satisfies as many as possible from the persistent result cache,
-hands the rest to the configured backend, persists fresh results, and
-returns a canonically ordered :class:`~repro.api.records.ResultSet`.
+hands the rest to the configured backend, persists fresh results (unless
+the backend read them out of the cache itself), and returns a canonically
+ordered :class:`~repro.api.records.ResultSet`.
 
 The contract the rest of the repository builds on: for a given spec, the
 returned records are identical regardless of backend, cache temperature,
@@ -67,7 +68,9 @@ class Engine:
         # them rather than aborting (meta reports the loss).
         survived = [record for record in fresh if record is not None]
         poisoned = len(fresh) - len(survived)
-        if self.cache is not None:
+        # A backend whose records were read out of this cache (the work
+        # queue's) has nothing left to persist.
+        if self.cache is not None and not getattr(self.backend, "records_from_cache", False):
             for cell, record in zip(pending, fresh):
                 if record is not None:
                     self.cache.results.put(cell.content_hash(), record)

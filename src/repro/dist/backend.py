@@ -3,7 +3,7 @@
 Implements the same :class:`~repro.api.backends.ExecutionBackend`
 contract as Serial/ProcessPool, but instead of owning its workers'
 lifetimes it *coordinates a task board*: cells become queue tasks under
-the shared cache root, worker processes (spawned locally by default, or
+the shared cache root, worker processes (forked locally by default, or
 already running on other hosts) claim them through the lease protocol,
 and the backend's coordinator loop reaps expired leases, requeues or
 poisons their tasks, replaces dead local workers, and finally assembles
@@ -20,22 +20,35 @@ Killing every worker mid-sweep costs nothing durable: re-running the
 same spec re-creates the same content-addressed queue, the engine has
 already filtered out cells whose records were persisted before the
 massacre, and only the genuinely-unfinished remainder executes.
+
+Local workers are ``multiprocessing`` processes forked from a
+process-wide forkserver that has preloaded :data:`WORKER_PRELOAD`, so
+interpreter start and imports are paid once per calling process, not
+once per worker per run, and no worker is forked from a caller that
+runs threads (the daemon's job threads share one backend).  Like spawn,
+a forkserver child imports the caller's ``__main__`` as
+``__mp_main__``: a script that drives this backend must guard its entry
+point with ``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Callable, Sequence
 
+from repro.api.backends import worker_start_method
 from repro.api.cache import ExperimentCache
 from repro.api.records import RunRecord
 from repro.api.spec import Cell
 from repro.dist.queue import WorkQueue
-from repro.dist.worker import Worker
+from repro.dist.worker import Worker, run_worker
+from repro.faults.plan import FAULT_PLAN_ENV
 from repro.sim.simulator import add_passes
 
 #: Default local worker fleet size.
@@ -47,6 +60,10 @@ DEFAULT_COORDINATOR_POLL_S = 0.05
 #: Replacement workers the coordinator may spawn beyond the initial
 #: fleet before concluding that workers are dying deterministically.
 DEFAULT_MAX_RESPAWNS = 8
+
+#: Modules the forkserver imports before it forks any local worker: the
+#: worker loop, and what a worker's first task imports lazily.
+WORKER_PRELOAD = ("repro.dist.worker", "repro.cache.vectorized", "numpy.random")
 
 
 def spawn_worker_process(
@@ -61,7 +78,9 @@ def spawn_worker_process(
 
     Uses ``sys.executable -m repro`` with ``src/`` prepended to
     ``PYTHONPATH`` so it works from any CWD, installed or not — the same
-    invocation an operator would run by hand on another host.
+    invocation an operator would run by hand on another host.  The
+    backend's own local fleet forks from the preloaded server instead
+    (:func:`start_local_worker`).
     """
     import repro
 
@@ -90,11 +109,69 @@ def spawn_worker_process(
             stdout.close()
 
 
+def _local_worker_main(
+    cache_root: str,
+    queue_id: str,
+    worker_id: str,
+    lease_ttl_s: float,
+    max_attempts: int,
+    fault_plan: str | None,
+    log_path: str,
+) -> None:
+    """Body of a forked local worker.
+
+    A forkserver child has the environment and file descriptors the
+    server started with, not the caller's current ones, so it takes the
+    caller's fault plan and its own log file from its arguments.
+    """
+    log_fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    os.dup2(log_fd, 1)
+    os.dup2(log_fd, 2)
+    os.close(log_fd)
+    if fault_plan is None:
+        os.environ.pop(FAULT_PLAN_ENV, None)
+    else:
+        os.environ[FAULT_PLAN_ENV] = fault_plan
+    run_worker(
+        cache_root, queue_id, worker_id=worker_id,
+        lease_ttl_s=lease_ttl_s, max_attempts=max_attempts,
+    )
+
+
+def start_local_worker(
+    cache_root: str | Path,
+    queue_id: str,
+    worker_id: str,
+    lease_ttl_s: float,
+    max_attempts: int,
+    log_dir: Path,
+) -> BaseProcess:
+    """Fork one local worker from the preloaded server and start it.
+
+    The worker runs :func:`~repro.dist.worker.run_worker` against the
+    queue, under the fault plan active in the caller now, and writes
+    its output to ``log_dir/<worker_id>.log``.
+    """
+    log_dir.mkdir(parents=True, exist_ok=True)
+    context = multiprocessing.get_context(worker_start_method())
+    # Read only when the server starts: once it runs, this does nothing.
+    context.set_forkserver_preload(list(WORKER_PRELOAD))
+    proc = context.Process(
+        target=_local_worker_main,
+        args=(str(cache_root), queue_id, worker_id, lease_ttl_s, max_attempts,
+              os.environ.get(FAULT_PLAN_ENV), str(log_dir / f"{worker_id}.log")),
+        name=worker_id,
+        daemon=True,
+    )
+    proc.start()
+    return proc
+
+
 class WorkQueueBackend:
     """Distributed execution over a filesystem work queue.
 
     Args:
-        workers: Local worker processes each run spawns.  0 drains the
+        workers: Local worker processes each run forks.  0 drains the
             queue with an in-process :class:`Worker`; workers launched
             elsewhere on the same cache may claim tasks alongside it.
         lease_ttl_s: Lease TTL handed to queue and workers.
@@ -107,6 +184,9 @@ class WorkQueueBackend:
     """
 
     name = "work_queue"
+    #: Records come back out of ``cache.results``, where the workers
+    #: wrote them; the engine must not write them again.
+    records_from_cache = True
 
     def __init__(
         self,
@@ -136,10 +216,10 @@ class WorkQueueBackend:
             kwargs["max_attempts"] = self.max_attempts
         return kwargs
 
-    def _spawn(self, cache: ExperimentCache, queue: WorkQueue, index: int
-               ) -> subprocess.Popen:
+    def _start(self, cache: ExperimentCache, queue: WorkQueue, index: int
+               ) -> BaseProcess:
         worker_id = f"local-{os.getpid()}-{index}"
-        return spawn_worker_process(
+        return start_local_worker(
             cache.root,
             queue.root.name,
             worker_id,
@@ -179,12 +259,16 @@ class WorkQueueBackend:
         return self._assemble(cells, cache, queue)
 
     def _coordinate(self, cache: ExperimentCache, queue: WorkQueue) -> None:
-        """Spawn this run's local fleet and babysit the board to completion.
+        """Start this run's local fleet and babysit the board to completion.
 
         The fleet lives in this call, so runs sharing one backend (the
         daemon's job threads) never replace or stop each other's workers.
+        Only *whether* a worker exited is read, never its exit code:
+        multiprocessing's child cleanup may poll any run's workers from
+        another thread, and a forkserver child polled twice at once can
+        report 255 in either caller.
         """
-        procs = [self._spawn(cache, queue, index) for index in range(self.workers)]
+        procs = [self._start(cache, queue, index) for index in range(self.workers)]
         respawns = 0
         started = self.clock()
         try:
@@ -198,7 +282,7 @@ class WorkQueueBackend:
                         f"{self.wait_timeout_s:.1f}s: {queue.stats()}"
                     )
                 queue.reap_expired()
-                exited = [i for i, proc in enumerate(procs) if proc.poll() is not None]
+                exited = [i for i, proc in enumerate(procs) if proc.exitcode is not None]
                 if exited and queue.finished():
                     break  # workers exit on their own once the board finishes
                 if len(exited) == len(procs) and respawns >= DEFAULT_MAX_RESPAWNS:
@@ -210,18 +294,17 @@ class WorkQueueBackend:
                     )
                 for index in exited[: DEFAULT_MAX_RESPAWNS - respawns]:
                     respawns += 1
-                    procs[index] = self._spawn(cache, queue, self.workers + respawns)
+                    procs[index] = self._start(cache, queue, self.workers + respawns)
                 time.sleep(self.poll_s)
         finally:
             for proc in procs:
-                if proc.poll() is None:
+                if proc.exitcode is None:
                     proc.terminate()
             for proc in procs:
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
+                proc.join(timeout=5.0)
+                if proc.exitcode is None:
                     proc.kill()
-                    proc.wait(timeout=5.0)
+                    proc.join(timeout=5.0)
 
     @staticmethod
     def _assemble(

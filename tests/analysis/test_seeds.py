@@ -1,7 +1,13 @@
 """Tests for the multi-seed replication harness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.seeds import SeededStat, replicate_headline
 
 
@@ -41,3 +47,31 @@ class TestReplication:
     def test_rejects_empty_seeds(self):
         with pytest.raises(ValueError):
             replicate_headline(seeds=())
+
+
+class TestScipyIsOptional:
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_import_repro_leaves_scipy_alone(self, blocked):
+        # scipy is a dev dependency: only the confidence interval needs
+        # it, so ``import repro`` neither loads it nor fails without it.
+        block = (
+            "class BlockScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, BlockScipy())\n"
+        )
+        script = (
+            "import sys\n" + (block if blocked else "")
+            + "import repro\nsys.exit('scipy' in sys.modules)\n"
+        )
+        src_root = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

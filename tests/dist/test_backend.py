@@ -3,22 +3,28 @@
 The backend's contract is the engine's contract: for the same spec the
 ResultSet is byte-identical no matter which backend ran it, how many
 workers it used, or how many of them died.  The inline-worker mode
-(``workers=0``) keeps most of these tests hermetic and fast; one test
-exercises real subprocess workers end to end.
+(``workers=0``) keeps most of these tests hermetic and fast; the rest
+exercise real forked workers end to end.
 """
 
+import multiprocessing
+import os
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.dist.backend as backend_module
-from repro.api.cache import ExperimentCache
+from repro.api.backends import SerialBackend, worker_start_method
+from repro.api.cache import ExperimentCache, ResultCache
 from repro.api.engine import Engine
 from repro.api.spec import Cell, ExperimentSpec
 from repro.dist import WorkQueueBackend
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.sim.simulator import clear_pass_memo
 
 N_INSTRUCTIONS = 40_000
@@ -72,13 +78,13 @@ class TestEquivalence:
     @pytest.mark.slow
     def test_subprocess_fleet_matches_serial(self, tmp_path, monkeypatch):
         spawned = []
-        real_spawn = backend_module.spawn_worker_process
+        real_start = backend_module.start_local_worker
 
-        def recording_spawn(*args, **kwargs):
-            spawned.append(real_spawn(*args, **kwargs))
+        def recording_start(*args, **kwargs):
+            spawned.append(real_start(*args, **kwargs))
             return spawned[-1]
 
-        monkeypatch.setattr(backend_module, "spawn_worker_process", recording_spawn)
+        monkeypatch.setattr(backend_module, "start_local_worker", recording_start)
         spec = tiny_spec()
         serial = Engine().run(spec)
         backend = WorkQueueBackend(
@@ -92,7 +98,26 @@ class TestEquivalence:
         assert len(backend.queue.workers_seen()) >= 1
         # And no local worker outlived the sweep.
         assert len(spawned) >= 2
-        assert all(proc.poll() is not None for proc in spawned)
+        assert all(proc.exitcode is not None for proc in spawned)
+
+    @pytest.mark.parametrize("backend", ["serial", "queue"])
+    def test_one_result_write_per_cell(self, tmp_path, monkeypatch, backend):
+        # Queue workers persist each record before its done marker, and
+        # the backend reads them back out of the cache: the engine must
+        # not write them a second time.
+        puts = []
+        real_put = ResultCache.put
+
+        def counting_put(self, cell_hash, record):
+            puts.append(cell_hash)
+            return real_put(self, cell_hash, record)
+
+        monkeypatch.setattr(ResultCache, "put", counting_put)
+        spec = tiny_spec()
+        runner = inline_backend() if backend == "queue" else SerialBackend()
+        results = Engine(runner, cache=ExperimentCache(tmp_path)).run(spec)
+        assert results.meta["cells_run"] == spec.n_cells
+        assert sorted(puts) == sorted(cell.content_hash() for cell in spec.cells())
 
     def test_warm_rerun_hits_cache_entirely(self, tmp_path):
         spec = tiny_spec()
@@ -224,15 +249,15 @@ class TestLocalFleet:
         # spawn their fleets before either can finish (the barrier), and
         # the short run finishes first: no run may stop or replace a
         # worker of the other run's board.
-        real_spawn = backend_module.spawn_worker_process
+        real_start = backend_module.start_local_worker
         barrier = threading.Barrier(2)
         lock = threading.Lock()
         board_of_thread: dict[int, str] = {}
         spawns: dict[str, int] = {}
         foreign_stops: list[tuple] = []
 
-        def spawn(cache_root, queue_id, worker_id, **kwargs):
-            proc = real_spawn(cache_root, queue_id, worker_id, **kwargs)
+        def start(cache_root, queue_id, worker_id, **kwargs):
+            proc = real_start(cache_root, queue_id, worker_id, **kwargs)
             with lock:
                 first = threading.get_ident() not in board_of_thread
                 board_of_thread[threading.get_ident()] = queue_id
@@ -250,7 +275,7 @@ class TestLocalFleet:
                 barrier.wait(timeout=60)
             return proc
 
-        monkeypatch.setattr(backend_module, "spawn_worker_process", spawn)
+        monkeypatch.setattr(backend_module, "start_local_worker", start)
         backend = WorkQueueBackend(
             workers=1, lease_ttl_s=5.0, poll_s=0.02, wait_timeout_s=180.0
         )
@@ -284,9 +309,12 @@ class TestFleetFailure:
         self, tmp_path, monkeypatch
     ):
         def exits_at_once(*args, **kwargs):
-            return subprocess.Popen([sys.executable, "-c", ""])
+            context = multiprocessing.get_context(worker_start_method())
+            proc = context.Process(target=sys.exit)
+            proc.start()
+            return proc
 
-        monkeypatch.setattr(backend_module, "spawn_worker_process", exits_at_once)
+        monkeypatch.setattr(backend_module, "start_local_worker", exits_at_once)
         backend = WorkQueueBackend(workers=2, wait_timeout_s=30.0)
         spec = tiny_spec(benchmarks=("mcf",), schemes=("base_dram",))
         started = time.monotonic()
@@ -294,3 +322,58 @@ class TestFleetFailure:
             Engine(backend, cache=ExperimentCache(tmp_path)).run(spec)
         assert time.monotonic() - started < 10.0
         assert "logs" in str(error.value)
+
+
+class TestForkedWorkers:
+    @pytest.mark.slow
+    def test_fault_plan_activated_after_the_server_started_reaches_workers(
+        self, tmp_path
+    ):
+        # Forked workers get the server's environment, not the caller's:
+        # a plan published after the first queue run must still travel.
+        spec = tiny_spec(benchmarks=("mcf",))
+
+        def backend(lease_ttl_s):
+            return WorkQueueBackend(workers=2, lease_ttl_s=lease_ttl_s,
+                                    poll_s=0.02, wait_timeout_s=120.0)
+
+        first = Engine(backend(5.0), cache=ExperimentCache(tmp_path / "first")).run(spec)
+        assert first.meta["cells_run"] == spec.n_cells
+        cache = ExperimentCache(tmp_path / "chaos")
+        kill = FaultSpec(kind="kill", site="dist-cell", count=1)
+        plan = FaultPlan.for_cache_root(cache.root, faults=(kill,))
+        chaotic = backend(1.0)
+        with plan.activated():
+            results = Engine(chaotic, cache=cache).run(spec)
+        assert plan.fired_count(kill) == 1
+        assert list((chaotic.queue.root / "failed").glob("*"))
+        assert "cells_poisoned" not in results.meta
+        assert results.digest() == Engine().run(spec).digest()
+
+    def test_worker_output_goes_to_its_log_not_the_callers_streams(self, tmp_path):
+        # A fresh interpreter starts its own forkserver, which inherits
+        # the caller's stdout and stderr; the worker's traceback (its
+        # queue does not exist) must land in its log file instead.
+        script = (
+            "from pathlib import Path\n"
+            "from repro.dist.backend import start_local_worker\n"
+            f"proc = start_local_worker({str(tmp_path / 'cache')!r}, 'no-such-queue',"
+            f" 'w-0', lease_ttl_s=5.0, max_attempts=3, log_dir=Path({str(tmp_path)!r}))\n"
+            "proc.join(timeout=60)\n"
+            "print('exited', proc.exitcode is not None)\n"
+        )
+        src_root = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        caller = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert caller.returncode == 0, caller.stderr
+        assert caller.stdout == "exited True\n"
+        assert "no-such-queue" not in caller.stderr
+        log = (tmp_path / "w-0.log").read_text()
+        assert "Traceback" in log
+        assert "FileNotFoundError" in log and "no-such-queue" in log
