@@ -61,9 +61,10 @@ SCHEME = StaticScheme(rate=100, oram_latency=200)
 
 
 def _base_refs() -> int:
-    # ~1 memory reference per 40 instructions keeps the scalar streaming
-    # functional pass affordable at 16x while leaving the footprint gap
-    # between the pipelines unmistakable.
+    # ~1 memory reference per 40 instructions keeps both pipelines
+    # affordable at 16x (the in-memory one runs the scalar reference
+    # pass, the streamed one the fast functional machine) while leaving
+    # the footprint gap between them unmistakable.
     return max(4_000, bench_instructions() // 40)
 
 

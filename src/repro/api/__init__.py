@@ -45,7 +45,13 @@ from repro.api.figures import (
     figure8b_spec,
 )
 from repro.api.records import ResultSet, RunRecord
-from repro.api.spec import CACHE_SCHEMA_VERSION, Cell, ExperimentSpec, split_benchmark
+from repro.api.spec import (
+    CACHE_SCHEMA_VERSION,
+    Cell,
+    ExperimentSpec,
+    SpecError,
+    split_benchmark,
+)
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -62,6 +68,7 @@ __all__ = [
     "ResultSet",
     "RunRecord",
     "SerialBackend",
+    "SpecError",
     "default_start_method",
     "TraceCache",
     "default_cache_dir",

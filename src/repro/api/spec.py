@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Iterator
 
 from repro.core.scheme import expand_scheme_grid, is_grid_spec, scheme_from_spec
@@ -32,6 +33,35 @@ CACHE_SCHEMA_VERSION = 2
 #: result schema: traces are the expensive artifact, and a result-shape
 #: change (like v2's new RunRecord fields) leaves them byte-identical.
 TRACE_SCHEMA_VERSION = 1
+
+
+class SpecError(ValueError):
+    """A malformed experiment spec: a field missing, of the wrong type,
+    or out of range.
+
+    Raised at construction (and by :meth:`ExperimentSpec.from_dict`)
+    before any work is planned.  It subclasses :class:`ValueError`, so
+    the ``repro`` CLI prints it as ``error: ...`` and the service answers
+    it with HTTP 400.
+    """
+
+
+def _string_entries(value, name: str) -> tuple[str, ...]:
+    """``value`` as a tuple of strings, or :class:`SpecError`."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise SpecError(f"{name} must be a list of strings, got {value!r}")
+    entries = tuple(value)
+    for entry in entries:
+        if not isinstance(entry, str):
+            raise SpecError(f"{name} entries must be strings, got {entry!r}")
+    return entries
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int (bools and floats refused), or :class:`SpecError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def split_benchmark(entry: str) -> tuple[str, str | None]:
@@ -122,36 +152,64 @@ class ExperimentSpec:
         # ``scheme_from_spec(...).spec`` before dedup, so alias
         # spellings ("dynamic:4x4:avg") cannot produce duplicate cells
         # or cache entries; parsing here also raises early for bad specs.
-        object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
+        # Every failure is a SpecError.
+        benchmarks = _string_entries(self.benchmarks, "benchmarks")
+        object.__setattr__(self, "benchmarks", benchmarks)
         schemes: list[str] = []
-        for entry in self.schemes:
-            expanded = expand_scheme_grid(entry) if is_grid_spec(entry) else (entry,)
-            for scheme in expanded:
-                canonical = scheme_from_spec(scheme).spec
-                if canonical not in schemes:
-                    schemes.append(canonical)
+        for entry in _string_entries(self.schemes, "schemes"):
+            try:
+                expanded = expand_scheme_grid(entry) if is_grid_spec(entry) else (entry,)
+                for scheme in expanded:
+                    canonical = scheme_from_spec(scheme).spec
+                    if canonical not in schemes:
+                        schemes.append(canonical)
+            except ValueError as error:
+                raise SpecError(str(error)) from error
         object.__setattr__(self, "schemes", tuple(schemes))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if not self.benchmarks:
-            raise ValueError("ExperimentSpec needs at least one benchmark")
-        if not self.schemes:
-            raise ValueError("ExperimentSpec needs at least one scheme")
-        if not self.seeds:
-            raise ValueError("ExperimentSpec needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be distinct, got {self.seeds}")
-        check_positive(self.n_instructions, "n_instructions")
-        check_in_range(self.warmup_fraction, 0.0, 1.0, "warmup_fraction")
-        check_positive(self.write_buffer_entries, "write_buffer_entries")
+        if not hasattr(self.seeds, "__iter__") or isinstance(self.seeds, str):
+            raise SpecError(f"seeds must be a list of integers, got {self.seeds!r}")
+        object.__setattr__(
+            self, "seeds", tuple(_integer(seed, "seeds entry") for seed in self.seeds)
+        )
+        for name in ("n_instructions", "write_buffer_entries"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_windows is not None:
-            check_positive(self.n_windows, "n_windows")
-        for entry in self.benchmarks:
-            bench, input_name = split_benchmark(entry)
-            workload = get_workload(bench)  # raises for unknown names
-            if input_name is not None and input_name not in workload.inputs:
-                raise ValueError(
-                    f"{bench} has inputs {workload.inputs}, not {input_name!r}"
-                )
+            object.__setattr__(self, "n_windows", _integer(self.n_windows, "n_windows"))
+        if isinstance(self.warmup_fraction, bool) or not isinstance(
+            self.warmup_fraction, numbers.Real
+        ):
+            raise SpecError(
+                f"warmup_fraction must be a number, got {self.warmup_fraction!r}"
+            )
+        if not isinstance(self.record_requests, bool):
+            raise SpecError(
+                f"record_requests must be true or false, got {self.record_requests!r}"
+            )
+        if not isinstance(self.name, str):
+            raise SpecError(f"name must be a string, got {self.name!r}")
+        if not self.benchmarks:
+            raise SpecError("ExperimentSpec needs at least one benchmark")
+        if not self.schemes:
+            raise SpecError("ExperimentSpec needs at least one scheme")
+        if not self.seeds:
+            raise SpecError("ExperimentSpec needs at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise SpecError(f"seeds must be distinct, got {self.seeds}")
+        try:
+            check_positive(self.n_instructions, "n_instructions")
+            check_in_range(self.warmup_fraction, 0.0, 1.0, "warmup_fraction")
+            check_positive(self.write_buffer_entries, "write_buffer_entries")
+            if self.n_windows is not None:
+                check_positive(self.n_windows, "n_windows")
+            for entry in self.benchmarks:
+                bench, input_name = split_benchmark(entry)
+                workload = get_workload(bench)  # raises for unknown names
+                if input_name is not None and input_name not in workload.inputs:
+                    raise ValueError(
+                        f"{bench} has inputs {workload.inputs}, not {input_name!r}"
+                    )
+        except ValueError as error:
+            raise SpecError(str(error)) from error
 
     @property
     def n_cells(self) -> int:
@@ -191,7 +249,16 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
-        """Rebuild a spec saved by :meth:`to_dict`."""
+        """Rebuild a spec saved by :meth:`to_dict`; unknown keys are ignored.
+
+        Raises :class:`SpecError` if ``payload`` is not a mapping or
+        lacks a required field, and as construction does for bad values.
+        """
+        if not isinstance(payload, dict):
+            raise SpecError(f"spec must be a JSON object, got {payload!r}")
+        for field in fields(cls):
+            if field.default is MISSING and field.name not in payload:
+                raise SpecError(f"spec is missing {field.name!r}")
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in known})
 

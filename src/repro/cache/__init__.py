@@ -1,11 +1,15 @@
 """Cache substrate: set-associative caches, inclusive hierarchy, write buffer.
 
-The hierarchy pass ships as a kernel pair: ``simulate_hierarchy`` runs
-the vectorized kernel (:mod:`repro.cache.vectorized`) by default, and
-``simulate_hierarchy_reference`` is the scalar oracle it is
-byte-equivalent to.  The oracle is a one-chunk run of the resumable
-:class:`~repro.cache.hierarchy.StreamingHierarchyPass`, which
-:mod:`repro.cache.streaming` feeds in bounded chunks for streamed traces.
+The hierarchy pass ships as a kernel pair of resumable machines with one
+``feed``/``finish`` interface: the vectorized
+:class:`~repro.cache.vectorized.VectorizedHierarchyPass` (the default,
+``mode="fast"``) and the scalar oracle
+:class:`~repro.cache.hierarchy.StreamingHierarchyPass`
+(``mode="reference"``), byte-equivalent to each other.
+``simulate_hierarchy`` runs the machine ``mode`` picks over the whole
+trace as one chunk (``simulate_hierarchy_reference`` is the oracle's
+one-chunk run), and :mod:`repro.cache.streaming` feeds the same machines
+bounded chunks for streamed traces.
 """
 
 from repro.cache.cache import CacheStats, EvictedLine, SetAssociativeCache

@@ -10,11 +10,14 @@ Key property exploited throughout the repository: for an in-order core the
 latency, so this (expensive) pass runs once per benchmark and every timing
 configuration (base_dram / base_oram / static / dynamic) replays its output.
 
-The pass ships as a kernel pair.  The scalar oracle is the resumable
-:class:`StreamingHierarchyPass`: ``simulate_hierarchy_reference`` feeds
-it the whole trace as one chunk, and :mod:`repro.cache.streaming` feeds
-it bounded chunks.  The fast kernel is :mod:`repro.cache.vectorized`.
-Both share the energy epilogue below.  The scalar inner loop is
+The pass ships as a kernel pair, each a resumable machine with the same
+``feed``/``finish`` interface: the scalar oracle
+:class:`StreamingHierarchyPass` below, and the vectorized
+:class:`~repro.cache.vectorized.VectorizedHierarchyPass`.
+:func:`functional_pass` picks one by ``mode``; ``simulate_hierarchy``
+feeds it the whole trace as one chunk, and :mod:`repro.cache.streaming`
+feeds it bounded chunks.  Both share the energy epilogue below.  The
+scalar inner loop is
 deliberately hand-inlined: it processes millions of references per
 benchmark, so L1/L2 set lookups use plain dicts with insertion-order LRU
 instead of the general :class:`SetAssociativeCache` (the class is used
@@ -34,6 +37,7 @@ from repro.util.bitops import floor_lg, is_power_of_two
 from repro.util.units import KB, MB
 
 if TYPE_CHECKING:
+    from repro.cache.vectorized import VectorizedHierarchyPass
     from repro.ingest.formats import TraceChunk, TraceHeader
 
 
@@ -78,23 +82,14 @@ def simulate_hierarchy(
     runs the scalar oracle, :func:`simulate_hierarchy_reference`.  The
     two are bit-identical (the equivalence suite in
     ``tests/cache/test_vectorized_equivalence.py`` enforces it), so the
-    choice only affects speed.
+    choice only affects speed.  Either way this is a one-chunk run of
+    the :func:`functional_pass` machine.
     """
-    if config is None:
-        config = PAPER_HIERARCHY
-    if core is None:
-        core = DEFAULT_CORE
-    if mode == "fast":
-        from repro.cache.vectorized import hierarchy_pass_vectorized
-
-        return hierarchy_pass_vectorized(
-            trace, config, core, warmup_instructions=warmup_instructions
-        )
-    if mode != "reference":
-        raise ValueError(f"mode must be 'fast' or 'reference', got {mode!r}")
-    return simulate_hierarchy_reference(
-        trace, config, core, warmup_instructions=warmup_instructions
+    machine = functional_pass(
+        trace, config, core, warmup_instructions=warmup_instructions, mode=mode
     )
+    requests = machine.feed(trace)
+    return machine.finish().with_requests(requests)
 
 
 def simulate_hierarchy_reference(
@@ -126,6 +121,28 @@ def simulate_hierarchy_reference(
     return machine.finish().with_requests(requests)
 
 
+def functional_pass(
+    header: TraceHeader | MemoryTrace,
+    config: HierarchyConfig | None = None,
+    core: CoreModel | None = None,
+    warmup_instructions: int = 0,
+    mode: str = "fast",
+) -> StreamingHierarchyPass | VectorizedHierarchyPass:
+    """A fresh functional-pass machine: vectorized for ``mode="fast"``
+    (the default), the scalar oracle for ``mode="reference"``."""
+    if mode == "fast":
+        from repro.cache.vectorized import VectorizedHierarchyPass
+
+        return VectorizedHierarchyPass(
+            header, config, core, warmup_instructions=warmup_instructions
+        )
+    if mode != "reference":
+        raise ValueError(f"mode must be 'fast' or 'reference', got {mode!r}")
+    return StreamingHierarchyPass(
+        header, config, core, warmup_instructions=warmup_instructions
+    )
+
+
 @dataclass
 class MissChunk:
     """The request stream emitted while consuming one input chunk.
@@ -140,6 +157,15 @@ class MissChunk:
 
     def __len__(self) -> int:
         return len(self.gap_cycles)
+
+    @classmethod
+    def empty(cls) -> MissChunk:
+        """A chunk with no requests."""
+        return cls(
+            gap_cycles=np.zeros(0, dtype=np.float64),
+            is_blocking=np.zeros(0, dtype=bool),
+            instruction_index=np.zeros(0, dtype=np.int64),
+        )
 
 
 @dataclass

@@ -1,25 +1,31 @@
 """Chunked/streaming driver of the functional cache pass.
 
-The scalar functional pass is a resumable machine,
-:class:`~repro.cache.hierarchy.StreamingHierarchyPass`, whose
-:meth:`~repro.cache.hierarchy.StreamingHierarchyPass.feed` advances the
-L1/L2 state over one bounded :class:`~repro.ingest.formats.TraceChunk` at
-a time; ``simulate_hierarchy_reference`` is a one-chunk run of the same
-machine.  This module feeds it streamed chunks: :func:`stream_functional`
-is the lazy pipeline stage (trace chunks in, miss chunks out) and
-:func:`run_functional_streaming` assembles the result in memory.  Feeding
-a trace in *any* chunking — including one reference at a time — produces
-the exact per-reference execution of the one-chunk run, so the emitted
-request stream is **bit-identical** to ``simulate_hierarchy`` on the
-same trace; only peak memory changes (one chunk plus the cache resident
-sets, instead of the whole trace).
+Both functional-pass kernels are resumable machines with one interface:
+``feed(chunk) -> MissChunk`` advances the L1/L2 state over one bounded
+:class:`~repro.ingest.formats.TraceChunk`, and ``finish() ->
+FunctionalSummary`` returns the trace-level totals.
+:func:`~repro.cache.hierarchy.functional_pass` picks the machine by
+``mode``: the vectorized
+:class:`~repro.cache.vectorized.VectorizedHierarchyPass` for ``"fast"``
+(the default), the scalar oracle
+:class:`~repro.cache.hierarchy.StreamingHierarchyPass` for
+``"reference"``.  ``simulate_hierarchy`` is a one-chunk run of the same
+machines.  This module feeds them streamed chunks:
+:func:`stream_functional` is the lazy pipeline stage (trace chunks in,
+miss chunks out) and :func:`run_functional_streaming` assembles the
+result in memory.  Feeding a trace in *any* chunking — including one
+reference at a time — produces the exact per-reference arithmetic of the
+one-chunk run, so the emitted request stream is **bit-identical** to
+``simulate_hierarchy`` on the same trace under either mode; only peak
+memory changes (one chunk plus the cache resident sets, instead of the
+whole trace).  The vectorized machine further works through each chunk
+in sub-slices of at most its own ``chunk_refs`` references, so a large
+reader chunk does not grow its working arrays.
 
-Both ``mode="fast"`` and ``mode="reference"`` run this same machine:
-the in-memory fast and reference kernels are themselves bit-identical
-(the equivalence suite enforces it), so the scalar machine serves as
-the streaming counterpart of both.
 ``tests/ingest/test_streaming_equivalence.py`` pins the digest equality
-across randomized and pathological chunk sizes.
+across randomized and pathological chunk sizes, and
+``tests/cache/test_functional_machine.py`` the chunk-straddling cases of
+the vectorized machine.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from repro.cache.hierarchy import (
     HierarchyConfig,
     MissChunk,
     StreamingHierarchyPass,
+    functional_pass,
 )
+from repro.cache.vectorized import VectorizedHierarchyPass
 from repro.ingest.formats import (
     DEFAULT_CHUNK_REFS,
     TraceChunk,
@@ -48,6 +56,7 @@ __all__ = [
     "FunctionalSummary",
     "MissChunk",
     "StreamingHierarchyPass",
+    "VectorizedHierarchyPass",
     "run_functional_streaming",
     "stream_functional",
 ]
@@ -59,15 +68,16 @@ def stream_functional(
     config: HierarchyConfig | None = None,
     core: CoreModel | None = None,
     warmup_instructions: int = 0,
-) -> tuple[Iterator[MissChunk], StreamingHierarchyPass]:
+    mode: str = "fast",
+) -> tuple[Iterator[MissChunk], StreamingHierarchyPass | VectorizedHierarchyPass]:
     """Lazy pipeline stage: trace chunks in, miss chunks out.
 
-    Returns the miss-chunk iterator plus the machine itself; call
-    ``machine.finish()`` after exhausting the iterator to obtain the
-    :class:`FunctionalSummary` the timing replay needs.
+    Returns the miss-chunk iterator plus the machine ``mode`` picks;
+    call ``machine.finish()`` after exhausting the iterator to obtain
+    the :class:`FunctionalSummary` the timing replay needs.
     """
-    machine = StreamingHierarchyPass(
-        header, config, core, warmup_instructions=warmup_instructions
+    machine = functional_pass(
+        header, config, core, warmup_instructions=warmup_instructions, mode=mode
     )
 
     def emit() -> Iterator[MissChunk]:
@@ -90,13 +100,10 @@ def run_functional_streaming(
 
     Accepts either an in-memory trace (chunked internally at
     ``chunk_refs``) or a ``TraceHeader`` plus an external chunk iterable
-    (the ingest path).  Output is bit-identical to the in-memory kernels
-    for every chunking; ``mode`` is accepted for seam compatibility and
-    validated, but both values run the single streaming machine (the
-    in-memory fast and reference kernels already agree bit-for-bit).
+    (the ingest path).  ``mode`` picks the machine as in
+    ``simulate_hierarchy``; output is bit-identical to the in-memory
+    kernels for every chunking and either mode.
     """
-    if mode not in ("fast", "reference"):
-        raise ValueError(f"mode must be 'fast' or 'reference', got {mode!r}")
     if isinstance(trace, MemoryTrace):
         if chunks is not None:
             raise ValueError("pass either a MemoryTrace or (header, chunks), not both")
@@ -108,7 +115,8 @@ def run_functional_streaming(
             raise ValueError("streaming from a TraceHeader needs a chunk iterable")
 
     miss_chunks, machine = stream_functional(
-        header, chunks, config, core, warmup_instructions=warmup_instructions
+        header, chunks, config, core,
+        warmup_instructions=warmup_instructions, mode=mode,
     )
     collected = [c for c in miss_chunks if len(c)]
     summary = machine.finish()
@@ -119,9 +127,5 @@ def run_functional_streaming(
             instruction_index=np.concatenate([c.instruction_index for c in collected]),
         )
     else:
-        requests = MissChunk(
-            gap_cycles=np.zeros(0, dtype=np.float64),
-            is_blocking=np.zeros(0, dtype=bool),
-            instruction_index=np.zeros(0, dtype=np.int64),
-        )
+        requests = MissChunk.empty()
     return summary.with_requests(requests)

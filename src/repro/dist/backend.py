@@ -25,7 +25,9 @@ Local workers are ``multiprocessing`` processes forked from a
 process-wide forkserver that has preloaded :data:`WORKER_PRELOAD`, so
 interpreter start and imports are paid once per calling process, not
 once per worker per run, and no worker is forked from a caller that
-runs threads (the daemon's job threads share one backend).  Like spawn,
+runs threads (the daemon's job threads share one backend).  The server
+starts with repro's source root on its ``PYTHONPATH``, because it
+inherits the environment but not the caller's ``sys.path``.  Like spawn,
 a forkserver child imports the caller's ``__main__`` as
 ``__mp_main__``: a script that drives this backend must guard its entry
 point with ``if __name__ == "__main__":``.
@@ -37,7 +39,9 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
+from multiprocessing.context import BaseContext
 from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Callable, Sequence
@@ -65,6 +69,17 @@ DEFAULT_MAX_RESPAWNS = 8
 #: worker loop, and what a worker's first task imports lazily.
 WORKER_PRELOAD = ("repro.dist.worker", "repro.cache.vectorized", "numpy.random")
 
+#: Serialises the temporary ``PYTHONPATH`` edit around a server start.
+_SERVER_ENV_LOCK = threading.Lock()
+
+
+def _src_pythonpath(current: str | None) -> str:
+    """``current`` with the directory that holds the repro package first."""
+    import repro
+
+    src_root = Path(repro.__file__).resolve().parent.parent
+    return os.pathsep.join([str(src_root)] + ([current] if current else []))
+
 
 def spawn_worker_process(
     cache_root: str | Path,
@@ -82,13 +97,8 @@ def spawn_worker_process(
     backend's own local fleet forks from the preloaded server instead
     (:func:`start_local_worker`).
     """
-    import repro
-
-    src_root = Path(repro.__file__).resolve().parent.parent
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env["PYTHONPATH"] = _src_pythonpath(env.get("PYTHONPATH"))
     cmd = [
         sys.executable, "-m", "repro", "dist", "--cache", str(cache_root),
         "worker", "--queue", queue_id,
@@ -138,6 +148,38 @@ def _local_worker_main(
     )
 
 
+def worker_context() -> BaseContext:
+    """The ``multiprocessing`` context local workers start from.
+
+    Under ``forkserver`` this also makes sure the process-wide server
+    runs, preloaded with :data:`WORKER_PRELOAD`.  The server is a fresh
+    interpreter that inherits the environment but not the caller's
+    ``sys.path`` (``multiprocessing.forkserver.main`` drops its
+    ``sys_path`` argument), so it starts with repro's source root on
+    ``PYTHONPATH``, as :func:`spawn_worker_process` gives its
+    subprocesses.  Otherwise a caller that found repro by editing
+    ``sys.path`` would get a server whose preload fails silently, and
+    every worker would import repro again after the fork.
+    """
+    context = multiprocessing.get_context(worker_start_method())
+    # Read only when the server starts: once it runs, this does nothing.
+    context.set_forkserver_preload(list(WORKER_PRELOAD))
+    if context.get_start_method() == "forkserver":
+        from multiprocessing import forkserver
+
+        with _SERVER_ENV_LOCK:
+            saved = os.environ.get("PYTHONPATH")
+            os.environ["PYTHONPATH"] = _src_pythonpath(saved)
+            try:
+                forkserver.ensure_running()
+            finally:
+                if saved is None:
+                    del os.environ["PYTHONPATH"]
+                else:
+                    os.environ["PYTHONPATH"] = saved
+    return context
+
+
 def start_local_worker(
     cache_root: str | Path,
     queue_id: str,
@@ -153,10 +195,7 @@ def start_local_worker(
     its output to ``log_dir/<worker_id>.log``.
     """
     log_dir.mkdir(parents=True, exist_ok=True)
-    context = multiprocessing.get_context(worker_start_method())
-    # Read only when the server starts: once it runs, this does nothing.
-    context.set_forkserver_preload(list(WORKER_PRELOAD))
-    proc = context.Process(
+    proc = worker_context().Process(
         target=_local_worker_main,
         args=(str(cache_root), queue_id, worker_id, lease_ttl_s, max_attempts,
               os.environ.get(FAULT_PLAN_ENV), str(log_dir / f"{worker_id}.log")),

@@ -29,7 +29,7 @@ import asyncio
 import json
 from urllib.parse import parse_qs, urlsplit
 
-from repro.api.spec import ExperimentSpec
+from repro.api.spec import ExperimentSpec, SpecError
 from repro.service.daemon import SweepService
 
 #: Protect the parser from absurd request heads/bodies.
@@ -186,8 +186,10 @@ class ServiceHTTPServer:
     async def _submit(self, body: bytes, writer: asyncio.StreamWriter) -> None:
         try:
             payload = json.loads(body.decode() or "{}")
+            if not isinstance(payload, dict) or "spec" not in payload:
+                raise SpecError('the request body needs a "spec" object')
             spec = ExperimentSpec.from_dict(payload["spec"])
-        except (ValueError, KeyError, TypeError) as error:
+        except ValueError as error:  # JSON, UTF-8 and SpecError alike
             raise _HTTPError(400, f"bad spec: {error}") from error
         try:
             job, deduped = await self.service.submit(spec)

@@ -2,8 +2,11 @@
 
 :func:`run_timing_streaming` consumes the miss-request stream as bounded
 :class:`~repro.cache.streaming.MissChunk` windows (typically straight
-out of :class:`~repro.cache.streaming.StreamingHierarchyPass`) plus the
-trace-level :class:`~repro.cache.streaming.FunctionalSummary`, and
+out of the functional-pass machine that
+:func:`~repro.cache.streaming.stream_functional` returns: the vectorized
+:class:`~repro.cache.vectorized.VectorizedHierarchyPass` by default, or
+the scalar :class:`~repro.cache.hierarchy.StreamingHierarchyPass`) plus
+the trace-level :class:`~repro.cache.streaming.FunctionalSummary`, and
 produces a :class:`~repro.sim.result.SimResult` **bit-identical** to
 ``run_timing`` on the assembled trace — for every controller type, every
 ``mode``, and every chunking.  It holds no replay loop of its own: it

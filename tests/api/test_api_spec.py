@@ -2,7 +2,20 @@
 
 import pytest
 
-from repro.api.spec import Cell, ExperimentSpec, split_benchmark
+from repro.api.spec import Cell, ExperimentSpec, SpecError, split_benchmark
+
+#: A valid spec payload, as the service receives it.
+VALID_PAYLOAD = {"benchmarks": ["mcf"], "schemes": ["base_dram"], "n_instructions": 20_000}
+
+#: Malformed spec payloads, each with the key it breaks.
+MALFORMED_PAYLOADS = {
+    "seeds-scalar": {**VALID_PAYLOAD, "seeds": 1.5},
+    "n_instructions-string": {**VALID_PAYLOAD, "n_instructions": "zz"},
+    "warmup_fraction-null": {**VALID_PAYLOAD, "warmup_fraction": None},
+    "schemes-null": {**VALID_PAYLOAD, "schemes": None},
+    "benchmarks-int": {**VALID_PAYLOAD, "benchmarks": 5},
+    "schemes-missing": {"benchmarks": ["mcf"], "n_instructions": 20_000},
+}
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -107,6 +120,33 @@ class TestContentHash:
     def test_name_never_hashes(self):
         named = next(tiny_spec(name="labeled").cells())
         assert named.content_hash() == next(tiny_spec().cells()).content_hash()
+
+
+class TestMalformedSpecs:
+    @pytest.mark.parametrize("payload", MALFORMED_PAYLOADS.values(),
+                             ids=MALFORMED_PAYLOADS.keys())
+    def test_from_dict_raises_a_spec_error(self, payload):
+        with pytest.raises(SpecError) as excinfo:
+            ExperimentSpec.from_dict(payload)
+        assert isinstance(excinfo.value, ValueError)
+
+    def test_from_dict_needs_a_mapping(self):
+        with pytest.raises(SpecError, match="JSON object"):
+            ExperimentSpec.from_dict(["mcf"])
+
+    def test_every_validation_failure_is_a_spec_error(self):
+        for overrides in ({"benchmarks": ()}, {"benchmarks": ("not_a_benchmark",)},
+                          {"schemes": ("warp_drive:9",)}, {"seeds": (0, 0)},
+                          {"n_instructions": 0}, {"warmup_fraction": 1.5},
+                          {"n_windows": 0}, {"benchmarks": "mcf"},
+                          {"seeds": ("1",)}, {"n_instructions": 2.5e5},
+                          {"record_requests": "yes"}, {"name": 7}):
+            with pytest.raises(SpecError):
+                tiny_spec(**overrides)
+
+    def test_valid_payload_builds(self):
+        spec = ExperimentSpec.from_dict(VALID_PAYLOAD)
+        assert spec.n_cells == 1 and spec.n_instructions == 20_000
 
 
 class TestSerialization:

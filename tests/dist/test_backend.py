@@ -377,3 +377,37 @@ class TestForkedWorkers:
         log = (tmp_path / "w-0.log").read_text()
         assert "Traceback" in log
         assert "FileNotFoundError" in log and "no-such-queue" in log
+
+    @pytest.mark.skipif(worker_start_method() != "forkserver",
+                        reason="spawn children receive the caller's sys.path")
+    def test_server_preloads_repro_for_a_caller_that_edited_sys_path(self, tmp_path):
+        # The caller finds repro only through sys.path.insert, with
+        # PYTHONPATH unset.  The probe's module imports no repro, so the
+        # probe sees repro.dist.worker only if the server preloaded it.
+        script = tmp_path / "caller.py"
+        script.write_text(
+            "import sys\n"
+            "\n"
+            "\n"
+            "def probe(results):\n"
+            "    results.put('repro.dist.worker' in sys.modules)\n"
+            "\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            f"    sys.path.insert(0, {str(Path(repro.__file__).resolve().parent.parent)!r})\n"
+            "    from repro.dist.backend import worker_context\n"
+            "\n"
+            "    context = worker_context()\n"
+            "    results = context.SimpleQueue()\n"
+            "    proc = context.Process(target=probe, args=(results,))\n"
+            "    proc.start()\n"
+            "    print('preloaded', results.get())\n"
+            "    proc.join(timeout=60)\n"
+        )
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        caller = subprocess.run(
+            [sys.executable, str(script)], env=env, cwd=tmp_path,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert caller.returncode == 0, caller.stderr
+        assert caller.stdout == "preloaded True\n"

@@ -118,6 +118,39 @@ class TestReplay:
                      "--verify"]) == 0
         assert "streaming vs in-memory: identical" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("chunk_refs", ["1", "7"])
+    def test_replay_verify_at_tiny_chunks(self, capsys, store_dir, tmp_path, chunk_refs):
+        digest = self._import(store_dir, tmp_path)
+        capsys.readouterr()
+        assert main(["ingest", "--store", store_dir,
+                     "--replay", digest,
+                     "--scheme", "dynamic:4x4",
+                     "--chunk-refs", chunk_refs,
+                     "--warmup", "300",
+                     "--verify"]) == 0
+        assert "streaming vs in-memory: identical" in capsys.readouterr().out
+
+    def test_verify_checks_against_the_scalar_oracle(
+        self, capsys, store_dir, tmp_path, monkeypatch
+    ):
+        # A fault in the fast functional machine shows up as a mismatch:
+        # --verify must not compare that machine with itself.
+        from repro.cache.vectorized import VectorizedHierarchyPass
+
+        finish = VectorizedHierarchyPass.finish
+
+        def skewed(self):
+            summary = finish(self)
+            summary.total_compute_cycles += 1.0
+            return summary
+
+        monkeypatch.setattr(VectorizedHierarchyPass, "finish", skewed)
+        digest = self._import(store_dir, tmp_path)
+        capsys.readouterr()
+        assert main(["ingest", "--store", store_dir,
+                     "--replay", digest, "--verify"]) == 1
+        assert "streaming vs in-memory: MISMATCH" in capsys.readouterr().out
+
     def test_replay_verify_with_warmup(self, capsys, store_dir, tmp_path):
         digest = self._import(store_dir, tmp_path)
         capsys.readouterr()

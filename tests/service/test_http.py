@@ -10,6 +10,7 @@ import pytest
 
 from repro.api.spec import ExperimentSpec
 from repro.service import ServiceClient, ServiceError, ThreadedService, parse_address
+from tests.api.test_api_spec import MALFORMED_PAYLOADS, VALID_PAYLOAD
 
 N_INSTRUCTIONS = 20_000
 
@@ -96,6 +97,17 @@ class TestCoreEndpoints:
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/jobs", {"spec": {"benchmarks": "oops"}})
         assert excinfo.value.status == 400
+
+    def test_malformed_specs_are_400s(self, hosted):
+        client = hosted.client()
+        bodies = [{"spec": payload} for payload in MALFORMED_PAYLOADS.values()]
+        bodies += [{"not_spec": VALID_PAYLOAD}, ["mcf"], {"spec": 5}]
+        for body in bodies:
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", "/jobs", body)
+            assert excinfo.value.status == 400, body
+            assert "bad spec" in str(excinfo.value)
+        assert client.healthz()["status"] == "ok"
 
 
 class TestEventsOverHTTP:
