@@ -11,10 +11,11 @@ Installed as the ``repro`` console script and runnable as
 - ``leakage`` — the paper's leakage accounting, or the bound for one
   (|R|, growth) configuration against an optional bit budget.
 - ``perf`` — the kernel microbenchmark suite: times the functional cache
-  pass, the timing replay, and the functional ORAM access burst (fast vs
-  reference, byte-equivalence checked) plus an end-to-end sweep, writes
-  ``BENCH_perf.json``, and can gate against / refresh
-  ``benchmarks/baselines.json``.
+  pass, the timing replay, the functional ORAM access burst, the
+  config-batched frontier cell and the batched tenancy step (fast vs
+  reference, equivalence checked), writes ``BENCH_perf.json``, and can
+  gate against / refresh a ``benchmarks/baselines.json`` of the same
+  mode.
 - ``stash-scaling`` — million-access stash-occupancy tails across Z and
   tree depth on the batched ORAM engine, plus the functional validation
   of the derived timing constants.
@@ -63,6 +64,7 @@ from repro.api.backends import ExecutionBackend, ProcessPoolBackend, SerialBacke
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
 from repro.api.spec import ExperimentSpec
+from repro.perf.bench import PERF_TIERS, run_perf_suite
 
 
 def _split_csv(text: str) -> tuple[str, ...]:
@@ -220,7 +222,6 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf.bench import run_perf_suite
     from repro.perf.report import (
         check_against_baseline,
         load_baseline,
@@ -808,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="kernel microbenchmarks: functional pass, timing replay, sweep",
+        help="kernel microbenchmarks: every fast path against its scalar oracle",
     )
     perf.add_argument(
         "--quick", action="store_true",
@@ -820,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--tier", action="append", default=[],
-        choices=["functional", "timing", "oram", "frontier_cell", "tenancy_step", "sweep"],
+        choices=PERF_TIERS,
         help="run only this tier (repeatable; default: all tiers)",
     )
     perf.add_argument(

@@ -17,6 +17,7 @@ Layout, one file per fact::
         backoff/<task>.json   earliest next claim time (requeue backoff)
         done/<task>.json      completion marker and the passes it computed
         poison/<task>         permanently quarantined after K failed claims
+                              (at once if its task file is malformed)
         workers/<id>.json     worker heartbeats (``repro dist workers``)
 
 **Lease protocol.**  A claim atomically creates the lease file
@@ -28,7 +29,9 @@ finds out and stops claiming credit.  Anyone may *reap* an expired
 lease: ``os.replace`` moves it to a numbered failure marker (again the
 filesystem arbitrates racing reapers), the task returns to the pool
 behind a full-jitter backoff window, and after ``max_attempts`` failed
-claims the task is poisoned — never silently retried forever.
+claims the task is poisoned — never silently retried forever.  A task
+file that does not parse into the cells its id names is poisoned on its
+first claim, since no retry can parse it.
 
 **Exactly-once results from at-least-once execution.**  Nothing here
 prevents two workers from *executing* the same cells in the rare
@@ -123,8 +126,25 @@ def _cell_to_dict(cell: Cell) -> dict:
     return asdict(cell)
 
 
-def _cell_from_dict(payload: dict) -> Cell:
-    return Cell(**payload)
+class MalformedTask(ValueError):
+    """A task file that does not parse into the cells its id names."""
+
+
+def _parse_task(task_id: str, raw: bytes) -> Task:
+    """The task a task file holds, or :class:`MalformedTask`.
+
+    Task ids are content-addressed over their cells, so a file whose
+    cells do not hash back to its id (hand-edited, corrupted, or written
+    under another cache schema) is as unusable as one that is not JSON.
+    """
+    try:
+        payload = json.loads(raw)
+        cells = tuple(Cell(**entry) for entry in payload["cells"])
+    except (ValueError, TypeError, KeyError) as error:
+        raise MalformedTask(f"{type(error).__name__}: {error}") from error
+    if payload.get("task_id") != task_id or task_id_for_cells(cells) != task_id:
+        raise MalformedTask("its cells do not hash to its task id")
+    return Task(task_id=task_id, cells=cells)
 
 
 class WorkQueue:
@@ -246,13 +266,24 @@ class WorkQueue:
         return sorted(path.stem for path in self._dir("tasks").glob("*.json"))
 
     def load_task(self, task_id: str) -> Task | None:
-        payload = self._read_json(self._task_path(task_id))
-        if payload is None:
+        """The task on the board; None when its file cannot be read.
+
+        Raises :class:`MalformedTask` when the file does not parse into
+        cells.
+        """
+        try:
+            raw = self._task_path(task_id).read_bytes()
+        except OSError:
             return None
-        return Task(
-            task_id=payload["task_id"],
-            cells=tuple(_cell_from_dict(entry) for entry in payload["cells"]),
-        )
+        return _parse_task(task_id, raw)
+
+    def _n_cells(self, task_id: str) -> int:
+        """Cells on a task; 0 when its file is unreadable or malformed."""
+        try:
+            task = self.load_task(task_id)
+        except MalformedTask:
+            return 0
+        return task.n_cells if task is not None else 0
 
     def attempts_used(self, task_id: str) -> int:
         """Failed claims so far (one numbered marker per failure)."""
@@ -286,11 +317,10 @@ class WorkQueue:
         for task_id in self.task_ids():
             state = self.state_of(task_id)
             out[state] += 1
-            task = self.load_task(task_id)
-            if task is not None:
-                cells_total += task.n_cells
-                if state == "done":
-                    cells_done += task.n_cells
+            n_cells = self._n_cells(task_id)
+            cells_total += n_cells
+            if state == "done":
+                cells_done += n_cells
         out["tasks"] = sum(out[state] for state in TASK_STATES)
         out["cells"] = cells_total
         out["cells_done"] = cells_done
@@ -354,7 +384,13 @@ class WorkQueue:
                 # claim (done lands before the lease is released).
                 self._remove(self._lease_path(task_id))
                 continue
-            task = self.load_task(task_id)
+            try:
+                task = self.load_task(task_id)
+            except MalformedTask as error:
+                # Deterministic: no retry can parse it, so poison now.
+                self._poison(task_id, reason=f"malformed-task: {error}",
+                             last_worker=worker_id)
+                task = None
             if task is None:
                 self._remove(self._lease_path(task_id))
                 continue
@@ -466,9 +502,8 @@ class WorkQueue:
         with os.fdopen(fd, "w") as handle:
             json.dump({"reason": reason, "attempts": self.attempts_used(task_id),
                        "last_worker": last_worker}, handle, sort_keys=True)
-        task = self.load_task(task_id)
         counters.bump("tasks_poisoned")
-        counters.bump("cells_poisoned", task.n_cells if task else 0)
+        counters.bump("cells_poisoned", self._n_cells(task_id))
 
     def complete(self, task_id: str, worker_id: str, passes: int = 0) -> None:
         """Mark a task done and release its lease.

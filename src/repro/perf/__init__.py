@@ -1,17 +1,17 @@
 """Performance tracking: microbenchmarks, reports, and baseline gating.
 
-``python -m repro perf`` times the repository's three kernel pairs — the
-functional cache pass, the timing replay, and the functional Path ORAM
-access burst — plus an end-to-end engine sweep, on pinned deterministic
-workloads.  Every timed fast-path run is byte-equivalence-checked
-against the scalar reference path, so a perf report doubles as a
-correctness certificate for the vectorized kernels.
+``python -m repro perf`` times the repository's five fast paths against
+their scalar oracles on pinned deterministic workloads: the functional
+cache pass, the timing replay, the functional Path ORAM access burst,
+the config-batched frontier cell and the batched tenancy step.  Every
+timed fast-path run is equivalence-checked against its reference, so a
+perf report doubles as a correctness certificate for the fast kernels.
 
-Reports serialize to ``BENCH_perf.json``; :func:`check_against_baseline`
-gates a report against the committed ``benchmarks/baselines.json`` (CI
-fails on throughput regressions beyond the tolerance, broken
-equivalence, or a headline speedup below its floor — 5x for the cache
-pass, 10x for the ORAM burst).
+Each timed pair is one :class:`~repro.perf.bench.Measurement`.  Reports
+serialize to ``BENCH_perf.json``; :func:`check_against_baseline` gates a
+report against the committed ``benchmarks/baselines.json`` of the same
+mode (CI fails on throughput regressions beyond the tolerance, broken
+equivalence, or a headline speedup below its floor).
 """
 
 from repro.perf.bench import (

@@ -1,6 +1,8 @@
 """Microbenchmark runner for the simulation kernels.
 
-Five tiers, mirroring the layers this repository's runtime is spent in:
+Five tiers, mirroring the layers this repository's runtime is spent in.
+Each times a fast path against its scalar oracle and checks that the two
+agree bit for bit:
 
 * **functional** — :func:`repro.cache.hierarchy.simulate_hierarchy` on a
   pinned trace, fast kernel vs scalar reference, with a
@@ -20,13 +22,14 @@ Five tiers, mirroring the layers this repository's runtime is spent in:
 * **tenancy_step** — the multi-tenant service step: 16 closed-loop
   tenants on one shared bank, the batched scheduler (one
   ``access_batch`` call per round) versus round-robin (one call per
-  request), with per-tenant result-digest equivalence checks;
-* **sweep** — an end-to-end :class:`repro.api.engine.Engine` sweep
-  (trace build + functional pass + timing replays), timed as cells/sec.
+  request), with per-tenant result-digest equivalence checks.
 
-Workloads are pinned and deterministic (fixed seeds, fixed sizes) so
-throughput numbers are comparable across commits; the committed
-``benchmarks/baselines.json`` freezes them into a CI gate.
+Every timed pair becomes one :class:`Measurement`.  Workloads are pinned
+and deterministic (fixed seeds, fixed sizes) so throughput numbers are
+comparable across commits of one mode; the committed
+``benchmarks/baselines.json`` freezes them into a CI gate
+(:mod:`repro.perf.report`).  End-to-end engine throughput is measured by
+``perfbench/``, not here.
 
 The headline workload is ``kernel_stream`` — an L1-resident streaming
 kernel (16 KB region, 8-byte stride) that measures the vectorized
@@ -55,8 +58,8 @@ from repro.util.rng import make_rng
 from repro.workloads.patterns import stream
 from repro.workloads.registry import build_trace
 
-#: Pinned perf workloads: name -> builder kwargs.  ``kernel_stream`` is
-#: synthetic (built here); the rest come from the workload registry.
+#: Pinned functional-tier workloads.  ``kernel_stream`` is synthetic
+#: (built here); the rest come from the workload registry.
 PERF_WORKLOADS: tuple[str, ...] = (
     "kernel_stream",
     "libquantum",
@@ -66,6 +69,11 @@ PERF_WORKLOADS: tuple[str, ...] = (
 
 #: Schemes the timing tier replays (one per controller kernel).
 PERF_SCHEMES: tuple[str, ...] = ("base_dram", "base_oram", "static:300", "dynamic:4x4")
+
+#: Workloads the timing tier replays: libquantum exercises the
+#: request-dense path, mcf the blocking-heavy one.  (kernel_stream
+#: produces no LLC requests at all, so there is nothing to replay.)
+TIMING_WORKLOADS: tuple[str, ...] = ("libquantum", "mcf")
 
 #: The pinned frontier-cell batch: a 16-config slice of the dynamic
 #: design-space grid (4 rate-set sizes x 4 epoch growths), replayed by
@@ -77,12 +85,13 @@ FRONTIER_CELL_WORKLOADS: tuple[str, ...] = ("libquantum", "mcf")
 
 #: The perf-suite tiers, in execution order.
 PERF_TIERS: tuple[str, ...] = (
-    "functional", "timing", "oram", "frontier_cell", "tenancy_step", "sweep"
+    "functional", "timing", "oram", "frontier_cell", "tenancy_step"
 )
 
-#: Post-warm-up instruction budgets.
+#: Post-warm-up instruction budgets, and the warm-up prefix on top.
 FULL_INSTRUCTIONS = 1_000_000
 QUICK_INSTRUCTIONS = 300_000
+WARMUP_FRACTION = 0.30
 
 #: The pinned ORAM access-burst workload: 2^14 addressable blocks, Z=4,
 #: 64-byte lines, uniform addresses with 10% dummies and 1/3 writes.
@@ -96,6 +105,9 @@ ORAM_QUICK_ACCESSES = 1_200
 TENANCY_TENANTS = 16
 TENANCY_FULL_REQUESTS = 256
 TENANCY_QUICK_REQUESTS = 96
+
+#: Bumped when the report's JSON shape changes (5: one measurement list).
+REPORT_VERSION = 5
 
 
 def build_perf_trace(name: str, n_instructions: int, seed: int = 0) -> MemoryTrace:
@@ -129,314 +141,178 @@ def build_perf_trace(name: str, n_instructions: int, seed: int = 0) -> MemoryTra
     )
 
 
-@dataclass
-class FunctionalBench:
-    """One functional-pass measurement (fast vs reference)."""
+@dataclass(frozen=True)
+class Measurement:
+    """One fast path timed against its reference on one pinned workload.
 
-    workload: str
-    n_instructions: int
-    n_refs: int
-    n_requests: int
-    reference_s: float
-    fast_s: float
-    speedup: float
-    refs_per_sec_fast: float
-    refs_per_sec_reference: float
-    checksum: str
-    equivalent: bool
-
-
-@dataclass
-class TimingBench:
-    """One timing-replay measurement (fast vs reference)."""
-
-    workload: str
-    scheme: str
-    n_requests: int
-    reference_s: float
-    fast_s: float
-    speedup: float
-    requests_per_sec_fast: float
-    requests_per_sec_reference: float
-    equivalent: bool
-
-
-@dataclass
-class OramBench:
-    """One functional-ORAM burst measurement (batched engine vs reference)."""
-
-    workload: str
-    n_blocks: int
-    levels: int
-    z: int
-    n_accesses: int
-    reference_s: float
-    fast_s: float
-    speedup: float
-    accesses_per_sec_fast: float
-    accesses_per_sec_reference: float
-    checksum: str
-    equivalent: bool
-
-
-@dataclass
-class FrontierCellBench:
-    """One frontier-cell measurement: batched replay vs sequential oracle.
-
-    ``reference_s`` times ``n_configs`` sequential ``mode="reference"``
-    replays (the per-scheme oracle, consistent with every other tier);
-    ``fast_s`` times the single ``run_timing_batch`` call that replaces
-    them in a frontier sweep.
+    ``n`` counts the ``unit`` one run processes (refs, requests,
+    accesses, config-requests), so throughput and speedup derive from
+    the two best-of wall times.  ``checksum`` is the fast run's output
+    digest, for the tiers whose contract is one ("" otherwise).
     """
 
+    tier: str
     workload: str
-    grid: str
-    n_configs: int
-    n_requests: int
+    unit: str
+    n: int
     reference_s: float
     fast_s: float
-    speedup: float
-    #: Config-requests per second: n_configs * n_requests / wall.
-    requests_per_sec_fast: float
-    requests_per_sec_reference: float
     equivalent: bool
+    checksum: str = ""
 
+    @property
+    def key(self) -> str:
+        """The baseline key: ``tier/workload``."""
+        return f"{self.tier}/{self.workload}"
 
-@dataclass
-class TenancyBench:
-    """One multi-tenant service-step measurement (batched vs round-robin).
+    @property
+    def speedup(self) -> float:
+        return self.reference_s / self.fast_s
 
-    Both schedulers run the identical tenant set to completion on the
-    shared bank; ``equivalent`` checks the scheduler-invariance contract
-    (per-tenant result digests identical between the two runs).
-    """
+    @property
+    def fast_per_s(self) -> float:
+        return self.n / self.fast_s
 
-    workload: str
-    n_tenants: int
-    requests_per_tenant: int
-    n_requests: int
-    reference_s: float
-    fast_s: float
-    speedup: float
-    requests_per_sec_fast: float
-    requests_per_sec_reference: float
-    equivalent: bool
-
-
-@dataclass
-class SweepBench:
-    """End-to-end engine sweep measurement."""
-
-    benchmarks: tuple[str, ...]
-    schemes: tuple[str, ...]
-    n_instructions: int
-    cells: int
-    wall_s: float
-    cells_per_sec: float
+    @property
+    def reference_per_s(self) -> float:
+        return self.n / self.reference_s
 
 
 @dataclass
 class PerfReport:
     """Full perf-suite output (serializes to BENCH_perf.json)."""
 
-    version: int
-    quick: bool
+    mode: str  # "quick" or "full"
     n_instructions: int
     repeats: int
-    functional: list[FunctionalBench] = field(default_factory=list)
-    timing: list[TimingBench] = field(default_factory=list)
-    oram: list[OramBench] = field(default_factory=list)
-    frontier_cell: list[FrontierCellBench] = field(default_factory=list)
-    tenancy_step: list[TenancyBench] = field(default_factory=list)
-    sweep: SweepBench | None = None
+    measurements: list[Measurement] = field(default_factory=list)
 
     @property
     def all_equivalent(self) -> bool:
         """True when every fast-path run matched its reference bit-for-bit."""
-        return (
-            all(b.equivalent for b in self.functional)
-            and all(b.equivalent for b in self.timing)
-            and all(b.equivalent for b in self.oram)
-            and all(b.equivalent for b in self.frontier_cell)
-            and all(b.equivalent for b in self.tenancy_step)
-        )
-
-    def functional_speedup(self, workload: str) -> float | None:
-        """Measured functional-pass speedup for one workload."""
-        for bench in self.functional:
-            if bench.workload == workload:
-                return bench.speedup
-        return None
-
-    def oram_speedup(self, workload: str) -> float | None:
-        """Measured ORAM-burst speedup for one workload."""
-        for bench in self.oram:
-            if bench.workload == workload:
-                return bench.speedup
-        return None
-
-    def frontier_cell_speedup(self, workload: str) -> float | None:
-        """Measured batched-replay speedup for one workload."""
-        for bench in self.frontier_cell:
-            if bench.workload == workload:
-                return bench.speedup
-        return None
-
-    def tenancy_step_speedup(self, workload: str) -> float | None:
-        """Measured batched-scheduler speedup for one tenancy workload."""
-        for bench in self.tenancy_step:
-            if bench.workload == workload:
-                return bench.speedup
-        return None
+        return all(m.equivalent for m in self.measurements)
 
     def to_dict(self) -> dict:
         """JSON-ready payload."""
-        payload = asdict(self)
-        if self.sweep is not None:
-            payload["sweep"]["benchmarks"] = list(self.sweep.benchmarks)
-            payload["sweep"]["schemes"] = list(self.sweep.schemes)
-        return payload
+        return {"version": REPORT_VERSION, **asdict(self)}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "PerfReport":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            mode=payload["mode"],
+            n_instructions=payload["n_instructions"],
+            repeats=payload["repeats"],
+            measurements=[Measurement(**m) for m in payload["measurements"]],
+        )
 
     def render(self) -> str:
-        """Human-readable summary table."""
+        """Human-readable summary table, one block per tier."""
         lines = [
-            f"perf suite ({'quick' if self.quick else 'full'}, "
-            f"{self.n_instructions} instructions, best of {self.repeats})",
-            "",
-            "functional pass (refs/sec):",
+            f"perf suite ({self.mode}, {self.n_instructions} instructions, "
+            f"best of {self.repeats})",
         ]
-        for b in self.functional:
-            flag = "ok" if b.equivalent else "MISMATCH"
+        tier = None
+        for m in self.measurements:
+            if m.tier != tier:
+                tier = m.tier
+                lines.append(f"{tier} ({m.unit}/sec, fast vs reference):")
+            flag = "ok" if m.equivalent else "MISMATCH"
             lines.append(
-                f"  {b.workload:>14}: {b.refs_per_sec_fast:>12,.0f} fast"
-                f"  {b.refs_per_sec_reference:>12,.0f} ref"
-                f"  {b.speedup:5.1f}x  [{flag}]"
-            )
-        lines.append("timing replay (requests/sec):")
-        for b in self.timing:
-            flag = "ok" if b.equivalent else "MISMATCH"
-            lines.append(
-                f"  {b.workload:>14} {b.scheme:>12}: {b.requests_per_sec_fast:>12,.0f} fast"
-                f"  {b.requests_per_sec_reference:>12,.0f} ref"
-                f"  {b.speedup:5.1f}x  [{flag}]"
-            )
-        lines.append("functional ORAM (accesses/sec):")
-        for b in self.oram:
-            flag = "ok" if b.equivalent else "MISMATCH"
-            lines.append(
-                f"  {b.workload:>14}: {b.accesses_per_sec_fast:>12,.0f} fast"
-                f"  {b.accesses_per_sec_reference:>12,.0f} ref"
-                f"  {b.speedup:5.1f}x  [{flag}]"
-            )
-        if self.frontier_cell:
-            lines.append("frontier cell (config-requests/sec):")
-        for b in self.frontier_cell:
-            flag = "ok" if b.equivalent else "MISMATCH"
-            lines.append(
-                f"  {b.workload:>14} x{b.n_configs} configs:"
-                f" {b.requests_per_sec_fast:>12,.0f} batched"
-                f"  {b.requests_per_sec_reference:>12,.0f} ref"
-                f"  {b.speedup:5.1f}x  [{flag}]"
-            )
-        if self.tenancy_step:
-            lines.append("tenancy step (requests/sec):")
-        for b in self.tenancy_step:
-            flag = "ok" if b.equivalent else "MISMATCH"
-            lines.append(
-                f"  {b.workload:>14}: {b.requests_per_sec_fast:>12,.0f} batched"
-                f"  {b.requests_per_sec_reference:>12,.0f} rr"
-                f"  {b.speedup:5.1f}x  [{flag}]"
-            )
-        if self.sweep is not None:
-            lines.append(
-                f"end-to-end sweep: {self.sweep.cells} cells in "
-                f"{self.sweep.wall_s:.2f}s = {self.sweep.cells_per_sec:.1f} cells/sec"
+                f"  {m.workload:>22}: {m.fast_per_s:>12,.0f} fast"
+                f"  {m.reference_per_s:>12,.0f} ref"
+                f"  {m.speedup:5.1f}x  [{flag}]"
             )
         return "\n".join(lines)
 
 
-def _best_of(fn, repeats: int) -> tuple[float, object]:
-    """Minimum wall time over ``repeats`` calls, plus the last value."""
+def _best_of(run, repeats: int, setup=None) -> tuple[float, object]:
+    """Minimum wall time over ``repeats`` calls, plus the last value.
+
+    With ``setup``, each call is ``run(setup())`` and only ``run`` is
+    timed, so a stateful kernel starts fresh on every repeat.
+    """
     best = float("inf")
     value = None
     for _ in range(repeats):
+        args = () if setup is None else (setup(),)
         t0 = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
+        value = run(*args)
+        best = min(best, time.perf_counter() - t0)
     return best, value
 
 
-def _results_equivalent(fast, ref) -> bool:
-    """Bit-level SimResult comparison (the timing equivalence contract)."""
+def _measure(
+    tier: str, workload: str, unit: str, n: int, reference, fast, contract
+) -> Measurement:
+    """One measurement from the ``(best seconds, output)`` of both paths.
+
+    The paths are equivalent when ``contract`` maps their outputs to
+    equal values; a string value is a checksum and is recorded.
+    """
+    reference_s, reference_out = reference
+    fast_s, fast_out = fast
+    value = contract(fast_out)
+    return Measurement(
+        tier=tier, workload=workload, unit=unit, n=n,
+        reference_s=reference_s, fast_s=fast_s,
+        equivalent=value == contract(reference_out),
+        checksum=value if isinstance(value, str) else "",
+    )
+
+
+def _reference_repeats(repeats: int) -> int:
+    """The slow scalar oracle runs half as many repeats as the fast path."""
+    return max(1, repeats // 2)
+
+
+def _replay_contract(result) -> tuple:
+    """What a fast replay must reproduce bit for bit (a SimResult's
+    cycles, counters, epochs, per-request completions and power)."""
+    controller = result.controller
     return (
-        fast.cycles == ref.cycles
-        and fast.n_instructions == ref.n_instructions
-        and fast.controller.real_accesses == ref.controller.real_accesses
-        and fast.controller.dummy_accesses == ref.controller.dummy_accesses
-        and fast.controller.total_waste == ref.controller.total_waste
-        and fast.epochs == ref.epochs
-        and np.asarray(fast.request_completion_times, dtype=np.float64).tobytes()
-        == np.asarray(ref.request_completion_times, dtype=np.float64).tobytes()
-        and fast.power_watts == ref.power_watts
+        result.cycles,
+        result.n_instructions,
+        controller.real_accesses,
+        controller.dummy_accesses,
+        controller.total_waste,
+        result.epochs,
+        np.asarray(result.request_completion_times, dtype=np.float64).tobytes(),
+        result.power_watts,
     )
 
 
-def bench_functional(
-    workload: str, n_instructions: int, repeats: int, warmup_fraction: float = 0.30
-) -> tuple[FunctionalBench, MissTrace]:
+def bench_functional(workload: str, n_instructions: int, repeats: int) -> Measurement:
     """Time the functional pass on one workload, fast vs reference."""
-    warmup = int(n_instructions * warmup_fraction)
+    warmup = int(n_instructions * WARMUP_FRACTION)
     trace = build_perf_trace(workload, n_instructions + warmup)
-    ref_s, ref_mt = _best_of(
-        lambda: simulate_hierarchy_reference(trace, warmup_instructions=warmup),
-        max(1, repeats // 2),
+    return _measure(
+        "functional", workload, "refs", trace.n_references,
+        _best_of(
+            lambda: simulate_hierarchy_reference(trace, warmup_instructions=warmup),
+            _reference_repeats(repeats),
+        ),
+        _best_of(
+            lambda: simulate_hierarchy(trace, warmup_instructions=warmup, mode="fast"),
+            repeats,
+        ),
+        MissTrace.checksum,
     )
-    fast_s, fast_mt = _best_of(
-        lambda: simulate_hierarchy(trace, warmup_instructions=warmup, mode="fast"),
-        repeats,
-    )
-    checksum = fast_mt.checksum()
-    bench = FunctionalBench(
-        workload=workload,
-        n_instructions=n_instructions,
-        n_refs=trace.n_references,
-        n_requests=fast_mt.n_requests,
-        reference_s=ref_s,
-        fast_s=fast_s,
-        speedup=ref_s / fast_s,
-        refs_per_sec_fast=trace.n_references / fast_s,
-        refs_per_sec_reference=trace.n_references / ref_s,
-        checksum=checksum,
-        equivalent=checksum == ref_mt.checksum(),
-    )
-    return bench, fast_mt
 
 
 def bench_timing(
     workload: str, miss_trace: MissTrace, scheme_spec: str, repeats: int
-) -> TimingBench:
+) -> Measurement:
     """Time the replay of one miss trace under one scheme."""
     scheme = scheme_from_spec(scheme_spec)
-    ref_s, ref_result = _best_of(
-        lambda: run_timing(miss_trace, scheme, mode="reference"),
-        max(1, repeats // 2),
-    )
-    fast_s, fast_result = _best_of(
-        lambda: run_timing(miss_trace, scheme, mode="fast"), repeats
-    )
-    n = miss_trace.n_requests
-    return TimingBench(
-        workload=workload,
-        scheme=scheme_spec,
-        n_requests=n,
-        reference_s=ref_s,
-        fast_s=fast_s,
-        speedup=ref_s / fast_s,
-        requests_per_sec_fast=n / fast_s if fast_s > 0 else 0.0,
-        requests_per_sec_reference=n / ref_s if ref_s > 0 else 0.0,
-        equivalent=_results_equivalent(fast_result, ref_result),
+    return _measure(
+        "timing", f"{workload}/{scheme_spec}", "requests", miss_trace.n_requests,
+        _best_of(
+            lambda: run_timing(miss_trace, scheme, mode="reference"),
+            _reference_repeats(repeats),
+        ),
+        _best_of(lambda: run_timing(miss_trace, scheme, mode="fast"), repeats),
+        _replay_contract,
     )
 
 
@@ -460,7 +336,7 @@ def build_oram_trace(
     return addresses, is_write
 
 
-def bench_oram(n_accesses: int, repeats: int) -> OramBench:
+def bench_oram(n_accesses: int, repeats: int) -> Measurement:
     """Time the functional ORAM burst, batched engine vs scalar reference.
 
     Both kernels run the identical pinned trace from a fresh controller
@@ -478,83 +354,54 @@ def bench_oram(n_accesses: int, repeats: int) -> OramBench:
     )
     addresses, is_write = build_oram_trace(n_accesses)
 
-    def time_kernel(build, runs: int) -> tuple[float, object]:
-        best = float("inf")
-        oram = None
-        for _ in range(runs):
-            oram = build()
-            t0 = time.perf_counter()
-            oram.run_trace(addresses, is_write)
-            elapsed = time.perf_counter() - t0
-            best = min(best, elapsed)
-        return best, oram
+    def burst(oram):
+        oram.run_trace(addresses, is_write)
+        return oram
 
-    ref_s, reference = time_kernel(
-        lambda: PathORAM(geometry, ORAM_BLOCKS, seed=1, cipher=NullCipher()),
-        max(1, repeats // 2),
-    )
-    fast_s, batched = time_kernel(
-        lambda: BatchedPathORAM(geometry, ORAM_BLOCKS, seed=1), repeats
-    )
-    checksum = batched.state_checksum()
-    return OramBench(
-        workload=ORAM_WORKLOAD,
-        n_blocks=ORAM_BLOCKS,
-        levels=geometry.levels,
-        z=geometry.blocks_per_bucket,
-        n_accesses=n_accesses,
-        reference_s=ref_s,
-        fast_s=fast_s,
-        speedup=ref_s / fast_s,
-        accesses_per_sec_fast=n_accesses / fast_s,
-        accesses_per_sec_reference=n_accesses / ref_s,
-        checksum=checksum,
-        equivalent=checksum == reference.state_checksum(),
+    return _measure(
+        "oram", ORAM_WORKLOAD, "accesses", n_accesses,
+        _best_of(
+            burst, _reference_repeats(repeats),
+            setup=lambda: PathORAM(geometry, ORAM_BLOCKS, seed=1, cipher=NullCipher()),
+        ),
+        _best_of(
+            burst, repeats, setup=lambda: BatchedPathORAM(geometry, ORAM_BLOCKS, seed=1)
+        ),
+        lambda oram: oram.state_checksum(),
     )
 
 
 def bench_frontier_cell(
     workload: str, miss_trace: MissTrace, repeats: int,
     grid: str = FRONTIER_CELL_GRID,
-) -> FrontierCellBench:
+) -> Measurement:
     """Time one frontier cell: a batched grid replay vs sequential oracle.
 
     The fast path is exactly what a frontier sweep dispatches per
     (benchmark, seed): one ``run_timing_batch`` call over the grid
     slice.  The reference is the per-scheme scalar oracle, replayed
     sequentially — the same fast-vs-reference contract as every other
-    tier.  Every per-config result must be bit-identical.
+    tier.  Every per-config result must be bit-identical; throughput
+    counts config-requests (configs x requests per run).
     """
     schemes = [scheme_from_spec(spec) for spec in expand_scheme_grid(grid)]
-    ref_s, ref_results = _best_of(
-        lambda: run_timing_batch(miss_trace, schemes, mode="reference"),
-        max(1, repeats // 2),
-    )
-    fast_s, fast_results = _best_of(
-        lambda: run_timing_batch(miss_trace, schemes, mode="fast"), repeats
-    )
-    n = miss_trace.n_requests
-    total = n * len(schemes)
-    return FrontierCellBench(
-        workload=workload,
-        grid=grid,
-        n_configs=len(schemes),
-        n_requests=n,
-        reference_s=ref_s,
-        fast_s=fast_s,
-        speedup=ref_s / fast_s,
-        requests_per_sec_fast=total / fast_s if fast_s > 0 else 0.0,
-        requests_per_sec_reference=total / ref_s if ref_s > 0 else 0.0,
-        equivalent=all(
-            _results_equivalent(fast, ref)
-            for fast, ref in zip(fast_results, ref_results)
+    return _measure(
+        "frontier_cell", workload, "config-requests",
+        len(schemes) * miss_trace.n_requests,
+        _best_of(
+            lambda: run_timing_batch(miss_trace, schemes, mode="reference"),
+            _reference_repeats(repeats),
         ),
+        _best_of(
+            lambda: run_timing_batch(miss_trace, schemes, mode="fast"), repeats
+        ),
+        lambda results: [_replay_contract(result) for result in results],
     )
 
 
 def bench_tenancy_step(
     requests_per_tenant: int, repeats: int, n_tenants: int = TENANCY_TENANTS
-) -> TenancyBench:
+) -> Measurement:
     """Time the multi-tenant service step, batched vs round-robin.
 
     Both runs use the identical pinned closed-loop workload (every
@@ -577,49 +424,12 @@ def bench_tenancy_step(
     def run(scheduler: str):
         return run_tenancy(with_overrides(config, scheduler=scheduler))
 
-    ref_s, ref_report = _best_of(lambda: run("round_robin"), max(1, repeats // 2))
-    fast_s, fast_report = _best_of(lambda: run("batched"), repeats)
-    n = n_tenants * requests_per_tenant
-    return TenancyBench(
-        workload=f"tenants_{n_tenants}",
-        n_tenants=n_tenants,
-        requests_per_tenant=requests_per_tenant,
-        n_requests=n,
-        reference_s=ref_s,
-        fast_s=fast_s,
-        speedup=ref_s / fast_s,
-        requests_per_sec_fast=n / fast_s if fast_s > 0 else 0.0,
-        requests_per_sec_reference=n / ref_s if ref_s > 0 else 0.0,
-        equivalent=[t.digest for t in fast_report.tenants]
-        == [t.digest for t in ref_report.tenants],
-    )
-
-
-def bench_sweep(n_instructions: int) -> SweepBench:
-    """Time an end-to-end engine sweep (fast kernels, serial backend)."""
-    from repro.api.engine import Engine
-    from repro.api.spec import ExperimentSpec
-    from repro.sim.simulator import clear_pass_memo
-
-    benchmarks = ("libquantum", "h264ref")
-    spec = ExperimentSpec(
-        name="perf sweep",
-        benchmarks=benchmarks,
-        schemes=PERF_SCHEMES,
-        n_instructions=n_instructions,
-    )
-    clear_pass_memo()  # cold caches: measure real work, not dict hits
-    t0 = time.perf_counter()
-    Engine().run(spec, use_cache=False)
-    wall = time.perf_counter() - t0
-    clear_pass_memo()
-    return SweepBench(
-        benchmarks=benchmarks,
-        schemes=PERF_SCHEMES,
-        n_instructions=n_instructions,
-        cells=spec.n_cells,
-        wall_s=wall,
-        cells_per_sec=spec.n_cells / wall,
+    return _measure(
+        "tenancy_step", f"tenants_{n_tenants}", "requests",
+        n_tenants * requests_per_tenant,
+        _best_of(lambda: run("round_robin"), _reference_repeats(repeats)),
+        _best_of(lambda: run("batched"), repeats),
+        lambda report: [tenant.digest for tenant in report.tenants],
     )
 
 
@@ -628,12 +438,11 @@ def run_perf_suite(
     repeats: int | None = None,
     tiers: tuple[str, ...] | None = None,
 ) -> PerfReport:
-    """Run the suite: functional x workloads, timing x schemes, ORAM,
-    frontier cell, sweep.
+    """Run the suite: every tier of :data:`PERF_TIERS`, in order.
 
-    ``tiers`` restricts the run to a subset of :data:`PERF_TIERS`
-    (``repro perf --tier frontier_cell``); miss traces that restricted
-    tiers need are still computed, just not timed.
+    ``tiers`` restricts the run to a subset (``repro perf --tier
+    frontier_cell``); miss traces that the replay tiers need are
+    computed untimed.
     """
     n_instructions = QUICK_INSTRUCTIONS if quick else FULL_INSTRUCTIONS
     if repeats is None:
@@ -646,48 +455,39 @@ def run_perf_suite(
             f"unknown perf tiers {sorted(unknown)}; accepted: {', '.join(PERF_TIERS)}"
         )
     report = PerfReport(
-        version=4, quick=quick, n_instructions=n_instructions, repeats=repeats
+        mode="quick" if quick else "full", n_instructions=n_instructions, repeats=repeats
     )
+    measurements = report.measurements
     miss_traces: dict[str, MissTrace] = {}
 
     def miss_trace_for(workload: str) -> MissTrace:
-        trace = miss_traces.get(workload)
-        if trace is None:
-            warmup = int(n_instructions * 0.30)
-            trace = simulate_hierarchy(
+        if workload not in miss_traces:
+            warmup = int(n_instructions * WARMUP_FRACTION)
+            miss_traces[workload] = simulate_hierarchy(
                 build_perf_trace(workload, n_instructions + warmup),
                 warmup_instructions=warmup, mode="fast",
             )
-            miss_traces[workload] = trace
-        return trace
+        return miss_traces[workload]
 
     if "functional" in tiers:
-        for workload in PERF_WORKLOADS:
-            bench, miss_trace = bench_functional(workload, n_instructions, repeats)
-            report.functional.append(bench)
-            miss_traces[workload] = miss_trace
-    # Timing tier: libquantum exercises the request-dense path, mcf the
-    # blocking-heavy one.  (kernel_stream produces no LLC requests at
-    # all, so there is nothing for the replay to measure there.)
+        measurements.extend(
+            bench_functional(w, n_instructions, repeats) for w in PERF_WORKLOADS
+        )
     if "timing" in tiers:
-        for workload in ("libquantum", "mcf"):
-            for scheme_spec in PERF_SCHEMES:
-                report.timing.append(
-                    bench_timing(
-                        workload, miss_trace_for(workload), scheme_spec, repeats
-                    )
-                )
+        measurements.extend(
+            bench_timing(w, miss_trace_for(w), scheme, repeats)
+            for w in TIMING_WORKLOADS
+            for scheme in PERF_SCHEMES
+        )
     if "oram" in tiers:
         oram_accesses = ORAM_QUICK_ACCESSES if quick else ORAM_FULL_ACCESSES
-        report.oram.append(bench_oram(oram_accesses, repeats))
+        measurements.append(bench_oram(oram_accesses, repeats))
     if "frontier_cell" in tiers:
-        for workload in FRONTIER_CELL_WORKLOADS:
-            report.frontier_cell.append(
-                bench_frontier_cell(workload, miss_trace_for(workload), repeats)
-            )
+        measurements.extend(
+            bench_frontier_cell(w, miss_trace_for(w), repeats)
+            for w in FRONTIER_CELL_WORKLOADS
+        )
     if "tenancy_step" in tiers:
         tenancy_requests = TENANCY_QUICK_REQUESTS if quick else TENANCY_FULL_REQUESTS
-        report.tenancy_step.append(bench_tenancy_step(tenancy_requests, repeats))
-    if "sweep" in tiers:
-        report.sweep = bench_sweep(n_instructions)
+        measurements.append(bench_tenancy_step(tenancy_requests, repeats))
     return report

@@ -15,9 +15,10 @@ A :func:`run_saturation` sweep steps the client count and stacks one
 :class:`LoadReport` per level into a :class:`SaturationReport` — the
 shape pinned in ``benchmarks/BENCH_service.json``.  The report's
 headline invariant: **zero redundant functional passes** — across every
-level, fresh trace-cache entries never exceed the template pool's
-(benchmark, seed) lattice, no matter how many clients hammer the same
-specs concurrently.
+level, the functional passes the daemon computed (its
+``functional_passes`` counter, the engine's ``passes_computed``) never
+exceed the template pool's (benchmark, seed) lattice, no matter how many
+clients hammer the same specs concurrently.
 
 >>> from repro.service.loadgen import LoadProfile, default_templates
 >>> profile = LoadProfile(clients=2, requests_per_client=3,
@@ -150,8 +151,8 @@ class LoadProfile:
     def expected_passes(self) -> int:
         """Distinct functional-pass keys the template pool spans.
 
-        The ceiling on *fresh* trace-cache entries any run of this
-        profile may create; anything beyond it is redundant work.
+        The ceiling on the functional passes any run of this profile may
+        compute; anything beyond it is redundant work.
         """
         keys = {
             functional_pass_key(cell)
@@ -178,12 +179,13 @@ class LoadReport:
 
     @property
     def functional_passes_new(self) -> int:
-        """Fresh trace-cache entries this level created."""
+        """Functional passes the daemon computed during this level (its
+        ``functional_passes`` counter, differenced)."""
         return int(self.metrics_delta.get("functional_passes", 0))
 
     @property
     def redundant_passes(self) -> int:
-        """Fresh passes beyond the template pool's lattice (want: 0)."""
+        """Computed passes beyond the template pool's lattice (want: 0)."""
         return max(0, self.functional_passes_new - self.expected_passes)
 
     @property

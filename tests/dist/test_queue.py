@@ -13,6 +13,7 @@ import pytest
 from repro.api.spec import Cell
 from repro.dist.queue import (
     DEFAULT_LEASE_TTL_S,
+    MalformedTask,
     WorkQueue,
     list_queues,
     task_id_for_cells,
@@ -315,3 +316,90 @@ class TestObservability:
 
     def test_default_ttl_sane(self):
         assert DEFAULT_LEASE_TTL_S > 0
+
+
+def _malformed_payloads(task_id: str, cell: Cell) -> dict[str, bytes]:
+    """The three ways a task file fails to parse into cells."""
+    cell_dict = dict(vars(cell))
+    return {
+        "garbage-bytes": b"\x9f\x00not json{{",
+        "no-cells": json.dumps({"task_id": task_id}).encode(),
+        "unknown-cell-field": json.dumps(
+            {"task_id": task_id, "cells": [dict(cell_dict, colour="red")]}
+        ).encode(),
+    }
+
+
+class TestMalformedTasks:
+    """A task file that does not parse into cells poisons on first claim."""
+
+    @pytest.fixture
+    def solo(self, tmp_path, clock):
+        return WorkQueue.for_cells(
+            tmp_path / "cache", [make_cell()],
+            lease_ttl_s=10.0, max_attempts=3, clock=clock,
+        )
+
+    @pytest.mark.parametrize("kind", ["garbage-bytes", "no-cells", "unknown-cell-field"])
+    def test_poisons_after_one_claim(self, solo, kind):
+        task_id = solo.task_ids()[0]
+        solo._task_path(task_id).write_bytes(
+            _malformed_payloads(task_id, make_cell())[kind]
+        )
+        before = counters.snapshot()
+        assert solo.claim("w1") is None
+        assert solo.is_poisoned(task_id)
+        assert solo.lease_of(task_id) is None
+        assert solo.finished()
+        poison = json.loads(solo._poison_path(task_id).read_text())
+        assert poison["reason"].startswith("malformed-task")
+        assert poison["last_worker"] == "w1"
+        delta = counters.delta(before)
+        assert delta["tasks_poisoned"] == 1
+        assert delta.get("cells_poisoned", 0) == 0
+        assert delta.get("leases_claimed", 0) == 0
+        assert solo.stats() == {
+            "pending": 0, "claimed": 0, "done": 0, "poisoned": 1,
+            "tasks": 1, "cells": 0, "cells_done": 0,
+        }
+
+    def test_cells_that_do_not_hash_to_the_task_id_poison(self, solo):
+        task_id = solo.task_ids()[0]
+        edited = dict(vars(make_cell()), n_instructions=10**12)
+        solo._task_path(task_id).write_text(
+            json.dumps({"task_id": task_id, "cells": [edited]})
+        )
+        assert solo.claim("w1") is None
+        assert solo.is_poisoned(task_id)
+
+    def test_load_task_raises_typed_error(self, solo):
+        task_id = solo.task_ids()[0]
+        solo._task_path(task_id).write_bytes(b"[1, 2]")
+        with pytest.raises(MalformedTask):
+            solo.load_task(task_id)
+        with pytest.raises(ValueError):
+            solo.load_task(task_id)
+
+    def test_inline_worker_finishes_a_board_of_malformed_tasks(self, tmp_path):
+        import threading
+
+        from repro.api.cache import ExperimentCache
+        from repro.dist.worker import Worker
+
+        cache = ExperimentCache(tmp_path / "cache")
+        cells = [make_cell(seed=seed) for seed in (0, 1, 2)]
+        queue = WorkQueue.for_cells(cache.root, cells)
+        for task_id, kind in zip(
+            queue.task_ids(), ("garbage-bytes", "no-cells", "unknown-cell-field")
+        ):
+            queue._task_path(task_id).write_bytes(
+                _malformed_payloads(task_id, make_cell())[kind]
+            )
+        worker = Worker(cache, queue, worker_id="inline", idle_poll_s=0.01)
+        runner = threading.Thread(target=worker.run, daemon=True)
+        runner.start()
+        runner.join(timeout=5.0)
+        assert not runner.is_alive(), "worker wedged on malformed task files"
+        assert queue.finished()
+        assert worker.tasks_completed == 0
+        assert queue.stats()["poisoned"] == 3
