@@ -32,12 +32,14 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
+from operator import le
 from pathlib import Path
 from statistics import mean
 from typing import Iterable, Sequence
 
 from repro.analysis.tables import Table, format_value
-from repro.api.records import ResultSet
+from repro.api.records import ResultSet, RunRecord
 from repro.api.spec import split_benchmark
 from repro.core.scheme import DynamicScheme, scheme_from_spec
 
@@ -145,27 +147,27 @@ def pareto_set(
     """Non-dominated subset under an arbitrary objective tuple.
 
     The general N-objective form of :func:`pareto_front` (which is the
-    fast exact special case for the two headline axes).  Quadratic scan —
-    design spaces here are hundreds of points, not millions.  Points
-    with a non-finite value on any objective are excluded, and exact
-    duplicates on all objectives keep only the lexicographically
-    smallest ``scheme_spec``.
+    fast exact special case for the two headline axes).  Points with a
+    non-finite value on any objective are excluded, exact duplicates on
+    all objectives keep only the lexicographically smallest
+    ``scheme_spec``, and survivors come back in ``scheme_spec`` order.
+
+    Candidates are visited in lexicographic objective order, so a
+    point's dominators all come before it; since dominance is
+    transitive, checking it against the survivors kept so far is as
+    exact as checking it against every candidate.
     """
-    candidates = [
-        p
-        for p in sorted(points, key=lambda p: p.scheme_spec)
-        if all(math.isfinite(getattr(p, obj)) for obj in objectives)
-    ]
-    survivors = []
-    seen_keys: set[tuple] = set()
-    for point in candidates:
+    candidates = []
+    for point in sorted(points, key=lambda p: p.scheme_spec):
         key = tuple(getattr(point, obj) for obj in objectives)
-        if key in seen_keys:
-            continue
-        if not any(other.dominates(point, objectives) for other in candidates):
-            survivors.append(point)
-            seen_keys.add(key)
-    return tuple(survivors)
+        if all(math.isfinite(value) for value in key):
+            candidates.append((key, len(candidates), point))
+    kept: list[tuple] = []
+    for key, rank, point in sorted(candidates, key=lambda c: c[:2]):
+        # A survivor no worse on every objective dominates or duplicates it.
+        if not any(all(map(le, seen, key)) for seen, _, _ in kept):
+            kept.append((key, rank, point))
+    return tuple(point for _, _, point in sorted(kept, key=lambda c: c[1]))
 
 
 def knee_point(front: Sequence[FrontierPoint]) -> FrontierPoint:
@@ -191,6 +193,7 @@ def knee_point(front: Sequence[FrontierPoint]) -> FrontierPoint:
     return min(front, key=lambda p: (distance(p), p.scheme_spec))
 
 
+@lru_cache(maxsize=4096)
 def _lattice_coordinates(scheme_spec: str) -> tuple[int | None, int | None, str | None]:
     """(|R|, growth, learner) for dynamic schemes, Nones otherwise."""
     scheme = scheme_from_spec(scheme_spec)
@@ -207,27 +210,48 @@ def frontier_points(
 ) -> tuple[FrontierPoint, ...]:
     """Place every candidate scheme of one benchmark in the plane.
 
-    ``slowdown`` averages over all seeds present for the (benchmark,
-    scheme) pair, each seed normalized by its own baseline run.  Schemes
-    without a finite leakage bound are skipped (they cannot sit on a
-    leakage frontier); the baseline itself is never a candidate.
+    ``benchmark`` is one spec entry: ``"astar"`` places only the rows run
+    on astar's default input, ``"astar/rivers"`` only those on rivers.
+    ``slowdown`` averages over all seeds present for the (entry, scheme)
+    pair, each seed normalized by its own baseline run.  A scheme matches
+    a row's spec string or its name, as in :meth:`ResultSet.select`.
+    Schemes without a finite leakage bound are skipped (they cannot sit
+    on a leakage frontier); the baseline itself is never a candidate.
     """
+    bench_name, input_name = split_benchmark(benchmark)
+    # One pass over the records: this entry's rows by scheme (in record
+    # order, keyed by spec and by name) and its baseline cycles by seed.
+    by_scheme: dict[str, list[RunRecord]] = {}
+    baseline_cycles: dict[int, list[float]] = {}
+    all_specs: set[str] = set()
+    for record in results:
+        all_specs.add(record.scheme_spec)
+        if record.benchmark != bench_name or record.input_name != input_name:
+            continue
+        by_scheme.setdefault(record.scheme_spec, []).append(record)
+        if record.scheme_name != record.scheme_spec:
+            by_scheme.setdefault(record.scheme_name, []).append(record)
+        if baseline in (record.scheme_spec, record.scheme_name):
+            baseline_cycles.setdefault(record.seed, []).append(record.cycles)
+
+    def baseline_run(seed: int) -> float:
+        matches = baseline_cycles.get(seed, [])
+        if len(matches) != 1:
+            raise KeyError(
+                f"expected exactly one record for ({bench_name!r}, {baseline!r}, "
+                f"seed={seed}), found {len(matches)}"
+            )
+        return matches[0]
+
     candidates = schemes
     if candidates is None:
-        candidates = [s for s in {r.scheme_spec for r in results} if s != baseline]
-    bench_name, _ = split_benchmark(benchmark)
+        candidates = [s for s in all_specs if s != baseline]
     points = []
     for scheme_spec in sorted(candidates):
-        rows = results.select(benchmark=benchmark, scheme=scheme_spec)
+        rows = by_scheme.get(scheme_spec)
         if not rows or not math.isfinite(rows[0].oram_timing_leakage_bits):
             continue
-        ratios = [
-            row.cycles
-            / results.get(
-                bench_name, baseline, row.seed, input_name=row.input_name
-            ).cycles
-            for row in rows
-        ]
+        ratios = [row.cycles / baseline_run(row.seed) for row in rows]
         n_rates, growth, learner = _lattice_coordinates(scheme_spec)
         points.append(
             FrontierPoint(

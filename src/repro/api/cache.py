@@ -15,9 +15,13 @@ Two content-addressed stores under one root directory:
 Writes are atomic **and durable** (temp file + ``fsync`` +
 ``os.replace``), so concurrent pool workers may race on the same key
 without corrupting entries and a host crash cannot persist a torn
-artifact.  Corrupt entries — truncated pickles, bad JSON, wrong shapes —
-are never silently discarded: they move to a ``quarantine/`` sibling
-directory (evidence for triage), count into
+artifact.  Result entries are written in batches
+(:meth:`ResultCache.put_many`): every entry still gets its own temp
+file, file ``fsync`` and rename, and the ``results/`` directory is
+fsynced once per batch, after its last rename.  Corrupt entries —
+truncated pickles, bad JSON, wrong shapes — are never silently
+discarded: they move to a ``quarantine/`` sibling directory (evidence
+for triage), count into
 ``repro.faults.counters.artifacts_quarantined``, and the key reads as a
 miss so the artifact is recomputed.
 """
@@ -29,6 +33,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 from repro.api.records import RunRecord
 from repro.api.spec import TRACE_SCHEMA_VERSION
@@ -42,6 +47,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Subdirectory (per store) where corrupt artifacts are preserved.
 QUARANTINE_DIR = "quarantine"
 
+#: Result entries are strict RFC-8259 JSON with sorted keys; built once,
+#: not per entry as ``json.dumps(..., sort_keys=True)`` would.
+_RESULT_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
@@ -51,15 +60,14 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+def _replace_durably(path: Path, payload: bytes) -> None:
     """Write via a sibling temp file so readers never see partial entries.
 
     The temp file is fsync'd *before* ``os.replace`` — without it a host
     crash can replace the entry with zero-length or torn bytes that the
-    digest check would then silently discard forever.  The directory
-    entry is fsync'd best-effort afterwards (rename durability).
+    digest check would then silently discard forever.  The rename itself
+    is durable only once the directory is fsync'd (:func:`_fsync_dir`).
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -67,20 +75,31 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
-        try:
-            dir_fd = os.open(path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:
-            pass  # platform without directory fsync; file bytes are safe
     except BaseException:
         try:
             os.unlink(tmp_name)
         except OSError:
             pass
         raise
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Best-effort fsync of a directory entry (rename durability)."""
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:
+        pass  # platform without directory fsync; file bytes are safe
+
+
+def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """One durable entry: :func:`_replace_durably`, then its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _replace_durably(path, payload)
+    _fsync_dir(path.parent)
 
 
 def quarantine_artifact(path: Path) -> Path | None:
@@ -188,11 +207,29 @@ class ResultCache:
             return None
 
     def put(self, cell_hash: str, record: RunRecord) -> None:
-        """Persist a record under its cell hash (strict RFC-8259 JSON)."""
-        payload = json.dumps(record.to_dict(), sort_keys=True, allow_nan=False)
-        _atomic_write_bytes(
-            self._path(cell_hash), corrupt_bytes("cache-write-result", payload.encode())
-        )
+        """Persist one record under its cell hash (a batch of one)."""
+        self.put_many(((cell_hash, record),))
+
+    def put_many(self, entries: Iterable[tuple[str, RunRecord]]) -> None:
+        """Persist ``(cell_hash, record)`` pairs as strict RFC-8259 JSON.
+
+        Each entry gets its own temp file, file ``fsync`` and rename, and
+        arms the ``cache-write-result`` fault site once.  The directory
+        is fsynced once, after the last rename and before returning —
+        also when an entry fails, so the renames before it are durable.
+        """
+        entries = list(entries)
+        if not entries:
+            return
+        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            for cell_hash, record in entries:
+                payload = _RESULT_JSON.encode(record.to_dict()).encode()
+                _replace_durably(
+                    self._path(cell_hash), corrupt_bytes("cache-write-result", payload)
+                )
+        finally:
+            _fsync_dir(self.root)
 
 
 class ExperimentCache:

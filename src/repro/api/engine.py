@@ -71,9 +71,11 @@ class Engine:
         # A backend whose records were read out of this cache (the work
         # queue's) has nothing left to persist.
         if self.cache is not None and not getattr(self.backend, "records_from_cache", False):
-            for cell, record in zip(pending, fresh):
-                if record is not None:
-                    self.cache.results.put(cell.content_hash(), record)
+            self.cache.results.put_many(
+                (cell.content_hash(), record)
+                for cell, record in zip(pending, fresh)
+                if record is not None
+            )
 
         meta = {
             "backend": getattr(self.backend, "name", type(self.backend).__name__),

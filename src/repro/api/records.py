@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from statistics import mean
 from typing import Iterator
@@ -88,19 +88,17 @@ class RunRecord:
         return (self.benchmark, self.input_name or "", self.scheme_spec, self.seed)
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (tuples become lists).
+        """JSON-ready representation: every field by name, series as tuples.
 
         Unbounded leakage (``inf``) is encoded as the *string* ``"inf"``
         so the output stays strict RFC-8259 JSON (bare ``Infinity``
         tokens are a Python-only extension that jq, browsers, and pandas
-        all reject).
+        all reject).  Built from the fields directly: it is what every
+        result-cache write and :meth:`ResultSet.digest` encode, and
+        ``dataclasses.asdict`` would deep-copy each series first.
         """
-        payload = asdict(self)
-        for key in (
-            "oram_timing_leakage_bits",
-            "termination_leakage_bits",
-            "expended_leakage_bits",
-        ):
+        payload = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        for key in _LEAKAGE_FIELDS:
             if not math.isfinite(payload[key]):
                 payload[key] = repr(payload[key])
         return payload
@@ -119,6 +117,14 @@ class RunRecord:
         for key in ("ipc_windows", "access_windows"):
             data[key] = tuple(float(v) for v in data.get(key, ()))
         return cls(**data)
+
+
+_RECORD_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(RunRecord))
+_LEAKAGE_FIELDS = (
+    "oram_timing_leakage_bits",
+    "termination_leakage_bits",
+    "expended_leakage_bits",
+)
 
 
 @dataclass

@@ -19,6 +19,7 @@ import hashlib
 import json
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property
 from typing import Iterator
 
 from repro.core.scheme import expand_scheme_grid, is_grid_spec, scheme_from_spec
@@ -33,6 +34,9 @@ CACHE_SCHEMA_VERSION = 2
 #: result schema: traces are the expensive artifact, and a result-shape
 #: change (like v2's new RunRecord fields) leaves them byte-identical.
 TRACE_SCHEMA_VERSION = 1
+
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per call.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 
 class SpecError(ValueError):
@@ -100,13 +104,28 @@ class Cell:
         )
         return f"{bench}+{self.scheme_spec}@{self.seed}"
 
+    def to_dict(self) -> dict:
+        """Every field by name, in declaration order (JSON-native values)."""
+        return {name: getattr(self, name) for name in _CELL_FIELDS}
+
     def content_hash(self) -> str:
-        """Stable hex digest of every result-determining parameter."""
-        payload = json.dumps(
-            {"version": CACHE_SCHEMA_VERSION, **asdict(self)},
-            sort_keys=True,
-        )
+        """Stable hex digest of every result-determining parameter.
+
+        Computed once per cell object and kept on it: the engine, the
+        result cache and the work queue all key the same cell.  The kept
+        digest is not a field, so ``==``, ``hash()`` and ``asdict`` ignore
+        it, and ``dataclasses.replace`` builds a cell that digests afresh.
+        """
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> str:
+        payload = _SORTED_JSON.encode({"version": CACHE_SCHEMA_VERSION, **self.to_dict()})
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+#: The cell's field names; its dict form and its cache key cover exactly these.
+_CELL_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(Cell))
 
 
 @dataclass(frozen=True)

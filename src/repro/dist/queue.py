@@ -120,12 +120,6 @@ def task_id_for_cells(cells: Sequence[Cell]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:20]
 
 
-def _cell_to_dict(cell: Cell) -> dict:
-    from dataclasses import asdict
-
-    return asdict(cell)
-
-
 class MalformedTask(ValueError):
     """A task file that does not parse into the cells its id names."""
 
@@ -254,7 +248,7 @@ class WorkQueue:
             if not path.is_file():
                 _atomic_write_bytes(path, json.dumps({
                     "task_id": task.task_id,
-                    "cells": [_cell_to_dict(cell) for cell in task.cells],
+                    "cells": [cell.to_dict() for cell in task.cells],
                 }, sort_keys=True).encode())
 
     # -- queries ----------------------------------------------------------

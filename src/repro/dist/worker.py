@@ -8,8 +8,8 @@ ID``) that needs nothing but the shared cache directory.  Its loop:
    so recovery needs no dedicated coordinator process),
 3. claim one task; if none is claimable, idle briefly and retry,
 4. execute the task's cells through the ordinary batched execution
-   path, persisting each record into the content-addressed result
-   cache the moment it exists,
+   path and persist the task's records into the content-addressed
+   result cache as one batch,
 5. mark the task done with its pass count and go back to 3.
 
 While a task executes, a daemon thread renews the lease every
@@ -146,9 +146,11 @@ class Worker:
                     records = execute_cells_batch(
                         claim.task.cells, trace_store=self.cache.traces
                     )
-                for cell, record in zip(claim.task.cells, records):
-                    self.cache.results.put(cell.content_hash(), record)
-                    self.cells_executed += 1
+                self.cache.results.put_many(
+                    (cell.content_hash(), record)
+                    for cell, record in zip(claim.task.cells, records)
+                )
+                self.cells_executed += len(records)
         except Exception as exc:  # noqa: BLE001 — any cell failure requeues
             self.queue.release_failed(
                 claim.task_id, self.worker_id, error=f"{type(exc).__name__}: {exc}"

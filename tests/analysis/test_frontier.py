@@ -9,11 +9,16 @@ clouds:
   increasing, slowdown strictly decreasing);
 * the frontier is invariant to input order;
 * the N-objective ``pareto_set`` agrees with the 2-axis sweep when given
-  the same two objectives.
+  the same two objectives, and with the quadratic scan it replaced
+  (:func:`reference_pareto_set`) on 2 and 3 objectives;
+* a whole report agrees with one built from ``ResultSet.select``/``get``
+  queries, each benchmark entry matched on its exact input.
 """
 
 import json
 import math
+import random
+from statistics import mean
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +26,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.frontier import (
     AGGREGATE,
+    POWER_AWARE_OBJECTIVES,
+    BenchmarkFrontier,
     FrontierPoint,
     FrontierReport,
     frontier_from_resultset,
@@ -28,8 +35,10 @@ from repro.analysis.frontier import (
     pareto_front,
     pareto_set,
 )
+from repro.api.engine import Engine
 from repro.api.records import ResultSet, RunRecord
-from repro.core.scheme import scheme_from_spec
+from repro.api.spec import ExperimentSpec, split_benchmark
+from repro.core.scheme import DynamicScheme, scheme_from_spec
 
 
 def make_point(spec="dynamic:4x4", leak=32.0, slow=5.0, power=0.5, bench="mcf"):
@@ -253,3 +262,189 @@ class TestFrontierFromResultset:
             "static:300", "dynamic:2x8", "dynamic:4x4"
         }
         assert sum(r["knee"] == "True" for r in rows if r["benchmark"] == "mcf") == 1
+
+
+def reference_pareto_set(points, objectives=POWER_AWARE_OBJECTIVES):
+    """The quadratic scan ``pareto_set`` replaced: every candidate is
+    checked against every other candidate."""
+    candidates = [
+        p
+        for p in sorted(points, key=lambda p: p.scheme_spec)
+        if all(math.isfinite(getattr(p, obj)) for obj in objectives)
+    ]
+    survivors = []
+    seen_keys = set()
+    for point in candidates:
+        key = tuple(getattr(point, obj) for obj in objectives)
+        if key in seen_keys:
+            continue
+        if not any(other.dominates(point, objectives) for other in candidates):
+            survivors.append(point)
+            seen_keys.add(key)
+    return tuple(survivors)
+
+
+# A small integer grid makes exact ties, duplicates and repeated scheme
+# specs common; inf exercises the finiteness filter.
+grid_value = st.one_of(st.integers(0, 3).map(float), st.just(math.inf))
+grid_clouds = st.lists(
+    st.tuples(
+        st.sampled_from(["static:1", "static:2", "dynamic:2x2", "dynamic:4x4"]),
+        grid_value, grid_value, grid_value,
+    ),
+    max_size=40,
+).map(
+    lambda rows: [
+        make_point(spec=spec, leak=leak, slow=slow, power=power)
+        for spec, leak, slow, power in rows
+    ]
+)
+
+
+class TestParetoSetOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=grid_clouds,
+        objectives=st.sampled_from([
+            ("leakage_bits", "slowdown"),
+            ("slowdown", "power_watts"),
+            POWER_AWARE_OBJECTIVES,
+        ]),
+    )
+    def test_matches_the_quadratic_scan(self, points, objectives):
+        fast = pareto_set(points, objectives)
+        reference = reference_pareto_set(points, objectives)
+        # Identity, not equality: ties must keep the very same point.
+        assert [id(p) for p in fast] == [id(p) for p in reference]
+
+
+def reference_report(results: ResultSet, baseline: str = "base_dram") -> FrontierReport:
+    """A report built from ``ResultSet.select``/``get`` queries, matching
+    each entry's exact input (``input_name=None`` for a bare entry)."""
+    entries = list(dict.fromkeys(
+        r.benchmark if r.input_name is None else f"{r.benchmark}/{r.input_name}"
+        for r in results
+    ))
+    candidates = sorted({r.scheme_spec for r in results} - {baseline})
+    per_benchmark = {}
+    for entry in entries:
+        name, input_name = split_benchmark(entry)
+        points = []
+        for spec in candidates:
+            rows = results.select(benchmark=name, scheme=spec, input_name=input_name)
+            if not rows or not math.isfinite(rows[0].oram_timing_leakage_bits):
+                continue
+            scheme = scheme_from_spec(spec)
+            dynamic = isinstance(scheme, DynamicScheme)
+            points.append(FrontierPoint(
+                benchmark=entry,
+                scheme_spec=spec,
+                scheme_name=rows[0].scheme_name,
+                leakage_bits=rows[0].oram_timing_leakage_bits,
+                slowdown=mean(
+                    row.cycles
+                    / results.get(name, baseline, row.seed, input_name=input_name).cycles
+                    for row in rows
+                ),
+                power_watts=mean(row.power_watts for row in rows),
+                n_rates=len(scheme.rates) if dynamic else None,
+                growth=scheme.schedule.growth if dynamic else None,
+                learner=scheme.learner_kind if dynamic else None,
+            ))
+        per_benchmark[entry] = BenchmarkFrontier(
+            entry, tuple(points), pareto_front(points), reference_pareto_set(points)
+        )
+    aggregate_points = []
+    for spec in candidates:
+        placed = [
+            p for bf in per_benchmark.values() for p in bf.points if p.scheme_spec == spec
+        ]
+        if len(placed) != len(per_benchmark):
+            continue
+        aggregate_points.append(FrontierPoint(
+            benchmark=AGGREGATE,
+            scheme_spec=spec,
+            scheme_name=placed[0].scheme_name,
+            leakage_bits=placed[0].leakage_bits,
+            slowdown=mean(p.slowdown for p in placed),
+            power_watts=mean(p.power_watts for p in placed),
+            n_rates=placed[0].n_rates,
+            growth=placed[0].growth,
+            learner=placed[0].learner,
+        ))
+    aggregate = BenchmarkFrontier(
+        AGGREGATE, tuple(aggregate_points), pareto_front(aggregate_points),
+        reference_pareto_set(aggregate_points),
+    )
+    return FrontierReport(benchmarks=per_benchmark, aggregate=aggregate)
+
+
+SYNTHETIC_SCHEMES = (
+    "base_dram", "base_oram", "static:300", "static:1300",
+    "dynamic:4x4", "dynamic:4x4:threshold", "dynamic:2x8", "dynamic:6x2",
+)
+
+
+def synthetic_records(rng: random.Random) -> ResultSet:
+    """Three seeds over one workload's bare entry and two named inputs
+    plus a second workload; a bare entry's rows must never mix with its
+    named inputs'.  Cycles come from a small grid, so slowdowns tie."""
+    rows = []
+    for bench, input_name in (("astar", None), ("astar", "rivers"),
+                              ("astar", "biglakes"), ("mcf", None)):
+        for seed in (0, 1, 2):
+            base = float(rng.choice((1000, 2000, 4000)))
+            for spec in SYNTHETIC_SCHEMES:
+                scheme = scheme_from_spec(spec)
+                leakage = scheme.leakage()
+                factor = 1.0 if spec == "base_dram" else rng.choice((2.0, 3.5, 5.0, 8.0))
+                power = rng.choice((0.25, 0.5, 0.75))
+                rows.append(RunRecord(
+                    benchmark=bench, input_name=input_name,
+                    label=f"{bench}/{input_name or 'default'}",
+                    scheme_spec=spec, scheme_name=scheme.name, seed=seed,
+                    n_instructions=1000, cycles=base * factor,
+                    ipc=1000 / (base * factor), power_watts=power,
+                    memory_power_watts=power / 2, real_accesses=10,
+                    dummy_accesses=5, dummy_fraction=1 / 3,
+                    oram_timing_leakage_bits=leakage.oram_timing_bits,
+                    termination_leakage_bits=leakage.termination_bits,
+                ))
+    return ResultSet(records=tuple(rows))
+
+
+class TestReportMatchesSelectQueries:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_report_matches_reference(self, seed):
+        results = synthetic_records(random.Random(seed))
+        report = frontier_from_resultset(results)
+        assert list(report.benchmarks) == ["astar", "astar/biglakes", "astar/rivers", "mcf"]
+        assert report.to_dict() == reference_report(results).to_dict()
+
+
+class TestBareEntryUsesItsOwnRows:
+    """A bare entry (``astar``) must not average in the rows of the same
+    workload's named inputs (``astar/biglakes``)."""
+
+    def test_bare_and_named_inputs_stay_apart(self):
+        spec = ExperimentSpec(
+            benchmarks=("astar", "astar/biglakes"),
+            schemes=("base_dram", "static:300", "dynamic:4x4"),
+            seeds=(0,),
+            n_instructions=20_000,
+        )
+        results = Engine().run(spec)
+        report = frontier_from_resultset(results)
+        for entry, input_name in (("astar", None), ("astar/biglakes", "biglakes")):
+            points = {p.scheme_spec: p for p in report.benchmarks[entry].points}
+            for scheme in ("static:300", "dynamic:4x4"):
+                own = (
+                    results.get("astar", scheme, 0, input_name=input_name).cycles
+                    / results.get("astar", "base_dram", 0, input_name=input_name).cycles
+                )
+                assert points[scheme].slowdown == own, (entry, scheme)
+        bare = {p.scheme_spec: p.slowdown for p in report.benchmarks["astar"].points}
+        named = {
+            p.scheme_spec: p.slowdown for p in report.benchmarks["astar/biglakes"].points
+        }
+        assert bare["dynamic:4x4"] != named["dynamic:4x4"]

@@ -72,3 +72,84 @@ class TestExperimentCache:
     def test_default_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "override"))
         assert default_cache_dir() == tmp_path / "override"
+
+
+class TestResultBatchWrite:
+    """``ResultCache.put_many``: per-entry durability, one directory fsync."""
+
+    @staticmethod
+    def entries(n=4):
+        return [(f"h{i}", build_record(seed=i, cycles=1000.0 + i)) for i in range(n)]
+
+    def test_durability_order(self, tmp_path, monkeypatch):
+        import os
+        import stat
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            kind = "dir-fsync" if stat.S_ISDIR(info.st_mode) else "file-fsync"
+            events.append((kind, info.st_ino))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", str(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        cache = ResultCache(tmp_path / "results")
+        entries = self.entries()
+        cache.put_many(entries)
+        monkeypatch.undo()
+
+        renames = [i for i, (kind, _) in enumerate(events) if kind == "replace"]
+        assert len(renames) == len(entries)
+        for cell_hash, record in entries:
+            path = cache._path(cell_hash)
+            rename = events.index(("replace", str(path)))
+            # The entry's bytes were fsynced (same inode: rename keeps
+            # it) before the rename made them visible.
+            assert events.index(("file-fsync", path.stat().st_ino)) < rename
+            assert cache.get(cell_hash) == record
+        dir_syncs = [i for i, (kind, _) in enumerate(events) if kind == "dir-fsync"]
+        assert dir_syncs == [len(events) - 1]
+        assert dir_syncs[0] > renames[-1]
+        assert events[-1][1] == cache.root.stat().st_ino
+
+    def test_fault_site_armed_once_per_entry(self, tmp_path):
+        from repro.faults.plan import FaultPlan, FaultSpec
+
+        entries = self.entries()
+        for torn in range(1, len(entries) + 1):
+            cache = ResultCache(tmp_path / f"results-{torn}")
+            plan = FaultPlan(
+                faults=(FaultSpec(kind="corrupt", site="cache-write-result", at=torn),),
+                token_dir=str(tmp_path / f"tokens-{torn}"),
+            )
+            with plan.activated():
+                cache.put_many(entries)
+            readable = [cache.get(cell_hash) is not None for cell_hash, _ in entries]
+            assert readable == [i != torn for i in range(1, len(entries) + 1)]
+
+    def test_single_put_is_a_batch_of_one(self, tmp_path, monkeypatch):
+        batches = []
+        real_put_many = ResultCache.put_many
+
+        def recording(self, entries):
+            entries = list(entries)
+            batches.append([cell_hash for cell_hash, _ in entries])
+            return real_put_many(self, entries)
+
+        monkeypatch.setattr(ResultCache, "put_many", recording)
+        cache = ResultCache(tmp_path)
+        cache.put("h", build_record())
+        assert batches == [["h"]]
+        assert cache.get("h") == build_record()
+
+    def test_empty_batch_writes_nothing(self, tmp_path):
+        cache = ResultCache(tmp_path / "results")
+        cache.put_many([])
+        assert not cache.root.exists()

@@ -104,15 +104,17 @@ class TestEquivalence:
     def test_one_result_write_per_cell(self, tmp_path, monkeypatch, backend):
         # Queue workers persist each record before its done marker, and
         # the backend reads them back out of the cache: the engine must
-        # not write them a second time.
+        # not write them a second time.  Every result write goes through
+        # the batch path, so that is where writes are counted.
         puts = []
-        real_put = ResultCache.put
+        real_put_many = ResultCache.put_many
 
-        def counting_put(self, cell_hash, record):
-            puts.append(cell_hash)
-            return real_put(self, cell_hash, record)
+        def counting_put_many(self, entries):
+            entries = list(entries)
+            puts.extend(cell_hash for cell_hash, _ in entries)
+            return real_put_many(self, entries)
 
-        monkeypatch.setattr(ResultCache, "put", counting_put)
+        monkeypatch.setattr(ResultCache, "put_many", counting_put_many)
         spec = tiny_spec()
         runner = inline_backend() if backend == "queue" else SerialBackend()
         results = Engine(runner, cache=ExperimentCache(tmp_path)).run(spec)
