@@ -89,9 +89,9 @@ class SerialBackend:
 
     Every cell routes through
     :func:`~repro.api.execution.execute_cells_batch`, which replays every
-    scheme of one benchmark-seed group with a single config-batched
-    kernel call — records stay bit-identical to cell-at-a-time
-    execution, in input order.
+    scheme of one benchmark-seed group with a single routed
+    :func:`~repro.sim.timing.run_timing_batch` call — records stay
+    bit-identical to cell-at-a-time execution, in input order.
     """
 
     name = "serial"

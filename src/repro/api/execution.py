@@ -30,11 +30,13 @@ from repro.api.spec import Cell
 from repro.core.scheme import scheme_from_spec
 from repro.faults.plan import fault_point
 from repro.sim.simulator import SecureProcessorSim, SimConfig, count_passes
+from repro.sim.timing import run_timing, run_timing_batch
 from repro.sim.windows import (
     epoch_transition_instructions,
     instructions_per_access_windows,
     ipc_windows,
 )
+
 
 def _sim_config(cell: Cell) -> SimConfig:
     """The simulation configuration a cell runs under."""
@@ -50,22 +52,27 @@ def execute_cell(cell: Cell, sim: SecureProcessorSim | None = None) -> RunRecord
     """Run one cell and flatten the outcome into a :class:`RunRecord`.
 
     ``sim`` defaults to a fast-kernel simulator for the cell's own
-    configuration.  When the cell asks for windows, the run records
-    per-request arrays, reduces them to fixed-size window series, and
-    drops the arrays — so records stay small and JSON-native regardless
-    of run length.
+    configuration; its kernel mode picks the replay machine.  When the
+    cell asks for windows, the run records per-request arrays, reduces
+    them to fixed-size window series, and drops the arrays — so records
+    stay small and JSON-native regardless of run length.
     """
     if sim is None:
         sim = SecureProcessorSim(_sim_config(cell))
+    return _replay_cell(cell, sim, sim.miss_trace(cell.benchmark, cell.input_name))
+
+
+def _replay_cell(cell: Cell, sim: SecureProcessorSim, miss_trace) -> RunRecord:
+    """Replay one cell on ``miss_trace``, its group's resolved pass."""
     scheme = scheme_from_spec(cell.scheme_spec)
-    want_windows = cell.n_windows is not None
-    result = sim.run(
-        cell.benchmark,
+    result = run_timing(
+        miss_trace,
         scheme,
-        input_name=cell.input_name,
-        record_requests=cell.record_requests or want_windows,
+        write_buffer_entries=sim.config.write_buffer_entries,
+        record_requests=cell.record_requests or cell.n_windows is not None,
+        mode=sim.config.kernel_mode,
     )
-    return _record_from_result(cell, sim, scheme, result)
+    return _record_from_result(cell, miss_trace, scheme, result)
 
 
 def execute_cells_batch(cells, trace_store: TraceCache | None = None) -> list[RunRecord]:
@@ -73,15 +80,16 @@ def execute_cells_batch(cells, trace_store: TraceCache | None = None) -> list[Ru
 
     Cells sharing a functional pass and write-buffer depth form one
     group on one simulator, which resolves the pass once against
-    ``trace_store``; the group's plain cells then dispatch one
-    :meth:`~repro.sim.simulator.SecureProcessorSim.run_batch` call —
-    the config-batched slotted kernel replays the shared miss trace
-    under every scheme in lockstep — instead of one replay per cell.
-    Cells that need per-request arrays (windows, ``record_requests``)
-    still replay individually.  Records are bit-identical to
-    :func:`execute_cell` per cell and returned in input order, so every
-    backend can route its groups through here without changing any
-    result byte.
+    ``trace_store`` and keeps the :class:`~repro.cpu.trace.MissTrace`
+    for every replay of the group, so an eviction from the bounded pass
+    memo can never recompute or recount it.  The group's plain cells go
+    to one :func:`~repro.sim.timing.run_timing_batch` call, whose cost
+    rule replays their slot schemes as one lockstep batch or one by
+    one; cells that need per-request arrays (windows,
+    ``record_requests``) replay individually.  Records are bit-identical
+    to :func:`execute_cell` per cell and returned in input order, so
+    every backend can route its groups through here without changing
+    any result byte.
     """
     cells = list(cells)
     records: list[RunRecord | None] = [None] * len(cells)
@@ -92,28 +100,28 @@ def execute_cells_batch(cells, trace_store: TraceCache | None = None) -> list[Ru
     for indices in groups.values():
         first = cells[indices[0]]
         group_sim = SecureProcessorSim(_sim_config(first))
-        group_sim.miss_trace(first.benchmark, first.input_name, trace_store)
+        miss_trace = group_sim.miss_trace(first.benchmark, first.input_name, trace_store)
         plain = [
             i for i in indices
             if cells[i].n_windows is None and not cells[i].record_requests
         ]
-        if len(plain) >= 2:
+        if plain:
             schemes = [scheme_from_spec(cells[i].scheme_spec) for i in plain]
-            results = group_sim.run_batch(
-                first.benchmark,
+            results = run_timing_batch(
+                miss_trace,
                 schemes,
-                input_name=first.input_name,
+                write_buffer_entries=first.write_buffer_entries,
                 record_requests=False,
             )
             for i, scheme, result in zip(plain, schemes, results):
-                records[i] = _record_from_result(cells[i], group_sim, scheme, result)
+                records[i] = _record_from_result(cells[i], miss_trace, scheme, result)
         for i in indices:
             if records[i] is None:
-                records[i] = execute_cell(cells[i], sim=group_sim)
+                records[i] = _replay_cell(cells[i], group_sim, miss_trace)
     return records
 
 
-def _record_from_result(cell: Cell, sim: SecureProcessorSim, scheme, result) -> RunRecord:
+def _record_from_result(cell: Cell, miss_trace, scheme, result) -> RunRecord:
     """Flatten one timing result into the cell's :class:`RunRecord`."""
     want_windows = cell.n_windows is not None
     leakage = scheme.leakage()
@@ -125,7 +133,6 @@ def _record_from_result(cell: Cell, sim: SecureProcessorSim, scheme, result) -> 
         ipc_series = tuple(
             float(v) for v in ipc_windows(result, cell.n_windows).values
         )
-        miss_trace = sim.miss_trace(cell.benchmark, cell.input_name)
         access_series = tuple(
             float(v)
             for v in instructions_per_access_windows(
@@ -190,10 +197,10 @@ def _execute_batch_in_worker(
 ) -> tuple[list[RunRecord], int]:
     """Pool entry point: one batch of cells sharing a functional pass.
 
-    The group replays through the config-batched kernel — one
-    functional pass and one batched timing replay per (benchmark,
-    seed), not one replay task per scheme — and reads the pass from the
-    persistent trace cache under ``trace_root`` when an earlier run
+    The group runs through :func:`execute_cells_batch` — one functional
+    pass and one routed timing replay call per (benchmark, seed), not
+    one replay task per scheme — and reads the pass from the persistent
+    trace cache under ``trace_root`` when an earlier run
     already stored it.  Returns the records and the number of
     functional passes this batch computed.
 

@@ -428,11 +428,18 @@ SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 def run_scenario(name: str, workdir: str | Path | None = None) -> dict:
-    """Run one scenario in an isolated working directory."""
+    """Run one scenario in an isolated working directory.
+
+    Without ``workdir`` the scenario runs in a fresh temporary directory
+    that is removed when it returns; a given ``workdir`` is kept.
+    """
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
     if workdir is None:
-        workdir = tempfile.mkdtemp(prefix=f"repro-chaos-{name}-")
+        with tempfile.TemporaryDirectory(
+            prefix=f"repro-chaos-{name}-", ignore_cleanup_errors=True
+        ) as scratch:
+            return SCENARIOS[name](Path(scratch))
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     return SCENARIOS[name](workdir)

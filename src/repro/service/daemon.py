@@ -58,7 +58,7 @@ def subgroup_specs(spec: ExperimentSpec) -> list[tuple[str, int, ExperimentSpec]
     """Split a spec into one sub-spec per (benchmark, seed) group.
 
     Each sub-spec keeps the full scheme axis, so the engine still
-    dispatches one config-batched replay per group; the split only
+    dispatches one routed replay call per group; the split only
     exists so the service can stream progress and interleave jobs at
     functional-pass granularity.
     """
@@ -178,6 +178,32 @@ class SweepService:
     def job(self, job_id: str) -> Job:
         """Job by id (KeyError for unknown ids)."""
         return self.registry.get(job_id)
+
+    async def result(self, job: Job) -> ResultSet:
+        """A done job's ResultSet.
+
+        The registry keeps the records of the most recently finished
+        jobs; an older job's are re-read from the persistent result
+        cache on a worker thread, with the meta recorded at completion.
+        Raises ``LookupError`` when the cache no longer holds them all.
+        """
+        if job.result is not None:
+            return job.result
+        return await asyncio.to_thread(self._reread_result, job)
+
+    def _reread_result(self, job: Job) -> ResultSet:
+        results = self.engine.cache.results
+        records = tuple(
+            record
+            for record in (results.get(cell.content_hash()) for cell in job.spec.cells())
+            if record is not None
+        )
+        if len(records) != job.n_records:
+            raise LookupError(
+                f"job {job.id}: {len(records)} of its {job.n_records} records "
+                "are left in the result cache"
+            )
+        return ResultSet(records=records, spec=job.spec, meta=job.meta)
 
     async def cancel(self, job_id: str) -> bool:
         """Cancel a job; running jobs stop at the next group boundary."""
@@ -319,7 +345,7 @@ class SweepService:
                 self._journal_state(job)
                 await self._notify()
                 return
-            job.mark_done(ResultSet(
+            self.registry.finish(job, ResultSet(
                 records=tuple(records),
                 spec=job.spec,
                 meta={

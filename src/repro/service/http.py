@@ -13,7 +13,7 @@ progress events.  The endpoint reference lives in
 ``GET  /jobs``              all job summaries, submission order
 ``GET  /jobs/<id>``         one job summary
 ``GET  /jobs/<id>/events``  NDJSON stream (``?since=N``; ``?stream=0`` snapshot)
-``GET  /jobs/<id>/result``  finished job's ResultSet (409 while active)
+``GET  /jobs/<id>/result``  done job's ResultSet (409 if not done; 410 if lost)
 ``POST /jobs/<id>/cancel``  cancel queued/running
 ``POST /shutdown``          graceful stop (drain, then exit)
 ==========================  ====================================================
@@ -31,6 +31,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.api.spec import ExperimentSpec, SpecError
 from repro.service.daemon import SweepService
+from repro.service.jobs import DONE
 
 #: Protect the parser from absurd request heads/bodies.
 _MAX_HEAD_BYTES = 64 * 1024
@@ -38,7 +39,8 @@ _MAX_BODY_BYTES = 16 * 1024 * 1024
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 503: "Service Unavailable",
+    405: "Method Not Allowed", 409: "Conflict", 410: "Gone",
+    503: "Service Unavailable",
 }
 
 
@@ -215,12 +217,16 @@ class ServiceHTTPServer:
                 "cancelled": cancelled, "job": job.snapshot(),
             })
         elif tail == "result" and method == "GET":
-            if job.result is None:
+            if job.state != DONE:
                 raise _HTTPError(409, f"job {job_id} is {job.state}; no result yet")
+            try:
+                result = await self.service.result(job)
+            except LookupError as error:
+                raise _HTTPError(410, str(error)) from error
             await self._send_json(writer, 200, {
                 "job": job.snapshot(),
-                "records": [record.to_dict() for record in job.result.records],
-                "meta": job.result.meta,
+                "records": [record.to_dict() for record in result.records],
+                "meta": result.meta,
             })
         elif tail == "events" and method == "GET":
             await self._stream_events(job_id, query, writer)

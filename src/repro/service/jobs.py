@@ -6,6 +6,9 @@ finished) its :class:`~repro.api.records.ResultSet`.  The
 :class:`JobRegistry` owns admission: FIFO ordering, duplicate-spec
 deduplication (two in-flight submissions of the same spec share one
 job), and the queued -> running -> done/failed/cancelled transitions.
+It keeps the records of only the ``RETAINED_RESULTS`` most recently
+finished jobs in memory; an older done job keeps its meta and record
+count, and the daemon re-reads its records from the result cache.
 
 Everything here is synchronous and loop-free — the asyncio daemon
 (:mod:`repro.service.daemon`) layers scheduling on top — so queue
@@ -30,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import deque
 from typing import Callable, Iterator
 
 from repro.api.records import ResultSet
@@ -54,6 +58,11 @@ ACTIVE_STATES = frozenset({QUEUED, RUNNING})
 #: synthetic notice on replay) so a week-long job cannot grow memory
 #: without bound.
 DEFAULT_EVENTS_LIMIT = 512
+
+#: How many of the most recently finished jobs keep their ResultSet in
+#: memory; older done jobs drop theirs, so a long-running daemon's memory
+#: does not grow with the jobs it has served.
+RETAINED_RESULTS = 32
 
 
 def spec_digest(spec: ExperimentSpec) -> str:
@@ -108,7 +117,11 @@ class Job:
         self.events_dropped = 0
         self._next_seq = 1
         self._on_drop = on_drop
+        #: The finished ResultSet while the registry retains it; ``meta``
+        #: and ``n_records`` outlive it.
         self.result: ResultSet | None = None
+        self.meta: dict | None = None
+        self.n_records: int | None = None
         self.error: str | None = None
         self.dedup_hits = 0
         self.cancel_requested = False
@@ -176,6 +189,8 @@ class Job:
         """running -> done, attaching the result."""
         self._transition(DONE, {RUNNING})
         self.result = result
+        self.meta = result.meta
+        self.n_records = len(result)
         self.finished_at = self._clock()
         self.add_event("done", records=len(result), **result.meta)
 
@@ -253,6 +268,7 @@ class JobRegistry:
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
         self._counter = 0
+        self._retained: deque[Job] = deque()
 
     def submit(self, spec: ExperimentSpec) -> tuple[Job, bool]:
         """Admit a spec; returns ``(job, deduplicated)``.
@@ -280,6 +296,14 @@ class JobRegistry:
     def get(self, job_id: str) -> Job:
         """Look a job up by id (KeyError for unknown ids)."""
         return self._jobs[job_id]
+
+    def finish(self, job: Job, result: ResultSet) -> None:
+        """Mark ``job`` done with ``result``; release the ResultSet of the
+        job that falls out of the ``RETAINED_RESULTS`` most recent."""
+        job.mark_done(result)
+        self._retained.append(job)
+        while len(self._retained) > RETAINED_RESULTS:
+            self._retained.popleft().result = None
 
     def cancel(self, job_id: str) -> bool:
         """Request cancellation; returns False for terminal jobs.

@@ -9,8 +9,10 @@ DESIGN.md.
 Two cache layers exist:
 
 - one process-wide memo keyed by :meth:`SimConfig.pass_key`, shared by
-  every fast-kernel simulator (a ``kernel_mode="reference"`` simulator
-  keeps a private dict, so the scalar oracle always recomputes); and
+  every fast-kernel simulator and bounded to the ``PASS_MEMO_ENTRIES``
+  most recently used passes, so a long-running daemon's memory stays
+  flat (a ``kernel_mode="reference"`` simulator keeps a private dict,
+  so the scalar oracle always recomputes); and
 - an optional persistent ``store`` passed per call to
   :meth:`SecureProcessorSim.miss_trace`, which lets the :mod:`repro.api`
   engine share functional passes across worker processes and sessions
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import contextvars
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -31,8 +35,45 @@ from repro.sim.result import SimResult
 from repro.sim.timing import run_timing, run_timing_batch
 from repro.workloads.registry import build_trace
 
+#: Passes the process-wide memo keeps; the least recently used goes first.
+PASS_MEMO_ENTRIES = 64
+
+
+class _PassMemo:
+    """A thread-safe LRU map holding at most ``PASS_MEMO_ENTRIES`` passes.
+
+    Callers must hold on to a trace they still need: any other thread's
+    insert can evict an entry between two lookups.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key) -> MissTrace | None:
+        with self._lock:
+            trace = self._entries.get(key)
+            if trace is not None:
+                self._entries.move_to_end(key)
+            return trace
+
+    def __setitem__(self, key, trace: MissTrace) -> None:
+        with self._lock:
+            self._entries[key] = trace
+            self._entries.move_to_end(key)
+            while len(self._entries) > PASS_MEMO_ENTRIES:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
 #: Process-wide memo of fast-kernel functional passes.
-_PASSES: dict[str | tuple, MissTrace] = {}
+_PASSES = _PassMemo()
 
 
 def clear_pass_memo() -> None:
@@ -201,12 +242,13 @@ class SecureProcessorSim:
         share a name and reference count never collide.
         """
         key = ("external", self.config.substrate_digest(), trace.content_digest())
-        if key not in self._passes:
-            self._passes[key] = simulate_hierarchy(
+        miss_trace = self._passes.get(key)
+        if miss_trace is None:
+            miss_trace = self._passes[key] = simulate_hierarchy(
                 trace, self.config.hierarchy, self.config.core,
                 mode=self.config.kernel_mode,
             )
-        return self._passes[key]
+        return miss_trace
 
     def run(
         self,
@@ -232,11 +274,12 @@ class SecureProcessorSim:
         input_name: str | None = None,
         record_requests: bool = False,
     ) -> list[SimResult]:
-        """Replay one benchmark under many schemes with one batched kernel.
+        """Replay one benchmark under many schemes with one routed call.
 
         One shared functional pass, then a single
-        :func:`~repro.sim.timing.run_timing_batch` call that advances
-        every slot-controller configuration in lockstep.  Results are
+        :func:`~repro.sim.timing.run_timing_batch` call, which advances
+        the slot-controller configurations in lockstep when its cost
+        rule says the batch is cheaper.  Results are
         bit-identical, scheme for scheme, to calling :meth:`run` per
         scheme; ``record_requests`` defaults to aggregates-only, since a
         batch multiplies per-request arrays by its width.

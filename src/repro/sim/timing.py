@@ -55,8 +55,11 @@ the slot-controller state of every configuration held in
 ``(n_configs,)`` numpy arrays advanced in lockstep — the frontier
 sweep's workhorse, bit-identical per config to ``run_timing`` (the
 per-scheme replay stays the oracle, enforced by
-``tests/sim/test_batch_equivalence.py``).  The batched kernel assumes
-the usual trace regime (non-negative gaps, timelines below 2**53 so
+``tests/sim/test_batch_equivalence.py``).  A cost rule
+(:func:`batch_pays`) decides per call whether the lockstep batch or one
+single-config replay per scheme is cheaper; the two are bit-identical,
+so the rule only moves time.  The batched kernel assumes the usual
+trace regime (non-negative gaps, timelines below 2**53 so
 integer-valued doubles stay exact), which every generated workload
 satisfies.
 """
@@ -118,6 +121,38 @@ def run_timing(
     )
 
 
+#: The two constants of :func:`batch_pays`'s rule.
+BATCH_MIN_CONFIGS = 8
+BATCH_SPARSE_CONFIGS = 200
+
+
+def batch_pays(miss_trace: MissTrace, controllers) -> bool:
+    """Whether slot ``controllers`` replay faster as one batch than singly.
+
+    The batched kernel pays ``(n_configs,)``-wide array work per step,
+    and wins only by replaying whole stretches of requests in closed
+    form.  A gap longer than a config's rate fires dummy slots and breaks
+    such a stretch into per-request steps, so the rule weighs the config
+    count ``n`` against the sparsity ``s``: the fraction of the trace's
+    gaps longer than the smallest rate any config can run at (a static
+    config's rate; a dynamic config's initial or fastest candidate
+    rate).  The batch runs only when ``n >= BATCH_MIN_CONFIGS +
+    BATCH_SPARSE_CONFIGS * s`` (8 + 200·s).  The rule reads only its
+    inputs, and both paths are bit-identical, so the choice moves time,
+    never a result (calibration: DESIGN.md "Small batches").
+    """
+    n = len(controllers)
+    if n < BATCH_MIN_CONFIGS:
+        return False
+    fastest = min(
+        c.rate if c.learner is None else min(c.rate, c.learner.rates.fastest)
+        for c in controllers
+    )
+    gaps = miss_trace.gap_cycles
+    sparsity = np.count_nonzero(gaps > fastest) / len(gaps) if len(gaps) else 0.0
+    return n >= BATCH_MIN_CONFIGS + BATCH_SPARSE_CONFIGS * sparsity
+
+
 def run_timing_batch(
     miss_trace: MissTrace,
     schemes,
@@ -125,67 +160,53 @@ def run_timing_batch(
     record_requests: bool = True,
     mode: str = "fast",
 ) -> list:
-    """Replay one miss trace under many schemes with one batched kernel.
+    """Replay one miss trace under many schemes on the cheaper machines.
 
-    The frontier sweep's workhorse: a design-space grid replays the
-    *same* arrival stream under every configuration, so the slot-state
-    machine carries the configuration axis as a numpy dimension —
-    ``(n_configs,)`` arrays for rate, timeline, epoch boundary, and
-    counters, advanced in lockstep over the shared requests.  Epoch
-    transitions apply as masked per-config updates with the learner
-    decisions evaluated by :func:`repro.core.learner.decide_batch`.
+    A design-space grid replays the *same* arrival stream under every
+    configuration, so the config-batched kernel carries the
+    configuration axis as a numpy dimension — ``(n_configs,)`` arrays
+    for rate, timeline, epoch boundary, and counters, advanced in
+    lockstep over the shared requests, with epoch transitions applied
+    as masked per-config updates decided by
+    :func:`repro.core.learner.decide_batch`.  The slot schemes replay
+    through it when :func:`batch_pays` says the batch is cheaper (many
+    configs over a dense trace); otherwise each replays on its
+    single-config machine.  Schemes without a slot controller
+    (``base_dram``/``base_oram``) always take their own machines, and
+    ``mode="reference"`` delegates every scheme to the scalar oracle.
 
     Returns one :class:`SimResult` per scheme, in order, each
-    **bit-identical** to ``run_timing(miss_trace, scheme, ...)`` — the
-    per-scheme replay stays the oracle, same contract pattern as the
-    cache and ORAM kernel pairs (enforced by
-    ``tests/sim/test_batch_equivalence.py``).  Schemes without a slot
-    controller (``base_dram``/``base_oram``) and degenerate batches of
-    one slot scheme replay through their (already fast) single-config
-    machines — a batch of one is slower than them; ``mode="reference"``
-    delegates every scheme to the scalar reference machine.
+    **bit-identical** to ``run_timing(miss_trace, scheme, ...)`` on
+    either route — the per-scheme replay stays the oracle, same
+    contract pattern as the cache and ORAM kernel pairs (enforced by
+    ``tests/sim/test_batch_equivalence.py``).
     """
     _check_replay_args(mode, write_buffer_entries)
     schemes = list(schemes)
-    if mode == "reference":
-        return [
-            run_timing(
-                miss_trace, scheme, write_buffer_entries,
-                record_requests, mode="reference",
-            )
-            for scheme in schemes
-        ]
     results: list = [None] * len(schemes)
-    slotted: list[int] = []
-    controllers: dict[int, TimingProtectedController] = {}
-    for index, scheme in enumerate(schemes):
-        controller = scheme.build_controller()
-        if type(controller) is TimingProtectedController:
-            slotted.append(index)
-            controllers[index] = controller
-        else:
-            results[index] = run_timing(
-                miss_trace, scheme, write_buffer_entries,
-                record_requests, mode="fast",
-            )
-    if len(slotted) == 1:
-        index = slotted[0]
-        results[index] = run_timing(
-            miss_trace, schemes[index], write_buffer_entries,
-            record_requests, mode="fast",
-        )
-    elif slotted:
+    slotted: dict[int, TimingProtectedController] = {}
+    if mode == "fast":
+        for index, scheme in enumerate(schemes):
+            controller = scheme.build_controller()
+            if type(controller) is TimingProtectedController:
+                slotted[index] = controller
+    if batch_pays(miss_trace, list(slotted.values())):
         batch = _replay_slotted_batch(
-            miss_trace, [controllers[i] for i in slotted],
+            miss_trace, list(slotted.values()),
             write_buffer_entries, record_requests,
         )
-        for index, (end_time, completions) in zip(slotted, batch):
+        for (index, controller), (end_time, completions) in zip(slotted.items(), batch):
             results[index] = _build_result(
-                miss_trace, schemes[index], controllers[index],
+                miss_trace, schemes[index], controller,
                 end_time, completions, record_requests,
                 record_observable_trace=False,
             )
-    return results
+    return [
+        result if result is not None else run_timing(
+            miss_trace, scheme, write_buffer_entries, record_requests, mode=mode,
+        )
+        for scheme, result in zip(schemes, results)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,16 @@ class TestReplication:
         assert all(v > 0 for v in stats["s300_vs_dyn_power"].values)
         assert all(v > 0 for v in stats["s1300_vs_dyn_perf"].values)
 
+    def test_headline_deltas_are_pinned(self):
+        """The engine path reproduces the direct simulator's values exactly."""
+        stats = replicate_headline(seeds=(0, 1), n_instructions=150_000)
+        assert {name: stat.values for name, stat in stats.items()} == {
+            "dyn_vs_oram_perf": (0.20829370274324877, 0.20604340420426248),
+            "dyn_vs_oram_power": (-0.003954147704237743, -0.0047544195534937606),
+            "s300_vs_dyn_power": (0.13385658232235764, 0.13335663873703618),
+            "s1300_vs_dyn_perf": (0.43057400912884747, 0.43418083854742595),
+        }
+
     def test_rejects_empty_seeds(self):
         with pytest.raises(ValueError):
             replicate_headline(seeds=())

@@ -392,3 +392,27 @@ class TestPassCount:
         assert pool.run(spec).meta["passes_computed"] == 4
         clear_pass_memo()
         assert pool.run(spec, use_cache=False).meta["passes_computed"] == 0
+
+    @pytest.mark.parametrize("n_windows", [None, 4])
+    def test_an_evicted_pass_is_never_recomputed(
+        self, monkeypatch, count_functional_passes, n_windows
+    ):
+        """A group keeps its resolved pass: with a one-entry memo and a
+        concurrent insert right after every lookup, nothing recomputes."""
+        spec = tiny_spec(seeds=(0, 1), n_windows=n_windows)
+        want = Engine().run(spec).digest()
+        clear_pass_memo()
+        count_functional_passes["n"] = 0
+        monkeypatch.setattr(simulator_module, "PASS_MEMO_ENTRIES", 1)
+        resolve = SecureProcessorSim.miss_trace
+
+        def racing(self, *args, **kwargs):
+            trace = resolve(self, *args, **kwargs)
+            simulator_module._PASSES[("unrelated", id(trace))] = trace
+            return trace
+
+        monkeypatch.setattr(SecureProcessorSim, "miss_trace", racing)
+        results = Engine().run(spec)
+        assert results.meta["passes_computed"] == 4  # 2 benchmarks x 2 seeds
+        assert count_functional_passes["n"] == 4
+        assert results.digest() == want

@@ -1,5 +1,7 @@
 """``repro faults`` CLI: scripted chaos scenarios from the shell."""
 
+import tempfile
+
 from repro.cli import main
 from repro.faults.scenarios import SCENARIO_NAMES, run_scenario
 
@@ -46,3 +48,15 @@ class TestFaultsCommand:
             "--workdir", str(tmp_path),
         ]) == 0
         assert "2/2 scenarios passed" in capsys.readouterr().out
+
+
+class TestScratchDirectories:
+    def test_a_scenario_without_workdir_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert run_scenario("torn-write")["ok"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_given_workdir_is_kept(self, tmp_path):
+        workdir = tmp_path / "kept"
+        assert run_scenario("torn-write", workdir=workdir)["ok"]
+        assert any(workdir.iterdir())

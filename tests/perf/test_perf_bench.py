@@ -19,6 +19,7 @@ from repro.perf.bench import (
     run_perf_suite,
 )
 from repro.perf.report import check_against_baseline, load_baseline, speedup_floor
+from repro.sim import timing
 from repro.sim.timing import run_timing
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -71,6 +72,20 @@ class TestTierSelection:
             "frontier_cell/libquantum", "frontier_cell/mcf"
         ]
         assert report.all_equivalent
+
+    def test_the_frontier_cell_tier_reaches_the_batched_kernel(self, monkeypatch):
+        """The routing rule keeps the pinned grid on its dense streams batched."""
+        calls = set()
+        kernel = timing._replay_slotted_batch
+
+        def counting(miss_trace, controllers, *args):
+            calls.add((miss_trace.source_name, len(controllers)))
+            return kernel(miss_trace, controllers, *args)
+
+        monkeypatch.setattr(timing, "_replay_slotted_batch", counting)
+        report = run_perf_suite(quick=True, repeats=1, tiers=("frontier_cell",))
+        assert report.all_equivalent
+        assert calls == {("libquantum", 16), ("mcf", 16)}
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="unknown perf tier"):

@@ -6,6 +6,9 @@ the asyncio HTTP front end, the scheduler, the engine — over TCP, and
 one test repeats the round trip over a Unix domain socket.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.api.spec import ExperimentSpec
@@ -108,6 +111,42 @@ class TestCoreEndpoints:
             assert excinfo.value.status == 400, body
             assert "bad spec" in str(excinfo.value)
         assert client.healthz()["status"] == "ok"
+
+
+class TestRetainedResults:
+    def test_older_results_are_reread_from_the_result_cache(self, tmp_path, monkeypatch):
+        from repro.service import jobs as jobs_module
+
+        monkeypatch.setattr(jobs_module, "RETAINED_RESULTS", 2)
+        with ThreadedService(cache=tmp_path / "cache") as hosted:
+            client = hosted.client()
+            bodies, kept = {}, []
+            for seed in range(5):
+                spec = make_spec(name=f"s{seed}", schemes=("base_dram", "dynamic:4x4"),
+                                 seeds=(seed,))
+                job_id = client.submit(spec)["job"]["id"]
+                client.wait(job_id, timeout=300)
+                bodies[job_id] = client.result(job_id)
+                kept.append(weakref.ref(hosted.service.job(job_id).result))
+            gc.collect()
+            assert sum(ref() is not None for ref in kept) <= 2
+            for job_id, body in bodies.items():
+                assert client.result(job_id) == body
+
+    def test_a_result_whose_records_left_the_cache_is_gone(self, tmp_path, monkeypatch):
+        from repro.service import jobs as jobs_module
+
+        monkeypatch.setattr(jobs_module, "RETAINED_RESULTS", 0)
+        with ThreadedService(cache=tmp_path / "cache") as hosted:
+            client = hosted.client()
+            job_id = client.submit(make_spec())["job"]["id"]
+            client.wait(job_id, timeout=300)
+            assert len(client.result(job_id)["records"]) == make_spec().n_cells
+            for entry in (tmp_path / "cache" / "results").glob("*.json"):
+                entry.unlink()
+            with pytest.raises(ServiceError) as caught:
+                client.result(job_id)
+            assert caught.value.status == 410
 
 
 class TestEventsOverHTTP:

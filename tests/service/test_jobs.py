@@ -4,6 +4,7 @@ import pytest
 
 from repro.api.records import ResultSet
 from repro.api.spec import ExperimentSpec
+from repro.service import jobs as jobs_module
 from repro.service.jobs import (
     ACTIVE_STATES,
     CANCELLED,
@@ -254,3 +255,20 @@ class TestEventRing:
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ValueError, match="events_limit"):
             JobRegistry(events_limit=0).submit(make_spec())
+
+
+class TestRetainedResults:
+    def test_only_the_most_recent_done_jobs_keep_their_results(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "RETAINED_RESULTS", 2)
+        registry = JobRegistry()
+        finished = []
+        for seed in range(3):
+            job, _ = registry.submit(make_spec(seeds=(seed,)))
+            job.mark_running()
+            result = ResultSet(records=(), spec=job.spec, meta={"seed": seed})
+            registry.finish(job, result)
+            finished.append(job)
+        assert [job.result is not None for job in finished] == [False, True, True]
+        assert [job.state for job in finished] == [DONE] * 3
+        assert [job.meta for job in finished] == [{"seed": s} for s in range(3)]
+        assert [job.n_records for job in finished] == [0, 0, 0]

@@ -9,6 +9,10 @@ and byte-identical per-request completion arrays.  Degenerate batches of
 size one and batches mixing static/dynamic/baseline schemes are part of
 the property space, as are small epoch schedules (many transitions) and
 a 1-entry write buffer (store stretches pop immediately).
+
+``run_timing_batch`` routes its slot schemes by a cost rule
+(``batch_pays``), so the same property is also checked on the batched
+kernel itself, and the router is tested on both sides of the rule.
 """
 
 import numpy as np
@@ -22,10 +26,23 @@ from repro.core.scheme import (
     DynamicScheme,
     StaticScheme,
     dynamic,
+    expand_scheme_grid,
     scheme_from_spec,
 )
 from repro.cpu.trace import EnergyEvents, MissTrace
-from repro.sim.timing import _replay_slotted_batch, run_timing, run_timing_batch
+from repro.frontier import FrontierConfig
+from repro.perf.bench import FRONTIER_CELL_GRID
+from repro.sim import timing
+from repro.sim.simulator import SecureProcessorSim, SimConfig
+from repro.sim.timing import (
+    BATCH_MIN_CONFIGS,
+    BATCH_SPARSE_CONFIGS,
+    _build_result,
+    _replay_slotted_batch,
+    batch_pays,
+    run_timing,
+    run_timing_batch,
+)
 
 #: A schedule with tiny epochs so short runs cross many transitions.
 FAST_EPOCHS = EpochSchedule(first_epoch_cycles=1 << 10, growth=2, tmax_cycles=1 << 40)
@@ -71,12 +88,38 @@ def make_miss_trace(gaps, blocking, tail=123.5):
     )
 
 
+#: The slot schemes of the pool: what the batched kernel replays.
+SLOT_POOL = [
+    scheme for scheme in SCHEME_POOL
+    if not isinstance(scheme, (BaseDramScheme, BaseOramScheme))
+]
+
+
 def assert_batch_identical(miss_trace, schemes, entries=8, record_requests=True):
     """run_timing_batch == [run_timing(...)] element-wise, per config."""
     batch = run_timing_batch(
         miss_trace, schemes, write_buffer_entries=entries,
         record_requests=record_requests,
     )
+    return assert_matches_oracle(miss_trace, schemes, batch, entries, record_requests)
+
+
+def batched_kernel(miss_trace, schemes, entries=8, record_requests=True):
+    """Replay slot ``schemes`` on the batched kernel, whatever the rule says."""
+    controllers = [scheme.build_controller() for scheme in schemes]
+    replays = _replay_slotted_batch(miss_trace, controllers, entries, record_requests)
+    return [
+        _build_result(
+            miss_trace, scheme, controller, end_time, completions,
+            record_requests, record_observable_trace=False,
+        )
+        for scheme, controller, (end_time, completions)
+        in zip(schemes, controllers, replays)
+    ]
+
+
+def assert_matches_oracle(miss_trace, schemes, batch, entries, record_requests):
+    """Each of ``batch`` equals its scheme's ``run_timing`` oracle."""
     assert len(batch) == len(schemes)
     for scheme, got in zip(schemes, batch):
         want = run_timing(
@@ -125,6 +168,115 @@ class TestPropertyEquivalence:
         assert_batch_identical(
             miss_trace, schemes, entries=entries, record_requests=record
         )
+
+
+    @given(
+        gaps=st.lists(
+            st.one_of(
+                st.floats(0.0, 5000.0, allow_nan=False),
+                st.just(0.0),
+                st.integers(0, 100_000).map(float),
+            ),
+            min_size=0, max_size=100,
+        ),
+        blocking=st.lists(st.booleans(), min_size=100, max_size=100),
+        scheme_indices=st.lists(
+            st.integers(0, len(SLOT_POOL) - 1), min_size=2, max_size=10,
+        ),
+        entries=st.sampled_from([1, 2, 8]),
+        record=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_trace_any_batch_through_batched_kernel(
+        self, gaps, blocking, scheme_indices, entries, record
+    ):
+        """The batched kernel stays exact wherever the rule would route."""
+        miss_trace = make_miss_trace(gaps, blocking)
+        schemes = [SLOT_POOL[i] for i in scheme_indices]
+        assert_matches_oracle(
+            miss_trace, schemes,
+            batched_kernel(miss_trace, schemes, entries, record),
+            entries, record,
+        )
+
+
+def _count_batches(monkeypatch) -> list:
+    """Record the config count of every batched-kernel call."""
+    calls = []
+    kernel = timing._replay_slotted_batch
+
+    def counting(miss_trace, controllers, *args):
+        calls.append(len(controllers))
+        return kernel(miss_trace, controllers, *args)
+
+    monkeypatch.setattr(timing, "_replay_slotted_batch", counting)
+    return calls
+
+
+def _workload_trace(benchmark, input_name=None):
+    sim = SecureProcessorSim(SimConfig(n_instructions=40_000))
+    return sim.miss_trace(benchmark, input_name)
+
+
+#: The default frontier sweep's 115 slot configs (its schemes but base_dram).
+FRONTIER_GRID_115 = FrontierConfig().schemes()[1:]
+
+
+class TestRouting:
+    """Both sides of ``n >= 8 + 200*s``: the path taken, and bit-identity."""
+
+    def test_figure6_batch_on_a_sparse_trace_replays_single(self, monkeypatch):
+        miss_trace = _workload_trace("gobmk")
+        schemes = [
+            scheme_from_spec(spec)
+            for spec in ("base_dram", "base_oram", "dynamic:4x4",
+                         "static:300", "static:500", "static:1300")
+        ]
+        calls = _count_batches(monkeypatch)
+        assert_batch_identical(miss_trace, schemes, record_requests=False)
+        assert calls == []
+
+    def test_frontier_cell_grid_on_libquantum_stays_batched(self, monkeypatch):
+        miss_trace = _workload_trace("libquantum")
+        schemes = [scheme_from_spec(spec) for spec in expand_scheme_grid(FRONTIER_CELL_GRID)]
+        calls = _count_batches(monkeypatch)
+        assert_batch_identical(miss_trace, schemes, record_requests=False)
+        assert calls == [16]
+
+    def test_frontier_grid_on_h264ref_replays_single(self, monkeypatch):
+        miss_trace = _workload_trace("h264ref")
+        schemes = [scheme_from_spec(spec) for spec in FRONTIER_GRID_115]
+        assert len(schemes) == 115
+        calls = _count_batches(monkeypatch)
+        assert_batch_identical(miss_trace, schemes, record_requests=False)
+        assert calls == []
+
+    def test_rule_boundary_is_exact(self):
+        """With 5 of 100 gaps above the rate, 18 configs batch and 17 do not."""
+        miss_trace = make_miss_trace([10.0] * 95 + [500.0] * 5, [True] * 100)
+        threshold = BATCH_MIN_CONFIGS + BATCH_SPARSE_CONFIGS * 0.05
+        assert threshold == 18
+        static = StaticScheme(rate=300, oram_latency=37)
+        assert batch_pays(miss_trace, [static.build_controller()] * 18)
+        assert not batch_pays(miss_trace, [static.build_controller()] * 17)
+
+    def test_the_smallest_rate_sets_the_sparsity(self):
+        """A dynamic config's fastest candidate rate counts, not its start."""
+        miss_trace = make_miss_trace([400.0] * 100, [True] * 100)
+        slow = [StaticScheme(rate=1000).build_controller()] * BATCH_MIN_CONFIGS
+        assert batch_pays(miss_trace, slow)  # no gap reaches rate 1000
+        fast = dynamic(4, 4).build_controller()  # starts at 10000, can go to 256
+        assert fast.rate > 400 > fast.learner.rates.fastest
+        assert not batch_pays(miss_trace, slow + [fast])
+
+    def test_dense_batches_below_the_minimum_replay_single(self, monkeypatch):
+        miss_trace = make_miss_trace([1.0] * 50, [True] * 50)
+        schemes = [StaticScheme(rate=100 + i, oram_latency=37) for i in range(7)]
+        calls = _count_batches(monkeypatch)
+        assert_batch_identical(miss_trace, schemes)
+        assert calls == []
+        assert_batch_identical(miss_trace, schemes + [StaticScheme(rate=99)])
+        assert calls == [8]
 
 
 class TestBatchShapes:

@@ -1,5 +1,8 @@
 """Tests for the simulator facade and its caching."""
 
+import sys
+import threading
+
 import pytest
 
 import repro.sim.simulator as simulator_module
@@ -169,6 +172,49 @@ class TestPassMemo:
         assert modes == ["reference"]
         assert trace is not fast
         assert trace.checksum() == fast.checksum()
+
+    def test_the_memo_keeps_only_the_most_recently_used_passes(self, monkeypatch):
+        monkeypatch.setattr(simulator_module, "PASS_MEMO_ENTRIES", 2)
+        memo = simulator_module._PassMemo()
+        memo["a"], memo["b"] = "A", "B"
+        assert memo.get("a") == "A"  # "a" is now the most recent
+        memo["c"] = "C"
+        assert (memo.get("a"), memo.get("b"), memo.get("c")) == ("A", None, "C")
+        assert len(memo) == 2
+
+    def test_the_memo_stays_bounded_under_concurrent_threads(self, monkeypatch):
+        """Eight threads hammer a 4-entry memo; every hit is the value
+        stored under its key and the bound always holds."""
+        monkeypatch.setattr(simulator_module, "PASS_MEMO_ENTRIES", 4)
+        memo = simulator_module._PassMemo()
+        errors = []
+
+        def hammer(worker):
+            try:
+                for i in range(2000):
+                    key = (worker + i) % 12
+                    memo[key] = ("trace", key)
+                    got = memo.get((key + 5) % 12)
+                    if got is not None and got != ("trace", (key + 5) % 12):
+                        errors.append(got)
+                    if len(memo) > 4:
+                        errors.append(len(memo))
+            except Exception as error:  # a lost update surfaces as KeyError
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(memo) == 4
 
 
 class TestWarmupConfig:
