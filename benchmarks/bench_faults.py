@@ -16,11 +16,11 @@ import tempfile
 from pathlib import Path
 
 from benchmarks.conftest import emit
+from repro import obs
 from repro.api.backends import ProcessPoolBackend
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
 from repro.api.spec import ExperimentSpec
-from repro.faults import counters
 from repro.faults.plan import FaultPlan, FaultSpec
 
 BENCH_INSTRUCTIONS = 20_000
@@ -45,13 +45,13 @@ def _run_with_kill(workdir: str):
         faults=(FaultSpec(kind="kill", site="worker-cell", at=1),),
         token_dir=str(workdir / "tokens"),
     )
-    before = counters.snapshot()
+    before = obs.snapshot()
     with plan.activated():
         recovered = Engine(
             backend=ProcessPoolBackend(max_workers=2, retry_backoff_s=0.01),
             cache=workdir / "cache-faulty",
         ).run(SPEC)
-    return clean, recovered, counters.delta(before), workdir
+    return clean, recovered, obs.delta(before), workdir
 
 
 def test_bench_kill_recovery(benchmark):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 from typing import Protocol, Sequence
 
+from repro import obs
 from repro.api.cache import ExperimentCache
 from repro.api.execution import (
     _execute_batch_in_worker,
@@ -32,7 +33,6 @@ from repro.api.execution import (
 )
 from repro.api.records import RunRecord
 from repro.api.spec import Cell
-from repro.faults import counters
 from repro.sim.simulator import add_passes
 from repro.util.backoff import full_jitter
 
@@ -221,14 +221,14 @@ class ProcessPoolBackend:
         pending = self._dispatch_round(states, workers, cache_root)
         retry_round = 0
         while pending:
-            counters.bump("pool_rebuilds")
+            obs.bump("pool_rebuilds")
             survivors: list[_BatchState] = []
             for state in pending:
                 if state.attempts >= self.max_batch_attempts:
                     # Deterministic crasher: quarantine the group as
                     # poison instead of aborting the whole sweep.
                     state.poisoned = True
-                    counters.bump("cells_poisoned", len(state.batch))
+                    obs.bump("cells_poisoned", len(state.batch))
                     warnings.warn(
                         f"ProcessPoolBackend: poisoned {len(state.batch)} cell(s) "
                         f"of group {functional_pass_key(state.batch[0])} after "
@@ -237,7 +237,7 @@ class ProcessPoolBackend:
                         stacklevel=2,
                     )
                 else:
-                    counters.bump("worker_retries")
+                    obs.bump("worker_retries")
                     survivors.append(state)
             if not survivors:
                 break

@@ -21,9 +21,9 @@ file, file ``fsync`` and rename, and the ``results/`` directory is
 fsynced once per batch, after its last rename.  Corrupt entries —
 truncated pickles, bad JSON, wrong shapes — are never silently
 discarded: they move to a ``quarantine/`` sibling directory (evidence
-for triage), count into
-``repro.faults.counters.artifacts_quarantined``, and the key reads as a
-miss so the artifact is recomputed.
+for triage), count into the ``artifacts_quarantined`` counter of
+:mod:`repro.obs`, and the key reads as a miss so the artifact is
+recomputed.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ import tempfile
 from pathlib import Path
 from typing import Iterable
 
+from repro import obs
 from repro.api.records import RunRecord
 from repro.api.spec import TRACE_SCHEMA_VERSION
 from repro.cpu.trace import MissTrace
-from repro.faults import counters
 from repro.faults.plan import corrupt_bytes
 
 #: Environment variable overriding the default cache location.
@@ -126,7 +126,7 @@ def quarantine_artifact(path: Path) -> Path | None:
         os.replace(path, target)
     except OSError:
         return None
-    counters.bump("artifacts_quarantined")
+    obs.bump("artifacts_quarantined")
     return target
 
 

@@ -59,10 +59,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+from repro import obs
 from repro.api.cache import _atomic_write_bytes
 from repro.api.execution import functional_pass_key
 from repro.api.spec import Cell
-from repro.faults import counters
 from repro.faults.plan import fault_point
 from repro.util.backoff import full_jitter
 
@@ -388,7 +388,7 @@ class WorkQueue:
             if task is None:
                 self._remove(self._lease_path(task_id))
                 continue
-            counters.bump("leases_claimed")
+            obs.bump("leases_claimed")
             return Claim(
                 task=task, worker_id=worker_id,
                 attempt=attempt, deadline=lease_doc["deadline"],
@@ -438,7 +438,7 @@ class WorkQueue:
             os.replace(path, marker)
         except OSError:
             return False  # another reaper won
-        counters.bump("leases_expired")
+        obs.bump("leases_expired")
         self._requeue(task_id, attempt, now, reason="lease-expired",
                       worker=lease.get("worker", "?"))
         return True
@@ -482,7 +482,7 @@ class WorkQueue:
             "attempt": attempt,
             "reason": reason,
         }, sort_keys=True).encode())
-        counters.bump("tasks_requeued")
+        obs.bump("tasks_requeued")
 
     def _poison(self, task_id: str, reason: str = "max-attempts",
                 last_worker: str = "?") -> None:
@@ -496,8 +496,8 @@ class WorkQueue:
         with os.fdopen(fd, "w") as handle:
             json.dump({"reason": reason, "attempts": self.attempts_used(task_id),
                        "last_worker": last_worker}, handle, sort_keys=True)
-        counters.bump("tasks_poisoned")
-        counters.bump("cells_poisoned", self._n_cells(task_id))
+        obs.bump("tasks_poisoned")
+        obs.bump("cells_poisoned", self._n_cells(task_id))
 
     def complete(self, task_id: str, worker_id: str, passes: int = 0) -> None:
         """Mark a task done and release its lease.

@@ -37,7 +37,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.faults import counters
+from repro import obs
 
 #: Environment variable carrying the active plan into pool workers.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
@@ -281,7 +281,7 @@ def fault_point(site: str) -> None:
             continue
         if not plan.claim(spec):
             continue
-        counters.bump("faults_injected")
+        obs.bump("faults_injected")
         if spec.kind == "kill":
             os._exit(KILL_EXIT_CODE)
         elif spec.kind == "delay":
@@ -305,6 +305,6 @@ def corrupt_bytes(site: str, payload: bytes) -> bytes:
             continue
         if not plan.claim(spec):
             continue
-        counters.bump("faults_injected")
+        obs.bump("faults_injected")
         return payload[: len(payload) // 2]
     return payload

@@ -37,7 +37,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.faults import counters
+from repro import obs
 from repro.faults.plan import FaultPlan, FaultSpec
 
 #: Sweep shape shared by every scenario: 4 cells, 2 functional passes,
@@ -78,10 +78,10 @@ def scenario_worker_crash(workdir: Path) -> dict:
     baseline = Engine(backend=SerialBackend()).run(spec)
     kill = FaultSpec(kind="kill", site="worker-cell", at=1)
     plan = FaultPlan(faults=(kill,), token_dir=str(workdir / "tokens-worker"))
-    before = counters.snapshot()
+    before = obs.snapshot()
     with plan.activated():
         chaotic = Engine(backend=ProcessPoolBackend(max_workers=2)).run(spec)
-    delta = counters.delta(before)
+    delta = obs.delta(before)
 
     checks: list = []
     _check(checks, "digest matches fault-free run",
@@ -117,9 +117,9 @@ def scenario_corrupt_artifact(workdir: Path) -> dict:
         path.write_bytes(path.read_bytes()[:16])
 
     clear_pass_memo()  # force disk reads: no warm in-process traces
-    before = counters.snapshot()
+    before = obs.snapshot()
     second = Engine(cache=ExperimentCache(root)).run(spec)
-    delta = counters.delta(before)
+    delta = obs.delta(before)
     quarantined = (
         list((cache.results.root / "quarantine").glob("*"))
         + list((cache.traces.root / "quarantine").glob("*"))
@@ -155,9 +155,9 @@ def scenario_torn_write(workdir: Path) -> dict:
         first = Engine(cache=ExperimentCache(root)).run(spec)
 
     clear_pass_memo()
-    before = counters.snapshot()
+    before = obs.snapshot()
     second = Engine(cache=ExperimentCache(root)).run(spec)
-    delta = counters.delta(before)
+    delta = obs.delta(before)
 
     checks: list = []
     _check(checks, "digest matches fault-free run",
@@ -196,28 +196,26 @@ def scenario_daemon_restart(workdir: Path) -> dict:
     with open(journal.path, "a", encoding="utf-8") as handle:
         handle.write('{"op": "submit", "job_id": "j-0000')  # torn append
 
-    before = counters.snapshot()
+    before = obs.snapshot()
 
-    async def _restart() -> tuple[list, dict]:
+    async def _restart() -> list:
         service = SweepService(cache=ExperimentCache(root), max_concurrency=1)
         resumed = await service.resume()
         await service.drain()
-        snap = service.metrics_snapshot()
-        states = [job.state for job in resumed]
         await service.shutdown()
-        return states, snap
+        return [job.state for job in resumed]
 
-    states, snap = asyncio.run(_restart())
-    delta = counters.delta(before)
+    states = asyncio.run(_restart())
+    delta = obs.delta(before)
 
     checks: list = []
     _check(checks, "exactly one interrupted job resumed",
-           len(states) == 1 and snap["jobs_resumed"] == 1,
-           f"states={states}, jobs_resumed={snap['jobs_resumed']}")
+           len(states) == 1 and delta["jobs_resumed"] == 1,
+           f"states={states}, jobs_resumed={delta['jobs_resumed']}")
     _check(checks, "resumed job ran to done", states == ["done"])
     _check(checks, "duplicate interrupted submission deduplicated",
-           snap["jobs_deduplicated"] == 1)
-    _check(checks, "finished job not re-run", snap["jobs_submitted"] == 2)
+           delta["jobs_deduplicated"] == 1)
+    _check(checks, "finished job not re-run", delta["jobs_submitted"] == 2)
     _check(checks, "torn journal line skipped, not fatal",
            delta.get("journal_lines_skipped", 0) >= 1, f"delta={delta}")
     return _report("daemon-restart", checks)
@@ -237,10 +235,10 @@ def scenario_client_retry(workdir: Path) -> dict:
     with ThreadedService(cache=workdir / "cache-client") as hosted:
         client = hosted.client()
         client.retry_backoff_s = 0.01
-        before = counters.snapshot()
+        before = obs.snapshot()
         with plan.activated():
             health = client.healthz()
-        delta = counters.delta(before)
+        delta = obs.delta(before)
         _check(checks, "request survived two refused connects",
                bool(health), f"health={health}")
         _check(checks, "both retries counted",
@@ -283,9 +281,9 @@ def scenario_corrupt_import(workdir: Path) -> dict:
     store = IngestStore(workdir / "ingest-faulty")
     with plan.activated():
         torn_digest = store.import_trace(source)
-    before = counters.snapshot()
+    before = obs.snapshot()
     loaded_torn = store.load(torn_digest)
-    delta = counters.delta(before)
+    delta = obs.delta(before)
     quarantined = list((store.root / "quarantine").glob("*"))
 
     healed_digest = store.import_trace(source)
@@ -443,8 +441,3 @@ def run_scenario(name: str, workdir: str | Path | None = None) -> dict:
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     return SCENARIOS[name](workdir)
-
-
-def run_scenarios(names=None, workdir: str | Path | None = None) -> list[dict]:
-    """Run several scenarios (all of them by default)."""
-    return [run_scenario(name, workdir) for name in (names or SCENARIO_NAMES)]

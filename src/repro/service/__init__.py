@@ -7,9 +7,10 @@ package keeps that state alive: a persistent asyncio daemon
 jobs over HTTP/IPC (:mod:`repro.service.http`), schedules them onto one
 shared engine with per-functional-pass locking (N concurrent sweeps pay
 the passes of one), streams per-job progress events, and exposes live
-metrics.  A load generator (:mod:`repro.service.loadgen`) proves the
-claim under open/closed-loop pressure and records the saturation curves
-pinned in ``benchmarks/BENCH_service.json``.
+metrics from the process-wide registry (:mod:`repro.obs`).  A load
+generator (:mod:`repro.service.loadgen`) proves the claim under
+open/closed-loop pressure and records the saturation curves pinned in
+``benchmarks/BENCH_service.json``.
 
 Operator documentation — endpoints, metrics glossary, load-test recipe —
 lives in ``docs/operations.md``.  From the shell::
@@ -44,7 +45,6 @@ from repro.service.loadgen import (
     run_load,
     run_saturation,
 )
-from repro.service.metrics import ServiceMetrics
 
 __all__ = [
     "DEFAULT_CONCURRENCY",
@@ -59,7 +59,6 @@ __all__ = [
     "ServiceError",
     "ServiceHTTPServer",
     "ServiceUnavailable",
-    "ServiceMetrics",
     "SweepService",
     "ThreadedService",
     "default_templates",

@@ -25,8 +25,8 @@ import socket
 import time
 from typing import Iterator
 
+from repro import obs
 from repro.api.spec import ExperimentSpec
-from repro.faults import counters
 from repro.faults.plan import fault_point
 from repro.util.backoff import full_jitter
 
@@ -140,7 +140,7 @@ class ServiceClient:
                         f"after {attempt} attempt(s): {error}",
                         attempts=attempt,
                     ) from error
-                counters.bump("client_retries")
+                obs.bump("client_retries")
                 # Full jitter: a daemon restart orphans every client at
                 # once, and deterministic delays would reconnect them in
                 # lockstep waves (see repro.util.backoff).

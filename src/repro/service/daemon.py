@@ -15,31 +15,34 @@ concurrent sweeps over the same (benchmark, seed) lattice therefore pay
 exactly the passes one sweep would — the invariant
 ``benchmarks/BENCH_service.json`` pins under load and the ``/metrics``
 ``functional_passes`` counter (the engine's ``passes_computed``) exposes live.
+A key's lock lives only while some group holds it or waits on it.
 
 Engine execution is synchronous, so groups run on a thread pool sized to
 ``max_concurrency``; the vectorized kernels spend their time in numpy
 (which releases the GIL), so distinct benchmarks' passes genuinely
-overlap.  Everything observable — job states, events, metrics — lives on
-the event loop thread.
+overlap.  Job states and events live on the event loop thread; the
+counters live in the process-wide registry (:mod:`repro.obs`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+from repro import obs
 from repro.api.backends import ExecutionBackend
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
 from repro.api.execution import functional_pass_key
 from repro.api.records import ResultSet
 from repro.api.spec import ExperimentSpec
-from repro.faults import counters as fault_counters
 from repro.service.jobs import (
+    CANCELLED,
     DEFAULT_EVENTS_LIMIT,
     DONE,
     FAILED,
@@ -48,10 +51,26 @@ from repro.service.jobs import (
     QUEUED,
 )
 from repro.service.journal import JobJournal
-from repro.service.metrics import ServiceMetrics
 
 #: Default number of jobs executing concurrently.
 DEFAULT_CONCURRENCY = 2
+
+#: The counter each terminal state bumps.
+END_COUNTERS = {DONE: "jobs_completed", FAILED: "jobs_failed",
+                CANCELLED: "jobs_cancelled"}
+
+
+def _job_meta(spec: ExperimentSpec, groups: list[ResultSet]) -> dict:
+    """A job's meta, built as :meth:`Engine.run` builds a run's: ``cells``
+    is the spec's cell count and every per-group count is summed, so a
+    ``cells_poisoned`` count appears exactly when some group lost cells.
+    """
+    meta = {"backend": "service", "cells": spec.n_cells}
+    for group in groups:
+        for key, count in group.meta.items():
+            if key not in ("backend", "cells"):
+                meta[key] = meta.get(key, 0) + count
+    return meta
 
 
 def subgroup_specs(spec: ExperimentSpec) -> list[tuple[str, int, ExperimentSpec]]:
@@ -112,13 +131,11 @@ class SweepService:
         elif journal is False:
             journal = None
         self.journal = journal
-        self.registry = JobRegistry(
-            events_limit=events_limit,
-            on_drop=self._on_events_dropped,
-        )
-        self.metrics = ServiceMetrics()
+        self.registry = JobRegistry(events_limit=events_limit)
+        self._started = time.monotonic()
         self._slots = asyncio.Semaphore(max_concurrency)
-        self._pass_locks: dict[tuple, asyncio.Lock] = {}
+        #: functional_pass_key -> [lock, groups holding or waiting on it]
+        self._pass_locks: dict[tuple, list] = {}
         self._changed = asyncio.Condition()
         self._tasks: set[asyncio.Task] = set()
         self._accepting = True
@@ -135,8 +152,10 @@ class SweepService:
         if not self._accepting:
             raise RuntimeError("service is shutting down")
         job, deduped = self.registry.submit(spec)
-        self.metrics.record_job_submitted(deduplicated=deduped)
-        if not deduped:
+        obs.bump("jobs_submitted")
+        if deduped:
+            obs.bump("jobs_deduplicated")
+        else:
             if self.journal is not None:
                 self.journal.record_submitted(job.id, spec.to_dict(), job.digest)
             task = asyncio.create_task(self._run_job(job), name=f"job-{job.id}")
@@ -163,17 +182,9 @@ class SweepService:
             if not deduped:
                 job.add_event("resumed", original_id=entry.job_id,
                               last_state=entry.last_state)
-                self.metrics.record_job_resumed()
+                obs.bump("jobs_resumed")
                 resumed.append(job)
         return resumed
-
-    def _journal_state(self, job: Job) -> None:
-        """Append a terminal transition to the journal (if enabled)."""
-        if self.journal is not None:
-            self.journal.record_state(job.id, job.state)
-
-    def _on_events_dropped(self, amount: int) -> None:
-        self.metrics.record_events_dropped(amount)
 
     def job(self, job_id: str) -> Job:
         """Job by id (KeyError for unknown ids)."""
@@ -206,46 +217,54 @@ class SweepService:
         return ResultSet(records=records, spec=job.spec, meta=job.meta)
 
     async def cancel(self, job_id: str) -> bool:
-        """Cancel a job; running jobs stop at the next group boundary."""
-        cancelled = self.registry.cancel(job_id)
-        if cancelled and self.registry.get(job_id).is_terminal:
-            self.metrics.record_job_finished(
-                "cancelled", latency_s=self.registry.get(job_id).latency
-            )
-            self._journal_state(self.registry.get(job_id))
-        await self._notify()
-        return cancelled
+        """Cancel a job: a queued one ends at once, a running one at its
+        next group boundary.  False for a job that already ended."""
+        if not self.registry.cancel(job_id):
+            return False
+        job = self.registry.get(job_id)
+        if job.state == QUEUED:
+            await self._end(job, CANCELLED)
+        return True
+
+    def _uptime(self) -> float:
+        return max(time.monotonic() - self._started, 1e-9)
+
+    def health(self) -> dict:
+        """The ``/healthz`` document: uptime and the accepting flag,
+        without the cache listing ``/metrics`` makes."""
+        return {"status": "ok", "uptime_s": self._uptime(),
+                "accepting": self._accepting}
 
     def metrics_snapshot(self) -> dict:
         """The live ``/metrics`` document.
 
-        Alongside the service's own counters, the process-global fault
-        recovery counters (:mod:`repro.faults.counters`) are merged in
-        under a ``recovery_`` prefix — worker retries, pool rebuilds,
-        quarantined artifacts, and friends, monotonic and scrapeable.
+        The counters are the process-wide registry's (:mod:`repro.obs`):
+        the daemon's own, then the recovery counters under a
+        ``recovery_`` prefix, all monotonic.  The rates are taken over
+        this daemon's uptime; the gauges are the daemon's.
         """
-        recovery = {
-            f"recovery_{name}": value
-            for name, value in fault_counters.snapshot().items()
+        counts = obs.snapshot()
+        uptime = self._uptime()
+        serviced = counts["cells_serviced"]
+        busy = obs.busy_seconds()
+        return {
+            **{name: counts[name] for name in obs.SERVICE_COUNTERS},
+            "uptime_s": uptime,
+            "queue_depth": self.registry.queue_depth(),
+            "running_jobs": self.registry.running_count(),
+            "workers": self.max_concurrency,
+            "cache_hit_rate": counts["cache_hits"] / serviced if serviced else 0.0,
+            "cells_per_second": serviced / uptime,
+            "jobs_per_second": counts["jobs_completed"] / uptime,
+            "worker_busy_s": busy,
+            "worker_utilization": min(busy / (uptime * self.max_concurrency), 1.0),
+            "job_latency_ms": obs.latency_percentiles(),
+            "accepting": self._accepting,
+            "backend": getattr(self.engine.backend, "name",
+                               type(self.engine.backend).__name__),
+            "trace_cache_entries": self.engine.cache.traces.entry_count(),
+            **{f"recovery_{name}": counts[name] for name in obs.RECOVERY_COUNTERS},
         }
-        backend_name = getattr(
-            self.engine.backend, "name", type(self.engine.backend).__name__
-        )
-        return self.metrics.snapshot(
-            queue_depth=self.registry.queue_depth(),
-            running_jobs=self.registry.running_count(),
-            workers=self.max_concurrency,
-            extra={
-                "accepting": self._accepting,
-                "backend": backend_name,
-                **self._cache_gauges(),
-                **recovery,
-            },
-        )
-
-    def _cache_gauges(self) -> dict:
-        traces = self.engine.cache.traces
-        return {"trace_cache_entries": traces.entry_count()}
 
     # ------------------------------------------------------------------
     # Waiting / event streaming
@@ -286,11 +305,21 @@ class SweepService:
     # Execution
     # ------------------------------------------------------------------
 
-    def _pass_lock(self, key: tuple) -> asyncio.Lock:
-        lock = self._pass_locks.get(key)
-        if lock is None:
-            lock = self._pass_locks[key] = asyncio.Lock()
-        return lock
+    @contextlib.asynccontextmanager
+    async def _pass_lock(self, key: tuple):
+        """Hold ``key``'s functional-pass lock, dropping the lock once no
+        group holds it or waits on it."""
+        entry = self._pass_locks.get(key)
+        if entry is None:
+            entry = self._pass_locks[key] = [asyncio.Lock(), 0]
+        entry[1] += 1
+        try:
+            async with entry[0]:
+                yield
+        finally:
+            entry[1] -= 1
+            if entry[1] == 0:
+                del self._pass_locks[key]
 
     async def _run_group(self, job: Job, benchmark: str, seed: int,
                          subspec: ExperimentSpec) -> ResultSet:
@@ -302,18 +331,18 @@ class SweepService:
             results = await loop.run_in_executor(
                 self._executor, self.engine.run, subspec
             )
-            self.metrics.record_busy(time.monotonic() - started)
+            obs.add_busy(time.monotonic() - started)
         meta = results.meta
-        self.metrics.record_cells(
-            run=meta["cells_run"], hits=meta["cache_hits"],
-            functional_passes=meta["passes_computed"],
-        )
+        obs.bump("cells_serviced", meta["cells_run"] + meta["cache_hits"])
+        obs.bump("cells_run", meta["cells_run"])
+        obs.bump("cache_hits", meta["cache_hits"])
+        obs.bump("functional_passes", meta["passes_computed"])
         job.add_event(
             "progress", benchmark=benchmark, seed=seed,
             cells=meta["cells"], cache_hits=meta["cache_hits"],
             cells_run=meta["cells_run"], functional_passes=meta["passes_computed"],
         )
-        self.metrics.record_progress_event()
+        obs.bump("progress_events")
         await self._notify()
         return results
 
@@ -321,44 +350,35 @@ class SweepService:
         async with self._slots:
             if job.state != QUEUED:  # cancelled while waiting for a slot
                 return
-            job.mark_running()
-            self.metrics.record_job_started()
+            self.registry.start(job)
+            obs.bump("jobs_started")
             await self._notify()
-            records: list = []
-            cache_hits = cells_run = passes = 0
+            groups: list[ResultSet] = []
             try:
                 for benchmark, seed, subspec in subgroup_specs(job.spec):
                     if job.cancel_requested:
-                        job.mark_cancelled()
-                        self.metrics.record_job_finished("cancelled", job.latency)
-                        self._journal_state(job)
-                        await self._notify()
+                        await self._end(job, CANCELLED)
                         return
-                    results = await self._run_group(job, benchmark, seed, subspec)
-                    records.extend(results.records)
-                    cache_hits += results.meta["cache_hits"]
-                    cells_run += results.meta["cells_run"]
-                    passes += results.meta["passes_computed"]
+                    groups.append(await self._run_group(job, benchmark, seed, subspec))
             except Exception:
-                job.mark_failed(traceback.format_exc(limit=8))
-                self.metrics.record_job_finished(FAILED, job.latency)
-                self._journal_state(job)
-                await self._notify()
+                await self._end(job, FAILED, error=traceback.format_exc(limit=8))
                 return
-            self.registry.finish(job, ResultSet(
-                records=tuple(records),
+            await self._end(job, DONE, result=ResultSet(
+                records=tuple(record for group in groups for record in group.records),
                 spec=job.spec,
-                meta={
-                    "backend": "service",
-                    "cells": len(records),
-                    "cache_hits": cache_hits,
-                    "cells_run": cells_run,
-                    "passes_computed": passes,
-                },
+                meta=_job_meta(job.spec, groups),
             ))
-            self.metrics.record_job_finished(DONE, job.latency)
-            self._journal_state(job)
-            await self._notify()
+
+    async def _end(self, job: Job, state: str, result: ResultSet | None = None,
+                   error: str | None = None) -> None:
+        """Book a job's end in one place: mark it, count it, record its
+        latency, journal it and wake every waiter."""
+        self.registry.end(job, state, result=result, error=error)
+        obs.bump(END_COUNTERS[state])
+        obs.record_latency(job.latency)
+        if self.journal is not None:
+            self.journal.record_state(job.id, job.state)
+        await self._notify()
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -7,7 +7,7 @@ progress events.  The endpoint reference lives in
 ``docs/operations.md``; in short:
 
 ==========================  ====================================================
-``GET  /healthz``           liveness + uptime
+``GET  /healthz``           :meth:`SweepService.health`: liveness + uptime
 ``GET  /metrics``           :meth:`SweepService.metrics_snapshot` as JSON
 ``POST /jobs``              body ``{"spec": ExperimentSpec.to_dict()}`` -> job
 ``GET  /jobs``              all job summaries, submission order
@@ -166,11 +166,7 @@ class ServiceHTTPServer:
         service = self.service
 
         if path == "/healthz" and method == "GET":
-            snap = service.metrics_snapshot()
-            await self._send_json(writer, 200, {
-                "status": "ok", "uptime_s": snap["uptime_s"],
-                "accepting": snap["accepting"],
-            })
+            await self._send_json(writer, 200, service.health())
         elif path == "/metrics" and method == "GET":
             await self._send_json(writer, 200, service.metrics_snapshot())
         elif path == "/jobs" and method == "POST":

@@ -5,10 +5,12 @@ with its lifecycle state, an append-only progress event log, and (once
 finished) its :class:`~repro.api.records.ResultSet`.  The
 :class:`JobRegistry` owns admission: FIFO ordering, duplicate-spec
 deduplication (two in-flight submissions of the same spec share one
-job), and the queued -> running -> done/failed/cancelled transitions.
-It keeps the records of only the ``RETAINED_RESULTS`` most recently
-finished jobs in memory; an older done job keeps its meta and record
-count, and the daemon re-reads its records from the result cache.
+job), and every queued -> running -> done/failed/cancelled transition,
+so it can answer dedup and the queue gauges from an index of active
+jobs and a count per state, without visiting finished jobs.  It keeps
+the records of only the ``RETAINED_RESULTS`` most recently finished
+jobs in memory; an older done job keeps its meta and record count, and
+the daemon re-reads its records from the result cache.
 
 Everything here is synchronous and loop-free — the asyncio daemon
 (:mod:`repro.service.daemon`) layers scheduling on top — so queue
@@ -36,6 +38,7 @@ import time
 from collections import deque
 from typing import Callable, Iterator
 
+from repro import obs
 from repro.api.records import ResultSet
 from repro.api.spec import ExperimentSpec
 
@@ -93,30 +96,29 @@ class Job:
     oldest are discarded (counted in ``events_dropped``), and a replay
     that reaches back across the drop boundary gets a synthetic
     ``events_dropped`` notice so ``?since=`` resumption stays honest.
-    Mutation goes through the ``mark_*`` methods, which validate the
-    state machine — an invalid transition raises ``RuntimeError`` rather
-    than silently corrupting the queue.
+    State changes go through the owning :class:`JobRegistry`, which
+    validates the state machine — an invalid transition raises
+    ``RuntimeError`` rather than silently corrupting the queue.
     """
 
     def __init__(
         self,
         job_id: str,
         spec: ExperimentSpec,
+        digest: str,
         clock: Callable[[], float],
         events_limit: int = DEFAULT_EVENTS_LIMIT,
-        on_drop: Callable[[int], None] | None = None,
     ) -> None:
         if events_limit < 1:
             raise ValueError(f"events_limit must be >= 1, got {events_limit}")
         self.id = job_id
         self.spec = spec
-        self.digest = spec_digest(spec)
+        self.digest = digest
         self.state = QUEUED
         self.events: list[dict] = []
         self.events_limit = events_limit
         self.events_dropped = 0
         self._next_seq = 1
-        self._on_drop = on_drop
         #: The finished ResultSet while the registry retains it; ``meta``
         #: and ``n_records`` outlive it.
         self.result: ResultSet | None = None
@@ -125,7 +127,6 @@ class Job:
         self.error: str | None = None
         self.dedup_hits = 0
         self.cancel_requested = False
-        self._clock = clock
         self.submitted_at = clock()
         self.started_at: float | None = None
         self.finished_at: float | None = None
@@ -139,7 +140,8 @@ class Job:
         """Append one progress event and return it.
 
         Appending past ``events_limit`` evicts the oldest retained
-        events; seq numbers keep counting, only retention is bounded.
+        events (counted in the ``events_dropped`` metric); seq numbers
+        keep counting, only retention is bounded.
         """
         event = {"seq": self._next_seq, "kind": kind, **payload}
         self._next_seq += 1
@@ -148,8 +150,7 @@ class Job:
         if overflow > 0:
             del self.events[:overflow]
             self.events_dropped += overflow
-            if self._on_drop is not None:
-                self._on_drop(overflow)
+            obs.bump("events_dropped", overflow)
         return event
 
     def events_since(self, seq: int) -> list[dict]:
@@ -169,43 +170,6 @@ class Job:
                           "dropped": missing}
                 return [notice] + list(self.events)
         return [event for event in self.events if event["seq"] > seq]
-
-    # ------------------------------------------------------------------
-    # State machine
-    # ------------------------------------------------------------------
-
-    def _transition(self, target: str, allowed: frozenset[str] | set[str]) -> None:
-        if self.state not in allowed:
-            raise RuntimeError(f"job {self.id}: cannot go {self.state} -> {target}")
-        self.state = target
-
-    def mark_running(self) -> None:
-        """queued -> running."""
-        self._transition(RUNNING, {QUEUED})
-        self.started_at = self._clock()
-        self.add_event("started")
-
-    def mark_done(self, result: ResultSet) -> None:
-        """running -> done, attaching the result."""
-        self._transition(DONE, {RUNNING})
-        self.result = result
-        self.meta = result.meta
-        self.n_records = len(result)
-        self.finished_at = self._clock()
-        self.add_event("done", records=len(result), **result.meta)
-
-    def mark_failed(self, error: str) -> None:
-        """queued/running -> failed."""
-        self._transition(FAILED, ACTIVE_STATES)
-        self.error = error
-        self.finished_at = self._clock()
-        self.add_event("failed", error=error)
-
-    def mark_cancelled(self) -> None:
-        """queued/running -> cancelled (running jobs stop between groups)."""
-        self._transition(CANCELLED, ACTIVE_STATES)
-        self.finished_at = self._clock()
-        self.add_event("cancelled")
 
     # ------------------------------------------------------------------
     # Views
@@ -246,28 +210,27 @@ class Job:
 class JobRegistry:
     """Admission control: FIFO ordering, dedup, and state bookkeeping.
 
+    Every state change goes through :meth:`start` or :meth:`end`, which
+    keep the index of active jobs by spec digest and the count per
+    state, so dedup and the queue gauges never visit finished jobs.
+
     Args:
         clock: Monotonic time source (injectable for deterministic
             tests).
         events_limit: Ring-buffer bound applied to every admitted job's
             event log.
-        on_drop: Callback invoked with the number of events evicted
-            whenever any job's ring overflows (the daemon wires this to
-            its ``events_dropped`` metric).
     """
 
     def __init__(
         self,
         clock: Callable[[], float] = time.monotonic,
         events_limit: int = DEFAULT_EVENTS_LIMIT,
-        on_drop: Callable[[int], None] | None = None,
     ) -> None:
         self._clock = clock
         self._events_limit = events_limit
-        self._on_drop = on_drop
-        self._jobs: dict[str, Job] = {}
-        self._order: list[str] = []
-        self._counter = 0
+        self._jobs: dict[str, Job] = {}      # every admitted job, in order
+        self._active: dict[str, Job] = {}    # queued or running, by digest
+        self._counts = dict.fromkeys(ACTIVE_STATES | TERMINAL_STATES, 0)
         self._retained: deque[Job] = deque()
 
     def submit(self, spec: ExperimentSpec) -> tuple[Job, bool]:
@@ -281,59 +244,88 @@ class JobRegistry:
         persistent result cache).
         """
         digest = spec_digest(spec)
-        for job_id in self._order:
-            job = self._jobs[job_id]
-            if job.digest == digest and job.state in ACTIVE_STATES:
-                job.dedup_hits += 1
-                return job, True
-        self._counter += 1
-        job = Job(f"j-{self._counter:06d}", spec, self._clock,
-                  events_limit=self._events_limit, on_drop=self._on_drop)
+        job = self._active.get(digest)
+        if job is not None:
+            job.dedup_hits += 1
+            return job, True
+        job = Job(f"j-{len(self._jobs) + 1:06d}", spec, digest, self._clock,
+                  events_limit=self._events_limit)
         self._jobs[job.id] = job
-        self._order.append(job.id)
+        self._active[digest] = job
+        self._counts[QUEUED] += 1
         return job, False
 
     def get(self, job_id: str) -> Job:
         """Look a job up by id (KeyError for unknown ids)."""
         return self._jobs[job_id]
 
-    def finish(self, job: Job, result: ResultSet) -> None:
-        """Mark ``job`` done with ``result``; release the ResultSet of the
-        job that falls out of the ``RETAINED_RESULTS`` most recent."""
-        job.mark_done(result)
-        self._retained.append(job)
-        while len(self._retained) > RETAINED_RESULTS:
-            self._retained.popleft().result = None
+    def _move(self, job: Job, target: str, allowed: frozenset[str] | set[str]) -> None:
+        if job.state not in allowed:
+            raise RuntimeError(f"job {job.id}: cannot go {job.state} -> {target}")
+        self._counts[job.state] -= 1
+        self._counts[target] += 1
+        job.state = target
+
+    def start(self, job: Job) -> None:
+        """queued -> running."""
+        self._move(job, RUNNING, {QUEUED})
+        job.started_at = self._clock()
+        job.add_event("started")
+
+    def end(self, job: Job, state: str, result: ResultSet | None = None,
+            error: str | None = None) -> None:
+        """Move an active job to a terminal state.
+
+        ``done`` (running jobs only) attaches ``result`` and releases
+        the ResultSet of the job that falls out of the
+        ``RETAINED_RESULTS`` most recent; ``failed`` records ``error``.
+        """
+        if state not in TERMINAL_STATES:
+            raise ValueError(f"not a terminal job state: {state!r}")
+        self._move(job, state, {RUNNING} if state == DONE else ACTIVE_STATES)
+        del self._active[job.digest]
+        job.finished_at = self._clock()
+        if state == DONE:
+            job.result = result
+            job.meta = result.meta
+            job.n_records = len(result)
+            job.add_event("done", records=len(result), **result.meta)
+            self._retained.append(job)
+            while len(self._retained) > RETAINED_RESULTS:
+                self._retained.popleft().result = None
+        elif state == FAILED:
+            job.error = error
+            job.add_event("failed", error=error)
+        else:
+            job.add_event("cancelled")
 
     def cancel(self, job_id: str) -> bool:
         """Request cancellation; returns False for terminal jobs.
 
-        Queued jobs cancel immediately.  Running jobs get
-        ``cancel_requested`` set and stop at the next benchmark-seed
-        group boundary.
+        Only sets ``cancel_requested``: the daemon ends a queued job at
+        once and a running one at its next benchmark-seed group
+        boundary.
         """
         job = self.get(job_id)
         if job.is_terminal:
             return False
         job.cancel_requested = True
-        if job.state == QUEUED:
-            job.mark_cancelled()
         return True
 
     def __iter__(self) -> Iterator[Job]:
         """Jobs in submission order."""
-        return iter(self._jobs[job_id] for job_id in self._order)
+        return iter(self._jobs.values())
 
     def __len__(self) -> int:
         return len(self._jobs)
 
     def queue_depth(self) -> int:
         """Jobs admitted but not yet running."""
-        return sum(1 for job in self if job.state == QUEUED)
+        return self._counts[QUEUED]
 
     def running_count(self) -> int:
         """Jobs currently executing."""
-        return sum(1 for job in self if job.state == RUNNING)
+        return self._counts[RUNNING]
 
     def snapshot(self) -> list[dict]:
         """Per-job summaries in submission order."""

@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.faults import counters
+from repro import obs
 from repro.service.jobs import TERMINAL_STATES
 
 #: Journal location relative to a cache root.
@@ -125,7 +125,7 @@ class JobJournal:
                 else:
                     raise ValueError(f"unknown journal op: {op!r}")
             except (ValueError, KeyError, TypeError):
-                counters.bump("journal_lines_skipped")
+                obs.bump("journal_lines_skipped")
         pending: list[PendingJob] = []
         for job_id, entry in submitted.items():
             state = states.get(job_id, "queued")

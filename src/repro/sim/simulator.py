@@ -32,7 +32,7 @@ from repro.cache.hierarchy import HierarchyConfig, PAPER_HIERARCHY, simulate_hie
 from repro.cpu.core import CoreModel, DEFAULT_CORE
 from repro.cpu.trace import MemoryTrace, MissTrace
 from repro.sim.result import SimResult
-from repro.sim.timing import run_timing, run_timing_batch
+from repro.sim.timing import run_timing
 from repro.workloads.registry import build_trace
 
 #: Passes the process-wide memo keeps; the least recently used goes first.
@@ -65,7 +65,8 @@ class _PassMemo:
                 self._entries.popitem(last=False)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:  # an insert runs over the bound until it evicts
+            return len(self._entries)
 
     def clear(self) -> None:
         with self._lock:
@@ -262,32 +263,6 @@ class SecureProcessorSim:
         return run_timing(
             miss_trace,
             scheme,
-            write_buffer_entries=self.config.write_buffer_entries,
-            record_requests=record_requests,
-            mode=self.config.kernel_mode,
-        )
-
-    def run_batch(
-        self,
-        benchmark: str,
-        schemes: list,
-        input_name: str | None = None,
-        record_requests: bool = False,
-    ) -> list[SimResult]:
-        """Replay one benchmark under many schemes with one routed call.
-
-        One shared functional pass, then a single
-        :func:`~repro.sim.timing.run_timing_batch` call, which advances
-        the slot-controller configurations in lockstep when its cost
-        rule says the batch is cheaper.  Results are
-        bit-identical, scheme for scheme, to calling :meth:`run` per
-        scheme; ``record_requests`` defaults to aggregates-only, since a
-        batch multiplies per-request arrays by its width.
-        """
-        miss_trace = self.miss_trace(benchmark, input_name)
-        return run_timing_batch(
-            miss_trace,
-            schemes,
             write_buffer_entries=self.config.write_buffer_entries,
             record_requests=record_requests,
             mode=self.config.kernel_mode,

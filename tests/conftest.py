@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.oram.config import ORAMConfig, TreeGeometry
 from repro.oram.path_oram import PathORAM
 from repro.sim.simulator import SecureProcessorSim, SimConfig
@@ -32,3 +33,10 @@ def shared_sim() -> SecureProcessorSim:
     Tests must not mutate its cached miss traces.
     """
     return SecureProcessorSim(SimConfig(n_instructions=120_000, seed=3))
+
+
+@pytest.fixture(autouse=True)
+def fresh_metrics():
+    """Zero the process-wide metrics registry (:mod:`repro.obs`), so a
+    test that asserts an absolute counter value sees only its own work."""
+    obs.reset()

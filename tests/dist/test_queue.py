@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.api.spec import Cell
 from repro.dist.queue import (
     DEFAULT_LEASE_TTL_S,
@@ -18,7 +19,6 @@ from repro.dist.queue import (
     list_queues,
     task_id_for_cells,
 )
-from repro.faults import counters
 
 
 def make_cell(scheme: str = "base_dram", seed: int = 0, benchmark: str = "mcf") -> Cell:
@@ -138,9 +138,9 @@ class TestClaim:
         assert queue.claim("w1") is None
 
     def test_counter_bumped(self, queue):
-        before = counters.value("leases_claimed")
+        before = obs.snapshot()
         queue.claim("w1")
-        assert counters.value("leases_claimed") == before + 1
+        assert obs.delta(before)["leases_claimed"] == 1
 
     def test_claim_respects_requeue_backoff(self, queue, clock):
         claim = queue.claim("w1")
@@ -199,9 +199,9 @@ class TestReap:
     def test_expired_lease_moves_to_failed_marker(self, queue, clock):
         claim = queue.claim("w1")
         clock.advance(10.5)
-        before = counters.snapshot()
+        before = obs.snapshot()
         assert queue.reap_expired() == 1
-        delta = counters.delta(before)
+        delta = obs.delta(before)
         assert delta["leases_expired"] == 1
         assert delta["tasks_requeued"] == 1
         assert (queue.root / "failed" / f"{claim.task_id}.1").exists()
@@ -240,9 +240,9 @@ class TestCompleteAndRelease:
 
     def test_release_failed_counts_as_attempt(self, queue, clock):
         claim = queue.claim("w1")
-        before = counters.value("tasks_requeued")
+        before = obs.snapshot()
         assert queue.release_failed(claim.task_id, "w1", error="boom")
-        assert counters.value("tasks_requeued") == before + 1
+        assert obs.delta(before)["tasks_requeued"] == 1
         assert queue.attempts_used(claim.task_id) == 1
         marker = queue.root / "failed" / f"{claim.task_id}.1"
         assert "boom" in marker.read_text()
@@ -274,14 +274,14 @@ class TestPoison:
 
     def test_poison_terminal_and_counted(self, queue, clock):
         task_id = queue.task_ids()[0]
-        before = counters.snapshot()
+        before = obs.snapshot()
         queue._poison(task_id)
-        delta = counters.delta(before)
+        delta = obs.delta(before)
         assert queue.is_poisoned(task_id)
         assert delta["tasks_poisoned"] == 1
         assert delta["cells_poisoned"] == 2  # both cells of the task
         queue._poison(task_id)  # idempotent: no double count
-        assert counters.delta(before)["tasks_poisoned"] == 1
+        assert obs.delta(before)["tasks_poisoned"] == 1
 
     def test_finished_includes_poisoned(self, queue):
         task_a, task_b = queue.task_ids()
@@ -346,7 +346,7 @@ class TestMalformedTasks:
         solo._task_path(task_id).write_bytes(
             _malformed_payloads(task_id, make_cell())[kind]
         )
-        before = counters.snapshot()
+        before = obs.snapshot()
         assert solo.claim("w1") is None
         assert solo.is_poisoned(task_id)
         assert solo.lease_of(task_id) is None
@@ -354,7 +354,7 @@ class TestMalformedTasks:
         poison = json.loads(solo._poison_path(task_id).read_text())
         assert poison["reason"].startswith("malformed-task")
         assert poison["last_worker"] == "w1"
-        delta = counters.delta(before)
+        delta = obs.delta(before)
         assert delta["tasks_poisoned"] == 1
         assert delta.get("cells_poisoned", 0) == 0
         assert delta.get("leases_claimed", 0) == 0

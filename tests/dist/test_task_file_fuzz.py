@@ -16,9 +16,9 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.api.spec import Cell
 from repro.dist.queue import WorkQueue
-from repro.faults import counters
 
 CELL = Cell(
     benchmark="mcf", input_name=None, scheme_spec="base_dram", seed=0,
@@ -95,7 +95,7 @@ def test_mutated_task_file_never_wedges_or_crashes_the_board(data):
 
         stats = queue.stats()
         assert stats["tasks"] == 1 and stats["cells"] in (0, 1)
-        before = counters.snapshot()
+        before = obs.snapshot()
         for _ in range(8):
             if queue.finished():
                 break
@@ -106,7 +106,7 @@ def test_mutated_task_file_never_wedges_or_crashes_the_board(data):
                 queue.complete(claim.task_id, "fuzz")
         assert queue.finished()
         if queue.is_poisoned(task_id):
-            assert counters.delta(before)["tasks_poisoned"] == 1
+            assert obs.delta(before)["tasks_poisoned"] == 1
             assert queue.stats()["cells"] == 0
         else:
             assert queue.is_done(task_id)

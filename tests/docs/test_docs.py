@@ -29,11 +29,10 @@ DOCTESTED_MODULES = (
     "repro.core.learner",
     "repro.service",
     "repro.service.jobs",
-    "repro.service.metrics",
     "repro.service.client",
     "repro.service.loadgen",
     "repro.service.journal",
-    "repro.faults.counters",
+    "repro.obs",
     "repro.faults.plan",
     "repro.util.backoff",
     "repro.ingest.errors",

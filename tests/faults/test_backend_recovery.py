@@ -8,10 +8,10 @@ after ``max_batch_attempts`` instead of wedging the sweep.
 
 import pytest
 
+from repro import obs
 from repro.api.backends import ProcessPoolBackend, SerialBackend
 from repro.api.engine import Engine
 from repro.api.spec import ExperimentSpec
-from repro.faults import counters
 from repro.faults.plan import FaultPlan, FaultSpec
 
 #: Two benchmarks -> two functional-pass groups -> a real 2-worker pool
@@ -35,12 +35,12 @@ class TestKillRecovery:
     def test_digest_identical_after_worker_kill(self, tmp_path):
         baseline = Engine(backend=SerialBackend()).run(SPEC)
         plan = make_plan(tmp_path, kind="kill", at=1)
-        before = counters.snapshot()
+        before = obs.snapshot()
         with plan.activated():
             recovered = Engine(
                 backend=ProcessPoolBackend(max_workers=2, retry_backoff_s=0.01)
             ).run(SPEC)
-        delta = counters.delta(before)
+        delta = obs.delta(before)
         assert recovered.digest() == baseline.digest()
         assert delta["pool_rebuilds"] >= 1
         assert delta["worker_retries"] >= 1
@@ -82,10 +82,10 @@ class TestPoisonQuarantine:
         backend = ProcessPoolBackend(
             max_workers=2, max_batch_attempts=2, retry_backoff_s=0.01
         )
-        before = counters.snapshot()
+        before = obs.snapshot()
         with plan.activated(), pytest.warns(RuntimeWarning, match="poisoned"):
             results = Engine(backend=backend).run(SPEC)
-        delta = counters.delta(before)
+        delta = obs.delta(before)
         assert results.meta["cells_poisoned"] == SPEC.n_cells
         assert results.meta["cells_run"] == 0
         assert len(results.records) == 0          # sweep completed, empty

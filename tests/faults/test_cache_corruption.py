@@ -10,10 +10,10 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.api.cache import QUARANTINE_DIR, ExperimentCache, ResultCache, TraceCache
 from repro.api.engine import Engine
 from repro.api.spec import ExperimentSpec
-from repro.faults import counters
 from repro.sim.simulator import clear_pass_memo
 from tests.api.conftest import build_record
 from tests.api.test_api_cache import tiny_miss_trace
@@ -33,9 +33,9 @@ class TestTraceCorruption:
 
     def test_truncated_pickle_quarantined(self, tmp_path):
         cache = self.put_and_corrupt(tmp_path, b"\x80\x04\x95")
-        before = counters.snapshot()
+        before = obs.snapshot()
         assert cache.get("k") is None
-        assert counters.delta(before)["artifacts_quarantined"] == 1
+        assert obs.delta(before)["artifacts_quarantined"] == 1
         assert len(quarantined(tmp_path)) == 1
         assert not list(tmp_path.glob("*.pkl"))   # original moved, not copied
 
@@ -67,9 +67,9 @@ class TestTraceCorruption:
 
     def test_absent_entry_is_plain_miss_without_quarantine(self, tmp_path):
         cache = TraceCache(tmp_path)
-        before = counters.snapshot()
+        before = obs.snapshot()
         assert cache.get("nothing") is None
-        assert counters.delta(before)["artifacts_quarantined"] == 0
+        assert obs.delta(before)["artifacts_quarantined"] == 0
 
 
 class TestResultCorruption:
@@ -82,9 +82,9 @@ class TestResultCorruption:
 
     def test_bad_json_quarantined(self, tmp_path):
         cache = self.put_and_corrupt(tmp_path, '{"benchmark": "mcf", tru')
-        before = counters.snapshot()
+        before = obs.snapshot()
         assert cache.get("h") is None
-        assert counters.delta(before)["artifacts_quarantined"] == 1
+        assert obs.delta(before)["artifacts_quarantined"] == 1
         assert len(quarantined(tmp_path)) == 1
 
     def test_wrong_schema_shape_quarantined(self, tmp_path):

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.faults import counters
+from repro import obs
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.service.client import (
     DEFAULT_CONNECT_RETRIES,
@@ -48,12 +48,12 @@ class TestConstruction:
 class TestDeadAddress:
     def test_raises_service_unavailable_with_attempts(self):
         client = make_client(free_port(), connect_retries=2)
-        before = counters.snapshot()
+        before = obs.snapshot()
         with pytest.raises(ServiceUnavailable) as info:
             client.healthz()
         assert info.value.attempts == 3           # 1 initial + 2 retries
         assert info.value.status == 0
-        assert counters.delta(before)["client_retries"] == 2
+        assert obs.delta(before)["client_retries"] == 2
 
     def test_unavailable_is_a_service_error(self):
         # Callers catching ServiceError keep working; status 0 tells
@@ -64,11 +64,11 @@ class TestDeadAddress:
 
     def test_zero_retries_fails_fast(self):
         client = make_client(free_port(), connect_retries=0)
-        before = counters.snapshot()
+        before = obs.snapshot()
         with pytest.raises(ServiceUnavailable) as info:
             client.healthz()
         assert info.value.attempts == 1
-        assert counters.delta(before)["client_retries"] == 0
+        assert obs.delta(before)["client_retries"] == 0
 
 
 class TestInjectedRefusal:
@@ -99,10 +99,10 @@ class TestInjectedRefusal:
                 token_dir=str(tmp_path / "tokens"),
             )
             client = make_client(port, connect_retries=2)
-            before = counters.snapshot()
+            before = obs.snapshot()
             with plan.activated():
                 assert client.healthz() == {"status": "ok"}
-            assert counters.delta(before)["client_retries"] == 2
+            assert obs.delta(before)["client_retries"] == 2
         finally:
             thread.join(timeout=5)
             server.close()

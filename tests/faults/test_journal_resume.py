@@ -5,9 +5,9 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.api.cache import ExperimentCache
 from repro.api.spec import ExperimentSpec
-from repro.faults import counters
 from repro.service.daemon import SweepService
 from repro.service.hosting import ThreadedService
 from repro.service.jobs import spec_digest
@@ -54,10 +54,10 @@ class TestJobJournal:
             handle.write("not json at all\n")
             handle.write(json.dumps({"op": "teleport", "job_id": "j-9"}) + "\n")
             handle.write('{"op": "submit", "job_id": "j-2"')  # torn append
-        before = counters.snapshot()
+        before = obs.snapshot()
         pending = journal.replay()
         assert [p.job_id for p in pending] == ["j-1"]
-        assert counters.delta(before)["journal_lines_skipped"] == 3
+        assert obs.delta(before)["journal_lines_skipped"] == 3
 
     def test_append_only(self, tmp_path):
         journal = JobJournal(tmp_path / "jobs.ndjson")

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.faults import counters
+from repro import obs
 from repro.faults.plan import (
     FAULT_PLAN_ENV,
     FaultPlan,
@@ -108,10 +108,10 @@ class TestFaultPoint:
 
     def test_firing_bumps_injection_counter(self, tmp_path):
         plan = make_plan(tmp_path, FaultSpec(kind="delay", site="s", delay_s=0.0))
-        before = counters.snapshot()
+        before = obs.snapshot()
         with plan.activated():
             fault_point("s")
-        assert counters.delta(before).get("faults_injected") == 1
+        assert obs.delta(before).get("faults_injected") == 1
 
     def test_sites_are_independent(self, tmp_path):
         plan = make_plan(tmp_path, FaultSpec(kind="refuse", site="a"))
@@ -141,17 +141,17 @@ class TestCorruptBytes:
 
 class TestCounters:
     def test_bump_and_delta(self):
-        before = counters.snapshot()
-        counters.bump("worker_retries")
-        counters.bump("cells_poisoned", 3)
-        delta = counters.delta(before)
+        before = obs.snapshot()
+        obs.bump("worker_retries")
+        obs.bump("cells_poisoned", 3)
+        delta = obs.delta(before)
         assert delta["worker_retries"] == 1
         assert delta["cells_poisoned"] == 3
 
     def test_rejects_unknown_counter(self):
         with pytest.raises(KeyError):
-            counters.bump("made_up_counter")
+            obs.bump("made_up_counter")
 
     def test_rejects_negative_amount(self):
         with pytest.raises(ValueError):
-            counters.bump("worker_retries", -1)
+            obs.bump("worker_retries", -1)

@@ -12,6 +12,7 @@ import asyncio
 import pytest
 
 import repro.sim.simulator as simulator_module
+from repro import obs
 from repro.api.cache import ExperimentCache
 from repro.api.spec import ExperimentSpec
 from repro.cli import main
@@ -68,9 +69,9 @@ class TestZeroRedundancy:
             jobs = [(await service.submit(spec))[0] for spec in specs]
             done = [await service.wait(job.id, timeout=300) for job in jobs]
             await service.shutdown()
-            return service, done
+            return done
 
-        service, jobs = run(scenario())
+        jobs = run(scenario())
         assert [job.state for job in jobs] == ["done"] * 4
         for job, expected in zip(jobs, (s.n_cells for s in (j.spec for j in jobs))):
             assert len(job.result.records) == job.spec.n_cells
@@ -78,7 +79,7 @@ class TestZeroRedundancy:
         # (benchmark, seed) lattice point, no matter how many jobs ran.
         lattice = len(BENCHMARKS) * 1
         assert cache.traces.entry_count() == lattice
-        assert service.metrics.counters["functional_passes"] == lattice
+        assert obs.snapshot()["functional_passes"] == lattice
 
     def test_sequential_jobs_reuse_the_warm_cache(self, cache):
         async def scenario():
@@ -90,10 +91,9 @@ class TestZeroRedundancy:
             )
             await service.wait(second.id, timeout=300)
             await service.shutdown()
-            return service
 
-        service = run(scenario())
-        assert service.metrics.counters["functional_passes"] == len(BENCHMARKS)
+        run(scenario())
+        assert obs.snapshot()["functional_passes"] == len(BENCHMARKS)
         assert cache.traces.entry_count() == len(BENCHMARKS)
 
     def test_metric_counts_passes_recomputed_over_corrupt_traces(
@@ -120,13 +120,31 @@ class TestZeroRedundancy:
             )
             await service.wait(second.id, timeout=300)
             await service.shutdown()
-            return service, second
+            return second
 
-        service, second = run(scenario())
+        second = run(scenario())
         # The truncated traces are quarantined and their passes recomputed.
         assert calls["n"] == 2 * len(BENCHMARKS)
-        assert service.metrics.counters["functional_passes"] == calls["n"]
+        assert obs.snapshot()["functional_passes"] == calls["n"]
         assert second.result.meta["passes_computed"] == len(BENCHMARKS)
+
+
+    def test_pass_locks_live_only_while_a_group_uses_them(self, cache):
+        async def scenario():
+            service = SweepService(cache=cache, max_concurrency=1)
+            for seed in range(20):
+                job, _ = await service.submit(ExperimentSpec(
+                    name=f"seed-{seed}", benchmarks=("mcf",), schemes=("base_dram",),
+                    seeds=(seed,), n_instructions=N_INSTRUCTIONS,
+                ))
+                await service.wait(job.id, timeout=300)
+                assert job.state == "done"
+            await service.shutdown()
+            return service
+
+        service = run(scenario())
+        assert obs.snapshot()["functional_passes"] == 20
+        assert service._pass_locks == {}
 
 
 class TestDeduplication:
@@ -137,13 +155,13 @@ class TestDeduplication:
             again, deduped_again = await service.submit(make_spec())
             await service.wait(first.id, timeout=300)
             await service.shutdown()
-            return service, first, again, deduped_first, deduped_again
+            return first, again, deduped_first, deduped_again
 
-        service, first, again, deduped_first, deduped_again = run(scenario())
+        first, again, deduped_first, deduped_again = run(scenario())
         assert not deduped_first and deduped_again
         assert again is first
-        assert service.metrics.counters["jobs_deduplicated"] == 1
-        assert service.metrics.counters["jobs_completed"] == 1
+        assert obs.snapshot()["jobs_deduplicated"] == 1
+        assert obs.snapshot()["jobs_completed"] == 1
 
     def test_resubmitted_finished_spec_is_served_from_result_cache(self, cache):
         async def scenario():
@@ -162,6 +180,8 @@ class TestDeduplication:
         assert second.result.meta["cache_hits"] == second.spec.n_cells
         assert second.result.meta["cells_run"] == 0
         assert second.result.records == first.result.records
+        counts = obs.snapshot()
+        assert (counts["cells_serviced"], counts["cells_run"], counts["cache_hits"]) == (8, 4, 4)
 
 
 class TestEventsAndCancellation:
@@ -198,15 +218,16 @@ class TestEventsAndCancellation:
                 make_spec(name="victim", schemes=("base_dram", "dynamic:2x2"))
             )
             assert await service.cancel(waiting.id)
+            assert waiting.state == "cancelled"  # a queued job ends at once
             await service.wait(first.id, timeout=300)
             await service.drain()
             await service.shutdown()
-            return service, waiting
+            return waiting
 
-        service, waiting = run(scenario())
+        waiting = run(scenario())
         assert waiting.state == "cancelled"
-        assert service.metrics.counters["jobs_cancelled"] == 1
-        assert service.metrics.counters["jobs_started"] == 1
+        assert obs.snapshot()["jobs_cancelled"] == 1
+        assert obs.snapshot()["jobs_started"] == 1
 
     def test_engine_error_marks_job_failed(self, cache):
         async def scenario():
@@ -219,12 +240,12 @@ class TestEventsAndCancellation:
             job, _ = await service.submit(make_spec(name="doomed"))
             await service.wait(job.id, timeout=300)
             await service.shutdown()
-            return service, job
+            return job
 
-        service, job = run(scenario())
+        job = run(scenario())
         assert job.state == "failed"
         assert job.error and "engine exploded mid-pass" in job.error
-        assert service.metrics.counters["jobs_failed"] == 1
+        assert obs.snapshot()["jobs_failed"] == 1
 
 
 class TestLifecycle:
@@ -289,3 +310,40 @@ class TestQueueBackend:
         # The queue backend's lease traffic shows up in the recovery
         # counters the /metrics endpoint exports.
         assert dist_snap["recovery_leases_claimed"] >= 1
+
+
+class TestPoisonedCells:
+    def test_job_meta_keeps_the_poisoned_cells(self, cache, monkeypatch):
+        import repro.dist.worker as worker_module
+
+        real = worker_module.execute_cells_batch
+
+        def fails_on_mcf(cells, trace_store=None):
+            if any(cell.benchmark == "mcf" for cell in cells):
+                raise RuntimeError("executor down on mcf")
+            return real(cells, trace_store=trace_store)
+
+        monkeypatch.setattr(worker_module, "execute_cells_batch", fails_on_mcf)
+
+        async def scenario():
+            service = SweepService(
+                cache=cache, backend=WorkQueueBackend(workers=0, max_attempts=1)
+            )
+            job, _ = await service.submit(make_spec(name="poisoned"))
+            await service.wait(job.id, timeout=300)
+            result = await service.result(job)
+            snap = service.metrics_snapshot()
+            await service.shutdown()
+            return job, result, snap
+
+        job, result, snap = run(scenario())
+        assert job.state == "done"
+        assert job.meta == {
+            "backend": "service", "cells": 4, "cache_hits": 0, "cells_run": 2,
+            "passes_computed": 1, "cells_poisoned": 2,
+        }
+        assert job.n_records == len(result) == 2
+        assert {record.benchmark for record in result.records} == {"libquantum"}
+        done = job.events[-1]
+        assert done["kind"] == "done" and done["cells_poisoned"] == 2
+        assert snap["recovery_cells_poisoned"] == 2

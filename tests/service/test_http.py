@@ -198,6 +198,41 @@ class TestCancelAndShutdown:
         assert hosted.service.registry.get(job_id).is_terminal
 
 
+#: Every key of the ``/metrics`` document and the JSON type of its value.
+METRICS_DOCUMENT = {
+    "jobs_submitted": int, "jobs_deduplicated": int, "jobs_started": int,
+    "jobs_completed": int, "jobs_failed": int, "jobs_cancelled": int,
+    "cells_serviced": int, "cells_run": int, "cache_hits": int,
+    "functional_passes": int, "progress_events": int, "jobs_resumed": int,
+    "events_dropped": int,
+    "uptime_s": float, "queue_depth": int, "running_jobs": int, "workers": int,
+    "cache_hit_rate": float, "cells_per_second": float, "jobs_per_second": float,
+    "worker_busy_s": float, "worker_utilization": float, "job_latency_ms": dict,
+    "accepting": bool, "backend": str, "trace_cache_entries": int,
+    "recovery_worker_retries": int, "recovery_pool_rebuilds": int,
+    "recovery_cells_poisoned": int, "recovery_artifacts_quarantined": int,
+    "recovery_client_retries": int, "recovery_journal_lines_skipped": int,
+    "recovery_faults_injected": int, "recovery_leases_claimed": int,
+    "recovery_leases_expired": int, "recovery_tasks_requeued": int,
+    "recovery_tasks_poisoned": int,
+}
+
+
+class TestMetricsDocument:
+    def test_key_set_and_value_types(self, hosted):
+        client = hosted.client()
+        documents = [client.metrics()]
+        client.wait(client.submit(make_spec())["job"]["id"], timeout=300)
+        documents.append(client.metrics())
+        for document in documents:
+            assert set(document) == set(METRICS_DOCUMENT)
+            for key, kind in METRICS_DOCUMENT.items():
+                assert type(document[key]) is kind, key
+            assert set(document["job_latency_ms"]) == {"50.0", "95.0", "99.0"}
+            assert all(type(ms) is int for ms in document["job_latency_ms"].values())
+        assert documents[1]["jobs_completed"] == 1
+
+
 class TestUnixDomainSocket:
     def test_full_round_trip_over_uds(self, tmp_path):
         socket_path = str(tmp_path / "repro.sock")

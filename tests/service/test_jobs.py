@@ -1,7 +1,9 @@
 """Job lifecycle and registry semantics: ordering, dedup, cancellation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.api.records import ResultSet
 from repro.api.spec import ExperimentSpec
 from repro.service import jobs as jobs_module
@@ -13,6 +15,7 @@ from repro.service.jobs import (
     QUEUED,
     RUNNING,
     TERMINAL_STATES,
+    Job,
     JobRegistry,
     spec_digest,
 )
@@ -79,15 +82,15 @@ class TestDeduplication:
     def test_duplicate_attaches_while_running(self):
         registry = JobRegistry()
         job, _ = registry.submit(make_spec())
-        job.mark_running()
+        registry.start(job)
         again, deduped = registry.submit(make_spec())
         assert deduped and again is job
 
     def test_terminal_job_never_absorbs_resubmission(self):
         registry = JobRegistry()
         job, _ = registry.submit(make_spec())
-        job.mark_running()
-        job.mark_done(empty_result(job.spec))
+        registry.start(job)
+        registry.end(job, DONE, result=empty_result(job.spec))
         fresh, deduped = registry.submit(make_spec())
         assert not deduped
         assert fresh.id != job.id
@@ -100,31 +103,36 @@ class TestDeduplication:
 
 
 class TestCancellation:
-    def test_cancel_queued_is_immediate(self):
+    def test_cancel_queued_sets_flag_only(self):
+        # The daemon ends a queued job at once (tests/service/test_daemon.py).
         registry = JobRegistry()
         job, _ = registry.submit(make_spec())
         assert registry.cancel(job.id)
+        assert job.state == QUEUED and job.cancel_requested
+        registry.end(job, CANCELLED)
         assert job.state == CANCELLED and job.is_terminal
 
     def test_cancel_running_sets_flag_only(self):
         registry = JobRegistry()
         job, _ = registry.submit(make_spec())
-        job.mark_running()
+        registry.start(job)
         assert registry.cancel(job.id)
         assert job.state == RUNNING and job.cancel_requested
-        job.mark_cancelled()  # the scheduler acts on the flag
+        registry.end(job, CANCELLED)  # the scheduler acts on the flag
         assert job.state == CANCELLED
 
     def test_cancel_terminal_returns_false(self):
         registry = JobRegistry()
         job, _ = registry.submit(make_spec())
         registry.cancel(job.id)
+        registry.end(job, CANCELLED)
         assert not registry.cancel(job.id)
 
     def test_cancelled_job_frees_the_digest_for_new_jobs(self):
         registry = JobRegistry()
         job, _ = registry.submit(make_spec())
         registry.cancel(job.id)
+        registry.end(job, CANCELLED)
         fresh, deduped = registry.submit(make_spec())
         assert not deduped and fresh.id != job.id
 
@@ -139,14 +147,17 @@ class TestStateMachine:
         registry = JobRegistry()
         job, _ = registry.submit(make_spec())
         with pytest.raises(RuntimeError):
-            job.mark_done(empty_result(job.spec))  # queued -> done is illegal
-        job.mark_running()
+            registry.end(job, DONE, result=empty_result(job.spec))  # queued -> done
+        registry.start(job)
         with pytest.raises(RuntimeError):
-            job.mark_running()
-        job.mark_failed("boom")
+            registry.start(job)
+        with pytest.raises(ValueError):
+            registry.end(job, QUEUED)  # not a terminal state
+        registry.end(job, FAILED, error="boom")
         with pytest.raises(RuntimeError):
-            job.mark_cancelled()
+            registry.end(job, CANCELLED)
         assert job.error == "boom"
+        assert (registry.queue_depth(), registry.running_count()) == (0, 0)
 
     def test_latency_uses_injected_clock(self):
         clock = FakeClock()
@@ -154,9 +165,9 @@ class TestStateMachine:
         job, _ = registry.submit(make_spec())
         assert job.latency is None
         clock.now = 1.0
-        job.mark_running()
+        registry.start(job)
         clock.now = 3.5
-        job.mark_done(empty_result(job.spec))
+        registry.end(job, DONE, result=empty_result(job.spec))
         assert job.latency == pytest.approx(3.5)
 
 
@@ -164,9 +175,9 @@ class TestEvents:
     def test_event_log_is_append_only_with_dense_seq(self):
         registry = JobRegistry()
         job, _ = registry.submit(make_spec())
-        job.mark_running()
+        registry.start(job)
         job.add_event("progress", benchmark="mcf", seed=0)
-        job.mark_done(empty_result(job.spec))
+        registry.end(job, DONE, result=empty_result(job.spec))
         seqs = [event["seq"] for event in job.events]
         assert seqs == list(range(1, len(job.events) + 1))
         kinds = [event["kind"] for event in job.events]
@@ -175,17 +186,15 @@ class TestEvents:
     def test_events_since_is_exclusive(self):
         registry = JobRegistry()
         job, _ = registry.submit(make_spec())
-        job.mark_running()
+        registry.start(job)
         assert [e["kind"] for e in job.events_since(0)] == ["queued", "started"]
         assert [e["kind"] for e in job.events_since(1)] == ["started"]
         assert job.events_since(2) == []
 
 
 class TestEventRing:
-    def make_job(self, limit, drops=None):
-        on_drop = drops.append if drops is not None else None
-        registry = JobRegistry(events_limit=limit, on_drop=on_drop)
-        job, _ = registry.submit(make_spec())
+    def make_job(self, limit):
+        job, _ = JobRegistry(events_limit=limit).submit(make_spec())
         return job
 
     def test_retention_bounded_but_seq_monotonic(self):
@@ -196,19 +205,19 @@ class TestEventRing:
         assert job.events_dropped == 7        # 11 emitted (incl. queued) - 4 kept
         assert [e["seq"] for e in job.events] == [8, 9, 10, 11]
 
-    def test_on_drop_callback_sees_every_eviction(self):
-        drops = []
-        job = self.make_job(limit=2, drops=drops)
+    def test_every_eviction_is_counted(self):
+        before = obs.snapshot()
+        job = self.make_job(limit=2)
         for _ in range(5):
             job.add_event("progress")
-        assert sum(drops) == job.events_dropped == 4
+        assert obs.delta(before)["events_dropped"] == job.events_dropped == 4
 
     def test_no_drops_below_limit(self):
-        drops = []
-        job = self.make_job(limit=100, drops=drops)
+        before = obs.snapshot()
+        job = self.make_job(limit=100)
         job.add_event("progress")
         assert job.events_dropped == 0
-        assert drops == []
+        assert obs.delta(before)["events_dropped"] == 0
 
     def test_events_since_inserts_drop_notice_across_boundary(self):
         job = self.make_job(limit=3)
@@ -264,11 +273,80 @@ class TestRetainedResults:
         finished = []
         for seed in range(3):
             job, _ = registry.submit(make_spec(seeds=(seed,)))
-            job.mark_running()
+            registry.start(job)
             result = ResultSet(records=(), spec=job.spec, meta={"seed": seed})
-            registry.finish(job, result)
+            registry.end(job, DONE, result=result)
             finished.append(job)
         assert [job.result is not None for job in finished] == [False, True, True]
         assert [job.state for job in finished] == [DONE] * 3
         assert [job.meta for job in finished] == [{"seed": s} for s in range(3)]
         assert [job.n_records for job in finished] == [0, 0, 0]
+
+
+class _Untouchable(Job):
+    """A finished job that fails the test when anything reads its state
+    or digest."""
+
+    @property
+    def state(self):
+        raise AssertionError(f"visited finished job {self.id}")
+
+    @property
+    def digest(self):
+        raise AssertionError(f"visited finished job {self.id}")
+
+
+# One registry operation per hypothesis step: what, which spec or job,
+# and the terminal state an "end" asks for.
+_STEPS = st.tuples(
+    st.sampled_from(["submit", "start", "end", "cancel"]),
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from(sorted(TERMINAL_STATES)),
+)
+
+
+class TestIndexes:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_STEPS, max_size=40))
+    def test_gauges_and_dedup_equal_a_full_scan(self, steps):
+        registry = JobRegistry()
+        specs = [make_spec(seeds=(seed,)) for seed in range(3)]
+        jobs = []
+        for kind, index, state in steps:
+            if kind == "submit":
+                spec = specs[index % len(specs)]
+                active = [job for job in registry
+                          if job.digest == spec_digest(spec) and job.state in ACTIVE_STATES]
+                job, deduped = registry.submit(spec)
+                assert deduped == bool(active)
+                if active:
+                    assert job is active[0]
+                else:
+                    jobs.append(job)
+            elif jobs:
+                job = jobs[index % len(jobs)]
+                try:
+                    if kind == "start":
+                        registry.start(job)
+                    elif kind == "end":
+                        registry.end(job, state, result=empty_result(job.spec), error="e")
+                    else:
+                        registry.cancel(job.id)
+                except RuntimeError:
+                    pass  # an illegal transition leaves the books as they were
+            assert registry.queue_depth() == sum(job.state == QUEUED for job in registry)
+            assert registry.running_count() == sum(job.state == RUNNING for job in registry)
+
+    def test_submit_and_gauges_never_visit_finished_jobs(self):
+        registry = JobRegistry()
+        for seed in range(2000):
+            job, _ = registry.submit(make_spec(seeds=(seed,)))
+            registry.start(job)
+            registry.end(job, DONE, result=empty_result(job.spec))
+            job.__class__ = _Untouchable
+        job, deduped = registry.submit(make_spec(seeds=(0,)))
+        assert not deduped and job.id == "j-002001"
+        assert (registry.queue_depth(), registry.running_count()) == (1, 0)
+        assert registry.submit(make_spec(seeds=(0,))) == (job, True)
+        registry.start(job)
+        assert (registry.queue_depth(), registry.running_count()) == (0, 1)

@@ -8,6 +8,7 @@ import pytest
 import repro.sim.simulator as simulator_module
 from repro.core.scheme import BaseDramScheme, BaseOramScheme
 from repro.sim.simulator import SecureProcessorSim, SimConfig, clear_pass_memo
+from repro.sim.timing import run_timing_batch
 
 
 class TestCaching:
@@ -28,11 +29,13 @@ class TestRun:
         assert result.scheme_name == "base_dram"
         assert result.cycles > 0
 
-    def test_run_batch_shares_functional_pass(self, shared_sim):
+    def test_timing_batch_shares_functional_pass(self, shared_sim):
         results = {
             result.scheme_name: result
-            for result in shared_sim.run_batch(
-                "libquantum", [BaseDramScheme(), BaseOramScheme()]
+            for result in run_timing_batch(
+                shared_sim.miss_trace("libquantum"),
+                [BaseDramScheme(), BaseOramScheme()],
+                record_requests=False,
             )
         }
         assert set(results) == {"base_dram", "base_oram"}
