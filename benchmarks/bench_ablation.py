@@ -16,7 +16,7 @@
 from statistics import mean
 
 from benchmarks.conftest import emit
-from repro.core.epochs import EpochSchedule, sim_schedule
+from repro.core.epochs import sim_schedule
 from repro.core.rates import lg_spaced_rates
 from repro.core.scheme import BaseDramScheme, DynamicScheme
 from repro.sim.result import performance_overhead

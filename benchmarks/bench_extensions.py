@@ -11,8 +11,6 @@
   enforces L online instead of by schedule construction.
 """
 
-from statistics import mean
-
 from benchmarks.conftest import bench_instructions, emit
 from repro.cache.hierarchy import HierarchyConfig
 from repro.core.controller import TimingProtectedController

@@ -39,18 +39,20 @@ def main() -> None:
     print(f"spec: {len(spec.benchmarks)} benchmarks x {len(spec.schemes)} schemes "
           f"x {len(spec.seeds)} seeds = {spec.n_cells} cells\n")
 
-    pool_engine = Engine(ProcessPoolBackend(), cache=cache_dir)
-    start = time.perf_counter()
-    parallel = pool_engine.run(spec)
-    cold = time.perf_counter() - start
-    print(f"process pool, cold cache: {cold:.1f}s "
-          f"({parallel.meta['cells_run']} cells run)")
+    # The pool's workers live until the with block ends.
+    with ProcessPoolBackend() as pool:
+        pool_engine = Engine(pool, cache=cache_dir)
+        start = time.perf_counter()
+        parallel = pool_engine.run(spec)
+        cold = time.perf_counter() - start
+        print(f"process pool, cold cache: {cold:.1f}s "
+              f"({parallel.meta['cells_run']} cells run)")
 
-    start = time.perf_counter()
-    warm = pool_engine.run(spec)
-    hot = time.perf_counter() - start
-    print(f"process pool, warm cache: {hot:.2f}s "
-          f"({warm.meta['cache_hits']} hits, {warm.meta['cells_run']} run)")
+        start = time.perf_counter()
+        warm = pool_engine.run(spec)
+        hot = time.perf_counter() - start
+        print(f"process pool, warm cache: {hot:.2f}s "
+              f"({warm.meta['cache_hits']} hits, {warm.meta['cells_run']} run)")
 
     serial = Engine(SerialBackend()).run(spec)
     print(f"serial backend matches pool: {serial.records == parallel.records}")

@@ -28,7 +28,7 @@ from repro.api.cache import TraceCache
 from repro.api.records import RunRecord
 from repro.api.spec import Cell
 from repro.core.scheme import scheme_from_spec
-from repro.faults.plan import fault_point
+from repro.faults.plan import adopt_plan, fault_point
 from repro.sim.simulator import SecureProcessorSim, SimConfig, count_passes
 from repro.sim.timing import run_timing, run_timing_batch
 from repro.sim.windows import (
@@ -193,7 +193,7 @@ def trace_store_key(cell: Cell) -> str:
 
 
 def _execute_batch_in_worker(
-    cells: list[Cell], trace_root: str | None
+    cells: list[Cell], trace_root: str | None, fault_plan: str | None = None
 ) -> tuple[list[RunRecord], int]:
     """Pool entry point: one batch of cells sharing a functional pass.
 
@@ -204,10 +204,15 @@ def _execute_batch_in_worker(
     already stored it.  Returns the records and the number of
     functional passes this batch computed.
 
-    Each cell arms the ``worker-cell`` fault site before the batch
+    ``fault_plan`` is the caller's active plan (its JSON), or None: a
+    pool worker outlives the run that started it and does not see its
+    caller's environment, so it adopts the plan of every batch.  Each
+    cell then arms the ``worker-cell`` fault site before the batch
     executes, so a chaos plan can kill this worker deterministically
-    "at cell K" (a no-op dict lookup without an active plan).
+    "at cell K" of the plan (a no-op dict lookup without an active
+    plan).
     """
+    adopt_plan(fault_plan)
     for _ in cells:
         fault_point("worker-cell")
     trace_store = TraceCache(trace_root) if trace_root else None

@@ -50,12 +50,14 @@ Installed as the ``repro`` console script and runnable as
 ``run``, ``sweep``, ``frontier`` and ``serve`` pick where cells run with
 one ``--backend {serial,pool,queue}`` / ``--workers N`` pair
 (:func:`_backend_from_args`): ``--workers`` sizes the process pool, or
-the queue's local worker fleet (0 drains the queue in-process).
+the queue's local worker fleet (0 drains the queue in-process).  A
+command stops the pool it builds before it returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -108,8 +110,9 @@ def _add_backend_arguments(
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="pool size for pool (default: cpu count); local worker "
-             "processes for queue (default 2; 0 drains the queue in-process)",
+        help="pool size for pool (default: cpu count; serve: "
+             "--max-concurrency); local worker processes for queue "
+             "(default 2; 0 drains the queue in-process)",
     )
 
 
@@ -128,19 +131,28 @@ def _backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
     )
 
 
-def _engine_from_args(args: argparse.Namespace) -> Engine:
+def _closing(backend: ExecutionBackend | None):
+    """``backend`` as a context that stops a process pool's workers on exit."""
+    if isinstance(backend, ProcessPoolBackend):
+        return backend
+    return contextlib.nullcontext(backend)
+
+
+@contextlib.contextmanager
+def _engine_from_args(args: argparse.Namespace):
     if args.backend == "queue" and not args.cache_dir:
         raise ValueError(
             "--backend queue needs --cache-dir (the shared cache is the "
             "queue's coordination substrate)"
         )
     cache = ExperimentCache(args.cache_dir) if args.cache_dir else None
-    return Engine(backend=_backend_from_args(args), cache=cache)
+    with _closing(_backend_from_args(args)) as backend:
+        yield Engine(backend=backend, cache=cache)
 
 
 def _run_and_report(spec: ExperimentSpec, args: argparse.Namespace) -> int:
-    engine = _engine_from_args(args)
-    results = engine.run(spec, use_cache=not args.no_cache_read)
+    with _engine_from_args(args) as engine:
+        results = engine.run(spec, use_cache=not args.no_cache_read)
     print(results.render())
     meta = results.meta
     line = (
@@ -318,9 +330,8 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
         budget_bits=args.budget,
         static_anchors=statics,
     )
-    sweep = run_frontier(
-        config, engine=_engine_from_args(args), use_cache=not args.no_cache_read
-    )
+    with _engine_from_args(args) as engine:
+        sweep = run_frontier(config, engine=engine, use_cache=not args.no_cache_read)
     print(sweep.render(per_benchmark=args.per_benchmark))
     if args.save:
         sweep.results.save(args.save)
@@ -410,25 +421,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service.hosting import serve_forever
 
-    backend = _backend_from_args(args)
-    if args.smoke:
-        return _serve_smoke(args, backend)
-    try:
-        asyncio.run(serve_forever(
-            cache=args.cache_dir,
-            host=args.host,
-            port=args.port,
-            uds=args.uds,
-            max_concurrency=args.max_concurrency,
-            resume=args.resume,
-            backend=backend,
-        ))
-    except KeyboardInterrupt:
-        print("\ninterrupted; daemon stopped")
+    # Without --workers the daemon builds, sizes and closes its own pool.
+    pool_default = args.backend == "pool" and args.workers is None
+    with _closing(None if pool_default else _backend_from_args(args)) as backend:
+        if args.smoke:
+            return _serve_smoke(args, backend)
+        try:
+            asyncio.run(serve_forever(
+                cache=args.cache_dir,
+                host=args.host,
+                port=args.port,
+                uds=args.uds,
+                max_concurrency=args.max_concurrency,
+                resume=args.resume,
+                backend=backend,
+            ))
+        except KeyboardInterrupt:
+            print("\ninterrupted; daemon stopped")
     return 0
 
 
-def _serve_smoke(args: argparse.Namespace, backend: ExecutionBackend) -> int:
+def _serve_smoke(args: argparse.Namespace, backend: ExecutionBackend | None) -> int:
     """End-to-end self-test: start, submit, stream, scrape, shut down."""
     import tempfile
 
@@ -1018,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay the cache root's job journal before accepting traffic, "
              "re-enqueueing jobs a previous daemon admitted but never finished",
     )
-    _add_backend_arguments(serve, default="serial", choices=("serial", "queue"))
+    _add_backend_arguments(serve, default="pool")
     serve.add_argument(
         "--smoke", action="store_true",
         help="self-test: start, submit one sweep, stream events, scrape "

@@ -26,7 +26,7 @@ A rate change takes effect at the first slot scheduled after the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.counters import PerfCounters
 from repro.core.epochs import EpochSchedule

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
-from repro.util.bitops import ceil_lg, is_power_of_two
+from repro.util.bitops import ceil_lg
 from repro.util.validation import check_positive
 
 #: The paper's maximum runtime: 2^62 cycles (~150 years at 1 GHz).

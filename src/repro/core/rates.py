@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.bitops import floor_lg, is_power_of_two
 from repro.util.validation import check_positive
 
 

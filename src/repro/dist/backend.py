@@ -21,13 +21,12 @@ same spec re-creates the same content-addressed queue, the engine has
 already filtered out cells whose records were persisted before the
 massacre, and only the genuinely-unfinished remainder executes.
 
-Local workers are ``multiprocessing`` processes forked from a
-process-wide forkserver that has preloaded :data:`WORKER_PRELOAD`, so
+Local workers are ``multiprocessing`` processes forked from the
+process-wide forkserver of :func:`~repro.api.backends.worker_context`,
+preloaded with :data:`~repro.api.backends.WORKER_PRELOAD`, so
 interpreter start and imports are paid once per calling process, not
 once per worker per run, and no worker is forked from a caller that
-runs threads (the daemon's job threads share one backend).  The server
-starts with repro's source root on its ``PYTHONPATH``, because it
-inherits the environment but not the caller's ``sys.path``.  Like spawn,
+runs threads (the daemon's job threads share one backend).  Like spawn,
 a forkserver child imports the caller's ``__main__`` as
 ``__mp_main__``: a script that drives this backend must guard its entry
 point with ``if __name__ == "__main__":``.
@@ -35,24 +34,22 @@ point with ``if __name__ == "__main__":``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 import time
-from multiprocessing.context import BaseContext
+from multiprocessing import connection
 from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.api.backends import worker_start_method
+from repro.api.backends import src_pythonpath, worker_context
 from repro.api.cache import ExperimentCache
 from repro.api.records import RunRecord
 from repro.api.spec import Cell
 from repro.dist.queue import WorkQueue
 from repro.dist.worker import Worker, run_worker
-from repro.faults.plan import FAULT_PLAN_ENV
+from repro.faults.plan import FAULT_PLAN_ENV, adopt_plan
 from repro.sim.simulator import add_passes
 
 #: Default local worker fleet size.
@@ -64,21 +61,6 @@ DEFAULT_COORDINATOR_POLL_S = 0.05
 #: Replacement workers the coordinator may spawn beyond the initial
 #: fleet before concluding that workers are dying deterministically.
 DEFAULT_MAX_RESPAWNS = 8
-
-#: Modules the forkserver imports before it forks any local worker: the
-#: worker loop, and what a worker's first task imports lazily.
-WORKER_PRELOAD = ("repro.dist.worker", "repro.cache.vectorized", "numpy.random")
-
-#: Serialises the temporary ``PYTHONPATH`` edit around a server start.
-_SERVER_ENV_LOCK = threading.Lock()
-
-
-def _src_pythonpath(current: str | None) -> str:
-    """``current`` with the directory that holds the repro package first."""
-    import repro
-
-    src_root = Path(repro.__file__).resolve().parent.parent
-    return os.pathsep.join([str(src_root)] + ([current] if current else []))
 
 
 def spawn_worker_process(
@@ -98,7 +80,7 @@ def spawn_worker_process(
     (:func:`start_local_worker`).
     """
     env = dict(os.environ)
-    env["PYTHONPATH"] = _src_pythonpath(env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = src_pythonpath(env.get("PYTHONPATH"))
     cmd = [
         sys.executable, "-m", "repro", "dist", "--cache", str(cache_root),
         "worker", "--queue", queue_id,
@@ -138,46 +120,11 @@ def _local_worker_main(
     os.dup2(log_fd, 1)
     os.dup2(log_fd, 2)
     os.close(log_fd)
-    if fault_plan is None:
-        os.environ.pop(FAULT_PLAN_ENV, None)
-    else:
-        os.environ[FAULT_PLAN_ENV] = fault_plan
+    adopt_plan(fault_plan)
     run_worker(
         cache_root, queue_id, worker_id=worker_id,
         lease_ttl_s=lease_ttl_s, max_attempts=max_attempts,
     )
-
-
-def worker_context() -> BaseContext:
-    """The ``multiprocessing`` context local workers start from.
-
-    Under ``forkserver`` this also makes sure the process-wide server
-    runs, preloaded with :data:`WORKER_PRELOAD`.  The server is a fresh
-    interpreter that inherits the environment but not the caller's
-    ``sys.path`` (``multiprocessing.forkserver.main`` drops its
-    ``sys_path`` argument), so it starts with repro's source root on
-    ``PYTHONPATH``, as :func:`spawn_worker_process` gives its
-    subprocesses.  Otherwise a caller that found repro by editing
-    ``sys.path`` would get a server whose preload fails silently, and
-    every worker would import repro again after the fork.
-    """
-    context = multiprocessing.get_context(worker_start_method())
-    # Read only when the server starts: once it runs, this does nothing.
-    context.set_forkserver_preload(list(WORKER_PRELOAD))
-    if context.get_start_method() == "forkserver":
-        from multiprocessing import forkserver
-
-        with _SERVER_ENV_LOCK:
-            saved = os.environ.get("PYTHONPATH")
-            os.environ["PYTHONPATH"] = _src_pythonpath(saved)
-            try:
-                forkserver.ensure_running()
-            finally:
-                if saved is None:
-                    del os.environ["PYTHONPATH"]
-                else:
-                    os.environ["PYTHONPATH"] = saved
-    return context
 
 
 def start_local_worker(
@@ -334,7 +281,14 @@ class WorkQueueBackend:
                 for index in exited[: DEFAULT_MAX_RESPAWNS - respawns]:
                     respawns += 1
                     procs[index] = self._start(cache, queue, self.workers + respawns)
-                time.sleep(self.poll_s)
+                # Wake when a worker exits — workers exit once the board
+                # finishes — or after poll_s.  An exited worker's
+                # sentinel stays ready, so only running ones are waited on.
+                running = [proc.sentinel for proc in procs if proc.exitcode is None]
+                if running:
+                    connection.wait(running, timeout=self.poll_s)
+                else:
+                    time.sleep(self.poll_s)
         finally:
             for proc in procs:
                 if proc.exitcode is None:

@@ -13,7 +13,8 @@ Plans propagate two ways:
 - :meth:`FaultPlan.install` — process-global, for in-process sites like
   the service client's connect path.
 - :meth:`FaultPlan.activate` — via the ``REPRO_FAULT_PLAN`` environment
-  variable, which pool workers inherit on fork/spawn.  The
+  variable, which the caller reads when it hands work to a worker
+  process (:func:`adopt_plan` on the worker's side).  The
   :meth:`FaultPlan.activated` context manager does both and always
   cleans up.
 
@@ -34,7 +35,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
@@ -175,7 +176,7 @@ class FaultPlan:
             _INSTALLED = None
 
     def activate(self) -> None:
-        """Publish the plan to the environment (inherited by workers)."""
+        """Publish the plan to the environment, where worker launches read it."""
         os.environ[FAULT_PLAN_ENV] = self.to_json()
 
     def deactivate(self) -> None:
@@ -258,6 +259,24 @@ def active_plan() -> FaultPlan | None:
 def reset_site_counts() -> None:
     """Drop this process's arming counters (chaos-run isolation)."""
     _SITE_COUNTS.clear()
+
+
+def adopt_plan(raw: str | None) -> None:
+    """Make ``raw`` — a plan's JSON, or None for no plan — the plan this
+    process reads from its environment.
+
+    For workers that do not see their caller's environment: a forkserver
+    child, and a pool worker that outlives one run.  When the plan
+    changes, this process's arming counters restart, so "kill at cell K"
+    counts from the plan's activation.
+    """
+    if os.environ.get(FAULT_PLAN_ENV) == raw:
+        return
+    if raw is None:
+        del os.environ[FAULT_PLAN_ENV]
+    else:
+        os.environ[FAULT_PLAN_ENV] = raw
+    reset_site_counts()
 
 
 def _arm(site: str) -> int:

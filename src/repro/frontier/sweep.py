@@ -145,12 +145,15 @@ def run_frontier(
         config: What to sweep (default :class:`FrontierConfig`).
         engine: The engine to run on, with its backend and cache
             (default: an uncached process pool — a grid sweep is
-            hundreds of independent replays).
+            hundreds of independent replays — whose workers stop before
+            this returns).
         use_cache: Read cached results (False re-measures but still
             shares traces).
     """
     config = config or FrontierConfig()
-    engine = engine or Engine(ProcessPoolBackend())
+    if engine is None:
+        with ProcessPoolBackend() as pool:
+            return run_frontier(config, Engine(pool), use_cache)
 
     spec = config.spec()
     # One scheme's cells hold the sweep's pass keys.  A trace that exists

@@ -19,7 +19,7 @@ give that for free; commodity-DRAM schemes would need to close pages).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

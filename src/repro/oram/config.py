@@ -10,7 +10,6 @@ code needs (level count, bucket count, bytes per path) from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.util.bitops import ceil_div, ceil_lg
 from repro.util.units import GB, pretty_bytes

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_module
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.epochs import EpochSchedule
 from repro.core.leakage import report_for_dynamic

@@ -17,16 +17,13 @@ Two executable demonstrations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.counters import PerfCounters
 from repro.core.leakage import replayed_leakage_bits
 from repro.core.learner import AveragingLearner
 from repro.core.rates import RateSet
-from repro.security.session import (
-    ProcessorIdentity,
-    SessionTerminatedError,
-)
+from repro.security.session import SessionTerminatedError
 from repro.security.protocol import SecureProcessorProtocol, UserSubmission
 from repro.util.rng import make_rng
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.oram.encryption import ProbabilisticCipher
 

@@ -45,9 +45,11 @@ async def serve_forever(
     ``resume=True`` replays the cache root's job journal before
     accepting traffic, re-enqueueing every job a previous daemon
     admitted but never finished (``repro serve --resume``).  ``backend``
-    is where job groups run (default: in-process serial).  Once the
-    server accepts connections, ``on_ready(service, server)`` runs on
-    the event loop (default: print the listening address).
+    is where job groups run (default: a warm process pool of
+    ``max_concurrency`` workers that the daemon builds and closes at
+    shutdown; see :class:`SweepService`).  Once the server accepts
+    connections, ``on_ready(service, server)`` runs on the event loop
+    (default: print the listening address).
     """
     service = SweepService(
         cache=cache, max_concurrency=max_concurrency, backend=backend,
@@ -75,7 +77,11 @@ class ThreadedService:
 
     The thread runs :func:`serve_forever` on its own event loop;
     ``stop()`` requests the same graceful drain the ``/shutdown``
-    endpoint performs.
+    endpoint performs, which also stops the worker pool of a daemon
+    that built its own (``backend=None``, the default).  A script that
+    hosts the default pool must guard its entry point with
+    ``if __name__ == "__main__":``, because pool workers import the
+    caller's ``__main__``.
     """
 
     def __init__(

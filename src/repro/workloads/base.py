@@ -11,7 +11,7 @@ reports need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Protocol
 
 from repro.cpu.trace import MemoryTrace
 

@@ -13,9 +13,43 @@ vectorizable form.
 
 from __future__ import annotations
 
+import contextvars
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+
+#: The Zipf scatters of the trace build in progress, by
+#: ``(seed_permutation, n_lines)``; None outside :func:`shared_scatters`.
+_SCATTERS: contextvars.ContextVar = contextvars.ContextVar("zipf_scatters", default=None)
+
+
+@contextmanager
+def shared_scatters():
+    """Compute each Zipf scatter once inside the block.
+
+    Workload models call :func:`zipf_working_set` many times with one
+    ``seed_permutation`` (gobmk 20-40 times over 3 regions), and each
+    call would otherwise redraw the same permutation.  The memo lives
+    only for the block, one trace build, so no scatter outlives it.
+    """
+    token = _SCATTERS.set({})
+    try:
+        yield
+    finally:
+        _SCATTERS.reset(token)
+
+
+def _scatter(seed_permutation: int, n_lines: int) -> np.ndarray:
+    """The line order a Zipf segment scatters its ranks over (read-only)."""
+    memo = _SCATTERS.get()
+    key = (seed_permutation, n_lines)
+    if memo is not None and key in memo:
+        return memo[key]
+    scatter = np.random.default_rng(seed_permutation).permutation(n_lines)
+    if memo is not None:
+        memo[key] = scatter
+    return scatter
 
 
 @dataclass
@@ -125,8 +159,7 @@ def zipf_working_set(
     ranks = rng.zipf(skew, size=n_refs)
     ranks = np.minimum(ranks - 1, n_lines - 1)
     # Scatter ranks across the region so the hot set is not contiguous.
-    scatter = np.random.default_rng(seed_permutation).permutation(n_lines)
-    lines = scatter[ranks]
+    lines = _scatter(seed_permutation, n_lines)[ranks]
     return Segment(
         addresses=(base + lines.astype(np.int64) * line_bytes).astype(np.uint64),
         is_store=_stores(rng, n_refs, store_fraction),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.cpu.trace import MemoryTrace
 from repro.workloads.base import WorkloadSpec
+from repro.workloads.patterns import shared_scatters
 from repro.workloads.spec import specint_workloads
 
 _REGISTRY: dict[str, WorkloadSpec] | None = None
@@ -47,4 +48,5 @@ def build_trace(
     input_name: str | None = None,
 ) -> MemoryTrace:
     """Materialize a benchmark trace by name."""
-    return get_workload(name).trace(seed, n_instructions, input_name)
+    with shared_scatters():
+        return get_workload(name).trace(seed, n_instructions, input_name)

@@ -36,8 +36,6 @@ scale-invariant above ~200k instructions.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cpu.isa import InstructionMix
 from repro.cpu.trace import MemoryTrace
 from repro.util.rng import make_rng
@@ -49,7 +47,6 @@ from repro.workloads.patterns import (
     interleave,
     pointer_chase,
     stream,
-    strided_sweep,
     uniform_working_set,
     zipf_working_set,
 )

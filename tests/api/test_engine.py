@@ -15,7 +15,7 @@ import threading
 import pytest
 
 import repro.sim.simulator as simulator_module
-from repro.api.backends import ProcessPoolBackend, default_start_method
+from repro.api.backends import ProcessPoolBackend, worker_start_method
 from repro.api.cache import ExperimentCache
 from repro.api.engine import Engine
 from repro.api.execution import execute_cell, trace_store_key
@@ -196,22 +196,7 @@ class TestBackendEquivalence:
         parallel.save(b)
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.skipif(
-        default_start_method() != "fork",
-        reason="only forked workers inherit the parent's pass memo",
-    )
-    def test_forked_pool_reuses_warm_parent_traces(self, monkeypatch):
-        spec = tiny_spec(seeds=(0, 1))
-        serial = Engine().run(spec)
-
-        def no_functional_pass(*args, **kwargs):
-            raise AssertionError("worker recomputed a trace its parent held")
-
-        monkeypatch.setattr(simulator_module, "simulate_hierarchy", no_functional_pass)
-        pool = Engine(ProcessPoolBackend(max_workers=2)).run(spec)
-        assert pool.records == serial.records
-
-    def test_pool_starts_workers_with_default_method(self, monkeypatch):
+    def test_pool_starts_workers_with_worker_start_method(self, monkeypatch):
         import repro.api.backends as backends_module
 
         seen = {}
@@ -222,8 +207,9 @@ class TestBackendEquivalence:
         monkeypatch.setattr(backends_module, "ProcessPoolExecutor", recording_executor)
         ProcessPoolBackend()._make_pool(2)
         assert seen["max_workers"] == 2
-        assert seen["mp_context"].get_start_method() == default_start_method()
-        # Each batch carries its trace-cache root; workers keep no state.
+        assert seen["mp_context"].get_start_method() == worker_start_method()
+        # Each batch carries its trace-cache root and fault plan; workers
+        # keep no state.
         assert "initializer" not in seen
 
     def test_single_worker_pool_degrades_to_serial(self):
@@ -267,26 +253,18 @@ class TestPersistentCache:
         assert count_functional_passes["n"] == 2
         assert rerun.records == cold.records
 
-    @pytest.mark.skipif(
-        default_start_method() != "fork",
-        reason="spawned workers do not inherit the patched functional pass",
-    )
-    def test_warm_trace_pool_rerun_computes_no_functional_pass(
-        self, tmp_path, monkeypatch
-    ):
+    def test_warm_trace_pool_rerun_computes_no_functional_pass(self, tmp_path):
         spec = tiny_spec(seeds=(0, 1))
         cache = ExperimentCache(tmp_path)
         cold = Engine(cache=cache).run(spec)
-        clear_pass_memo()
-
-        def no_functional_pass(*args, **kwargs):
-            raise AssertionError("functional pass recomputed despite a warm trace cache")
-
-        monkeypatch.setattr(simulator_module, "simulate_hierarchy", no_functional_pass)
-        # Four (benchmark, seed) groups across two workers: every worker
-        # must read its miss traces from the persistent cache.
-        rerun = Engine(ProcessPoolBackend(max_workers=2), cache).run(spec, use_cache=False)
+        # Four (benchmark, seed) groups across two workers.  Workers start
+        # from the forkserver, not from this process, so the cold run's
+        # pass memo cannot reach them: every worker must read its miss
+        # traces from the persistent cache.
+        with ProcessPoolBackend(max_workers=2) as backend:
+            rerun = Engine(backend, cache).run(spec, use_cache=False)
         assert rerun.meta["cells_run"] == 12
+        assert rerun.meta["passes_computed"] == 0
         assert rerun.records == cold.records
 
     def test_worker_entry_point_reads_persistent_trace_cache(self, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.oram.config import ORAMConfig, TreeGeometry
+from repro.oram.config import TreeGeometry
 from repro.oram.path_oram import PathORAM
 from repro.sim.simulator import SecureProcessorSim, SimConfig
 

@@ -10,7 +10,7 @@ from repro.core.controller import (
 )
 from repro.core.epochs import EpochSchedule
 from repro.core.learner import AveragingLearner
-from repro.core.rates import PAPER_RATES, RateSet
+from repro.core.rates import PAPER_RATES
 
 OLAT = 1488
 

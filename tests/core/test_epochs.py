@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.epochs import (
     EpochSchedule,
-    PAPER_TMAX,
     paper_schedule,
     sim_schedule,
 )

@@ -1,7 +1,5 @@
 """Tests for bit-leakage accounting (Sections 2.1, 6, 10)."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

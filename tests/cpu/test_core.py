@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu.core import CoreModel, DEFAULT_CORE
+from repro.cpu.core import DEFAULT_CORE
 from repro.cpu.isa import DEFAULT_MIX
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.oram.block import (
     Block,
-    DUMMY_ADDRESS,
     deserialize_block,
     deserialize_bucket,
     serialize_block,

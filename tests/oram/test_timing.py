@@ -6,7 +6,6 @@ from repro.memory.dram import average_bucket_overhead_cycles
 from repro.oram.config import PAPER_ORAM_CONFIG
 from repro.oram.timing import (
     DramLinkParameters,
-    ORAMTiming,
     PAPER_ORAM_TIMING,
     derive_timing,
     paper_timing,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.power.coefficients import (
-    EnergyCoefficients,
     PAPER_COEFFICIENTS,
     PAPER_ORAM_ACCESS_NJ,
 )

@@ -8,12 +8,15 @@ counts passes computed, so a recompute over corrupt traces shows in it.
 """
 
 import asyncio
+import os
 
 import pytest
 
 import repro.sim.simulator as simulator_module
 from repro import obs
+from repro.api.backends import SerialBackend
 from repro.api.cache import ExperimentCache
+from repro.api.engine import Engine
 from repro.api.spec import ExperimentSpec
 from repro.cli import main
 from repro.dist import WorkQueueBackend
@@ -109,7 +112,9 @@ class TestZeroRedundancy:
         monkeypatch.setattr(simulator_module, "simulate_hierarchy", counting)
 
         async def scenario():
-            service = SweepService(cache=cache, max_concurrency=2)
+            # In-process groups, so the patched pass counts every one.
+            service = SweepService(cache=cache, max_concurrency=2,
+                                   backend=SerialBackend())
             first, _ = await service.submit(make_spec(name="cold"))
             await service.wait(first.id, timeout=300)
             for trace in cache.traces.root.glob("*.pkl"):
@@ -278,11 +283,11 @@ class TestLifecycle:
 class TestQueueBackend:
     def test_rejects_unknown_backend(self, capsys):
         # The daemon takes a backend object; the CLI is what turns a
-        # name into one, and the pool is not a daemon backend.
+        # name into one.
         with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--backend", "pool"])
+            main(["serve", "--backend", "threads"])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'pool'" in capsys.readouterr().err
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
 
     def test_queue_backend_job_matches_serial(self, cache, tmp_path):
         """A daemon on the distributed backend produces the same records
@@ -301,7 +306,9 @@ class TestQueueBackend:
             cache=dist_cache, backend=WorkQueueBackend(workers=0)
         )
         dist_job, dist_snap = run(scenario(dist_service))
-        serial_job, serial_snap = run(scenario(SweepService(cache=cache)))
+        serial_job, serial_snap = run(scenario(
+            SweepService(cache=cache, backend=SerialBackend())
+        ))
 
         assert dist_job.state == serial_job.state == "done"
         assert dist_job.result.digest() == serial_job.result.digest()
@@ -347,3 +354,58 @@ class TestPoisonedCells:
         done = job.events[-1]
         assert done["kind"] == "done" and done["cells_poisoned"] == 2
         assert snap["recovery_cells_poisoned"] == 2
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestWorkerPool:
+    """The default backend: a warm pool of ``max_concurrency`` workers."""
+
+    def test_warm_pool_runs_every_group_in_a_worker(self, cache, monkeypatch):
+        spec = make_spec(name="pooled", seeds=(0, 1))
+        serial = Engine().run(spec)
+
+        def no_functional_pass(*args, **kwargs):
+            raise AssertionError("a group ran in the daemon's process")
+
+        async def scenario():
+            service = SweepService(cache=cache, max_concurrency=2)
+            backend = service.engine.backend
+            # Groups that arrive before the first worker is up run in the
+            # daemon; wait for it, then forbid the pass in this process.
+            pool = await asyncio.to_thread(backend._shared_pool().result)
+            monkeypatch.setattr(simulator_module, "simulate_hierarchy", no_functional_pass)
+            job, _ = await service.submit(spec)
+            done = await service.wait(job.id, timeout=300)
+            snap = service.metrics_snapshot()
+            pids = set(pool._processes)
+            await service.shutdown()
+            return done, snap, pids
+
+        job, snap, pids = run(scenario())
+        assert job.state == "done"
+        assert job.result.digest() == serial.digest()
+        assert snap["backend"] == "process_pool"
+        assert snap["functional_passes"] == len(subgroup_specs(spec)) == 4
+        assert 1 <= len(pids) <= 2
+        assert not any(alive(pid) for pid in pids)
+
+    def test_threaded_service_stop_leaves_no_worker(self, cache):
+        from repro.service.hosting import ThreadedService
+
+        hosted = ThreadedService(cache=cache).start()
+        try:
+            client = hosted.client()
+            job_id = client.submit(make_spec(name="hosted"))["job"]["id"]
+            assert client.wait(job_id)["state"] == "done"
+            pids = set(hosted.service.engine.backend._warm.result()._processes)
+        finally:
+            hosted.stop()
+        assert pids
+        assert not any(alive(pid) for pid in pids)

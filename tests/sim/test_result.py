@@ -1,6 +1,5 @@
 """Tests for SimResult metrics and comparisons."""
 
-import numpy as np
 import pytest
 
 from repro.core.controller import ControllerStats

@@ -3,8 +3,6 @@
 import sys
 import threading
 
-import pytest
-
 import repro.sim.simulator as simulator_module
 from repro.core.scheme import BaseDramScheme, BaseOramScheme
 from repro.sim.simulator import SecureProcessorSim, SimConfig, clear_pass_memo

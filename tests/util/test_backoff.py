@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.util.backoff import capped_exponential, full_jitter
 
 

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
+import repro.workloads.patterns as patterns_module
 from repro.util.rng import make_rng
 from repro.workloads.patterns import (
     concat,
     interleave,
     pointer_chase,
+    shared_scatters,
     stream,
     strided_sweep,
     uniform_working_set,
     zipf_working_set,
 )
+from repro.workloads.registry import build_trace
 
 
 def rng():
@@ -77,6 +80,32 @@ class TestZipfWorkingSet:
     def test_rejects_skew_at_most_one(self):
         with pytest.raises(ValueError):
             zipf_working_set(rng(), 10, base=0, region_bytes=1 << 16, skew=1.0)
+
+    def test_scatter_is_shared_only_inside_one_build(self):
+        def segment():
+            return zipf_working_set(rng(), 2000, base=0, region_bytes=1 << 20,
+                                    seed_permutation=9)
+
+        alone = segment()
+        with shared_scatters():
+            shared = [segment(), segment()]
+            memo = patterns_module._SCATTERS.get()
+            assert list(memo) == [(9, (1 << 20) // 64)]
+        assert patterns_module._SCATTERS.get() is None
+        for other in shared:
+            assert np.array_equal(other.addresses, alone.addresses)
+
+    @pytest.mark.parametrize(("name", "seed", "digest"), [
+        ("bzip2", 0, "cb78ba5b64684c50cce61edab4e1813af6207a50baf5903e80c60fa076eb4e83"),
+        ("bzip2", 7, "dec1730738b4d5937c6a49a78141e5196ded8f03800cbb081faa3b12f1d1b18c"),
+        ("gobmk", 0, "2915381d1d2e5d9294eb403147de4634db33e79849853853289003258c1a1986"),
+        ("gobmk", 7, "fe6099c8e832766dfc0e68fbca331c01acd242957f2fab205450c82cecd8bcb5"),
+    ])
+    def test_traces_that_reuse_a_scatter_keep_their_digest(self, name, seed, digest):
+        # Pinned before scatters were shared within a build: bzip2 draws
+        # one scatter 4 times, gobmk 20-40 times over 3 regions.
+        trace = build_trace(name, seed=seed, n_instructions=40_000)
+        assert trace.content_digest() == digest
 
 
 class TestPointerChase:
