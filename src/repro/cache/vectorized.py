@@ -15,7 +15,7 @@ worked through in sub-slices of at most ``chunk_refs`` references, so
 the machine's transient memory is bounded whatever the chunk size;
 :func:`hierarchy_pass_vectorized` is a one-chunk run.
 
-The kernel exploits three structural facts about the hierarchy pass:
+The kernel exploits four structural facts about the hierarchy pass:
 
 1. **Same-line runs are guaranteed L1 hits.**  Consecutive references to
    one cache line cannot miss after the first (nothing else touches the
@@ -49,6 +49,32 @@ The kernel exploits three structural facts about the hierarchy pass:
    make bulk hit commits possible: a single ``dict.update`` with "last
    write wins" reproduces any sequence of move-to-MRU operations.
 
+4. **The sets partition the hierarchy.**  L2's set-index bits contain
+   L1's (10 against 7 at the paper's geometry), so every L2 set lies
+   inside one L1 set: a dirty L1 victim's writeback and an L2 victim's
+   back-invalidation never leave the L1 set of the reference that caused
+   them.  The hierarchy is therefore ``min(l1_sets, l2_sets)``
+   independent state machines, one per *lane* (``line & (lanes - 1)``;
+   the smaller level's sets, so a geometry whose L2 has fewer sets than
+   its L1 stays exact).  Lanes share no set, so each lane's heads can run
+   in trace order while the lanes advance side by side.
+
+Run heads are classified in one of three modes, picked per sub-slice.
+Hit-dense phases take the vector mode (fact 2); miss-dense phases the
+scalar loop, or — when the sub-slice is large and its heads spread over
+many lanes (:func:`lockstep_pays`) — the **lockstep** mode: the heads
+are ordered by lane and each numpy step advances the next head of every
+lane at once (one per lane, so at most 128 at the paper's geometry),
+over flat per-way arrays of stamps, dirty bits and L2 lines
+(:class:`LockstepState`).  Stamps are the trace positions of each way's
+last touch, so fact 3 holds for L2 as it does for L1.  An all-miss
+stream such as mcf misses L2 on nearly every run head, and there one
+lockstep step (a few dozen numpy calls over about 100 heads) replaces
+about 100 scalar misses of about 2 µs each.  The cache state lives in
+one form at a time: the dicts for the vector and scalar modes, the
+arrays for lockstep, converted only when the mode changes.  Every mode
+yields the same per-head outcomes, so the accounting below is shared.
+
 The cycle/instruction accounting is reconstructed per sub-slice from the
 per-reference outcome levels: the accumulator left open by the previous
 sub-slice, then ``gap * cpi`` and the level cost of each reference, are
@@ -60,15 +86,17 @@ bit-identical to the reference's running ``+=``; the pairwise
 ``np.add.reduce`` is deliberately **not** used, and neither is builtin
 ``sum``, whose float path is compensated from Python 3.12 on.
 
-The L2 side keeps the reference's insertion-ordered dicts, keyed by line
-rather than tag (within one set each determines the other, and the line
-needs no shifting back on eviction): every L2 access is already a rare
-scalar event (an L1 miss), so there is nothing to vectorize there.
+In the dict modes L2 keeps the reference's insertion-ordered dicts,
+keyed by line rather than tag (within one set each determines the other,
+and the line needs no shifting back on eviction).  An L2 access happens
+only on an L1 miss, but that is not rare: mcf misses L2 on 390,579 of
+its 391,176 run heads at the ingest budget, which is why miss-dense
+slices take the lockstep mode.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -113,6 +141,46 @@ _BULK_RANGE_MIN = 16
 #: Segments of at most this many accounting terms are summed column by
 #: column; each longer one takes its own ``np.cumsum``.
 _SHORT_SEGMENT = 64
+#: A scalar burst or lockstep sub-slice whose run heads hit L1 at least
+#: this often puts the machine in its hit-dense (vector) mode.
+_HIT_DENSE = 31 / 32
+#: Lockstep routing (:func:`lockstep_pays`): a miss-dense machine whose
+#: state is in the dicts moves it into arrays for a sub-slice of at least
+#: this many run heads ...
+LOCKSTEP_MIN_HEADS = 3072
+#: ... that offers at least this many heads per lockstep step (its head
+#: count over the head count of its busiest lane).
+LOCKSTEP_MIN_WIDTH = 32
+#: Line number of an empty L2 way (lines are never negative).
+_EMPTY_LINE = -1
+#: Stamp of an empty way: below every trace position, so an empty way is
+#: always the victim of its set.
+_EMPTY_STAMP = -1
+
+
+def lockstep_pays(
+    n_heads: int, lane_max: int, miss_dense: bool, in_arrays: bool
+) -> bool:
+    """Whether a sub-slice of ``n_heads`` run heads, ``lane_max`` of them
+    in its busiest lane, runs faster in lockstep than in the dict modes.
+
+    A lockstep step costs a few dozen numpy calls over at most one head
+    per lane, so it pays only while steps are wide (``n_heads >=
+    LOCKSTEP_MIN_WIDTH * lane_max``) and the machine is in its
+    miss-dense mode: a hit-dense machine commits hits in bulk far more
+    cheaply.  Entering lockstep also moves the cache state out of the
+    dicts, which only a large sub-slice (``LOCKSTEP_MIN_HEADS``) repays;
+    a machine already in lockstep (``in_arrays``) stays while steps are
+    wide, so a stream's small trailing sub-slices do not convert the
+    state back and forth.  The rule reads only its inputs, and every
+    mode is bit-identical, so the choice moves time, never a result
+    (calibration: DESIGN.md "Miss-dense slices run set-parallel").
+    """
+    return (
+        miss_dense
+        and (in_arrays or n_heads >= LOCKSTEP_MIN_HEADS)
+        and n_heads >= LOCKSTEP_MIN_WIDTH * lane_max
+    )
 
 
 def hierarchy_pass_vectorized(
@@ -148,7 +216,8 @@ class VectorizedHierarchyPass:
     twice, raises ``RuntimeError``.
 
     All loop state lives on the object and is loaded into locals once
-    per feed: the L1 stamps, dirty set and rows, the L2 sets, the
+    per feed: the L1 stamps, dirty set and rows, the L2 sets (or, in
+    lockstep, the same state as :class:`LockstepState` arrays), the
     membership snapshot and its removed-lines log, the adaptive
     window/burst mode, the reference and instruction offsets, the
     warm-up flag, the open inter-miss cycle accumulator and the energy
@@ -177,6 +246,10 @@ class VectorizedHierarchyPass:
         l2_sets_count = config.l2_bytes // config.line_bytes // config.l2_ways
         self._l1_mask = l1_sets_count - 1
         self._l2_mask = l2_sets_count - 1
+        # Every set of the smaller level lies inside one lane, and so do
+        # the sets of the larger level it maps onto: the lanes partition
+        # the hierarchy into independent state machines.
+        self._lane_mask = min(l1_sets_count, l2_sets_count) - 1
         self._l1_ways = config.l1d_ways
         self._l2_ways = config.l2_ways
 
@@ -202,6 +275,9 @@ class VectorizedHierarchyPass:
         # L2: the reference's insertion-ordered dicts, keyed by line
         # (within a set, line and tag determine each other) -> dirty.
         self._l2_sets: list[dict[int, bool]] = [dict() for _ in range(l2_sets_count)]
+        # The same state in lockstep form, held instead of the dicts while
+        # the machine runs set-parallel; None while the dicts hold it.
+        self._arrays: LockstepState | None = None
         # Sorted snapshot of resident L1 lines for the vectorized
         # membership scan, and the lines removed since it was built.
         # The snapshot may be arbitrarily stale and classification stays
@@ -243,6 +319,7 @@ class VectorizedHierarchyPass:
 
         line_shift = np.uint64(self._line_shift)
         l1_mask, l2_mask = self._l1_mask, self._l2_mask
+        lane_mask = self._lane_mask
         l1_ways, l2_ways = self._l1_ways, self._l2_ways
         chunk_refs = self.chunk_refs
         warmup_instructions = self.warmup_instructions
@@ -359,173 +436,179 @@ class VectorizedHierarchyPass:
             run_any_store = np.logical_or.reduceat(stores, head_idx)
             head_lines_np = lines_np[head_idx]
             del lines_np, head_mask
-            c_lines = head_lines_np.tolist()
-            c_pos = (head_idx + n_refs).tolist()
-            c_store = run_any_store.tolist()
-            c_len = len(c_lines)
+            n_heads = len(head_idx)
+            lane_max = 0
+            if not vector_mode:
+                lanes = head_lines_np & lane_mask
+                lane_heads = np.bincount(lanes)
+                lane_max = int(lane_heads.max())
+            if lockstep_pays(n_heads, lane_max, not vector_mode, self._arrays is not None):
+                # ---- lockstep mode: miss-dense slices, set-parallel ----
+                if self._arrays is None:
+                    self._arrays = self._to_arrays()
+                l2_hit_refs, miss_refs, wb_refs, hits = self._lockstep(
+                    head_lines_np, head_idx + n_refs, run_any_store, warm_at,
+                    lanes, lane_heads,
+                )
+                if hits >= n_heads * _HIT_DENSE:
+                    vector_mode = True
+                    vector_fails = 0
+                    window = 1024
+            else:
+                if self._arrays is not None:
+                    self._to_dicts()
+                    # The membership snapshot predates the lockstep run.
+                    snapshot_drift = _SNAPSHOT_DRIFT_MAX + 1
+                    scalar_burst = _SCALAR_BURST_MIN
+                c_lines = head_lines_np.tolist()
+                c_pos = (head_idx + n_refs).tolist()
+                c_store = run_any_store.tolist()
+                c_len = len(c_lines)
 
-            # Outcome event streams (counted references only), in head
-            # order, as trace positions: L2 hits, LLC misses, and the
-            # misses whose L2 victim was dirty (a writeback request).
-            l2_hit_refs: list[int] = []
-            miss_refs: list[int] = []
-            wb_refs: list[int] = []
-            l2h_append = l2_hit_refs.append
-            miss_append = miss_refs.append
-            wb_append = wb_refs.append
+                # Outcome event streams (counted references only), in head
+                # order, as trace positions: L2 hits, LLC misses, and the
+                # misses whose L2 victim was dirty (a writeback request).
+                l2_hit_refs: list[int] = []
+                miss_refs: list[int] = []
+                wb_refs: list[int] = []
+                l2h_append = l2_hit_refs.append
+                miss_append = miss_refs.append
+                wb_append = wb_refs.append
 
-            j = 0
-            while j < c_len:
-                if not vector_mode:
-                    # ---- scalar mode: miss-dense phases ----
-                    # The miss path is inlined (a function call per miss
-                    # is what made the all-miss pointer chase slower than
-                    # the reference) and skips removal logging: the
-                    # snapshot is rebuilt wholesale at vector re-entry,
-                    # so the removed log has nothing to correct.
-                    burst_end = min(j + scalar_burst, c_len)
-                    burst_len = burst_end - j
-                    hits = 0
-                    for line, pos_j, stored in zip(
-                        c_lines[j:burst_end], c_pos[j:burst_end], c_store[j:burst_end]
-                    ):
-                        if line in stamp:
+                j = 0
+                while j < c_len:
+                    if not vector_mode:
+                        # ---- scalar mode: miss-dense phases ----
+                        # The miss path is inlined (a function call per miss
+                        # is what made the all-miss pointer chase slower than
+                        # the reference) and skips removal logging: the
+                        # snapshot is rebuilt wholesale at vector re-entry,
+                        # so the removed log has nothing to correct.
+                        burst_end = min(j + scalar_burst, c_len)
+                        burst_len = burst_end - j
+                        hits = 0
+                        for line, pos_j, stored in zip(
+                            c_lines[j:burst_end], c_pos[j:burst_end], c_store[j:burst_end]
+                        ):
+                            if line in stamp:
+                                stamp[line] = pos_j
+                                if stored:
+                                    l1_dirty[line] = True
+                                hits += 1
+                                continue
+                            counted = pos_j >= warm_at
+                            l2_set = l2_sets[line & l2_mask]
+                            if line in l2_set:
+                                l2_set[line] = l2_set.pop(line)
+                                if counted:
+                                    l2h_append(pos_j)
+                            else:
+                                if counted:
+                                    miss_append(pos_j)
+                                if len(l2_set) >= l2_ways:
+                                    victim_line = next(iter(l2_set))
+                                    victim_dirty = l2_set.pop(victim_line)
+                                    # Inclusive hierarchy: back-invalidate L1.
+                                    if victim_line in stamp:
+                                        del stamp[victim_line]
+                                        l1_rows[victim_line & l1_mask].remove(victim_line)
+                                        if l1_dirty.pop(victim_line, False):
+                                            victim_dirty = True
+                                    if victim_dirty and counted:
+                                        wb_append(pos_j)
+                                l2_set[line] = False
+                            # ---- Fill L1 ----
+                            row = l1_rows[line & l1_mask]
+                            if len(row) >= l1_ways:
+                                victim_line = row[0]
+                                best = stamp[victim_line]
+                                for cand in row:
+                                    cand_stamp = stamp[cand]
+                                    if cand_stamp < best:
+                                        best = cand_stamp
+                                        victim_line = cand
+                                row.remove(victim_line)
+                                del stamp[victim_line]
+                                if l1_dirty.pop(victim_line, False) and counted:
+                                    # Dirty L1 victim writes back into L2.
+                                    wb_l2_set = l2_sets[victim_line & l2_mask]
+                                    if victim_line in wb_l2_set:
+                                        wb_l2_set[victim_line] = True
+                            row.append(line)
                             stamp[line] = pos_j
                             if stored:
                                 l1_dirty[line] = True
-                            hits += 1
-                            continue
-                        counted = pos_j >= warm_at
-                        l2_set = l2_sets[line & l2_mask]
-                        if line in l2_set:
-                            l2_set[line] = l2_set.pop(line)
-                            if counted:
-                                l2h_append(pos_j)
+                        j = burst_end
+                        if hits >= burst_len * _HIT_DENSE:
+                            vector_mode = True
+                            vector_fails = 0
+                            window = 1024
+                            # Scalar-mode misses skip the removal log, so the
+                            # membership snapshot must be rebuilt from live
+                            # state before the next vectorized scan.
+                            snapshot_drift = _SNAPSHOT_DRIFT_MAX + 1
                         else:
-                            if counted:
-                                miss_append(pos_j)
-                            if len(l2_set) >= l2_ways:
-                                victim_line = next(iter(l2_set))
-                                victim_dirty = l2_set.pop(victim_line)
-                                # Inclusive hierarchy: back-invalidate L1.
-                                if victim_line in stamp:
-                                    del stamp[victim_line]
-                                    l1_rows[victim_line & l1_mask].remove(victim_line)
-                                    if l1_dirty.pop(victim_line, False):
-                                        victim_dirty = True
-                                if victim_dirty and counted:
-                                    wb_append(pos_j)
-                            l2_set[line] = False
-                        # ---- Fill L1 ----
-                        row = l1_rows[line & l1_mask]
-                        if len(row) >= l1_ways:
-                            victim_line = row[0]
-                            best = stamp[victim_line]
-                            for cand in row:
-                                cand_stamp = stamp[cand]
-                                if cand_stamp < best:
-                                    best = cand_stamp
-                                    victim_line = cand
-                            row.remove(victim_line)
-                            del stamp[victim_line]
-                            if l1_dirty.pop(victim_line, False) and counted:
-                                # Dirty L1 victim writes back into L2.
-                                wb_l2_set = l2_sets[victim_line & l2_mask]
-                                if victim_line in wb_l2_set:
-                                    wb_l2_set[victim_line] = True
-                        row.append(line)
-                        stamp[line] = pos_j
-                        if stored:
-                            l1_dirty[line] = True
-                    j = burst_end
-                    if hits * 32 >= burst_len * 31:  # >= ~97% hits
-                        vector_mode = True
+                            scalar_burst = min(scalar_burst * 2, _SCALAR_BURST_MAX)
+                        continue
+
+                    # ---- vector mode: membership scan over a window of heads ----
+                    if snapshot_drift > _SNAPSHOT_DRIFT_MAX:
+                        if stamp:
+                            snapshot = np.sort(np.fromiter(
+                                stamp.keys(), dtype=np.int64, count=len(stamp)
+                            ))
+                        else:
+                            snapshot = np.empty(0, dtype=np.int64)
+                        removed_log.clear()
+                        snapshot_drift = 0
+                    w_end = min(j + window, c_len)
+                    w_len = w_end - j
+                    seg = head_lines_np[j:w_end]
+                    if len(snapshot):
+                        pos = np.searchsorted(snapshot, seg)
+                        member = snapshot[np.minimum(pos, len(snapshot) - 1)] == seg
+                        if removed_log:
+                            # A snapshot member removed since the rebuild would
+                            # be a false hit: route it through the scalar path,
+                            # which consults live state and classifies exactly.
+                            member &= ~np.isin(
+                                seg, np.asarray(removed_log, dtype=np.int64)
+                            )
+                        scalar_pos = np.flatnonzero(~member)
+                    else:
+                        scalar_pos = np.arange(w_len)
+
+                    if not len(scalar_pos):
+                        # Fully-hit window: one bulk commit.  Last-write-wins
+                        # timestamps reproduce any move-to-MRU sequence; dirty
+                        # bits OR in each stored run.
+                        commit_hits(j, w_end, 0, w_len, seg)
+                        j = w_end
+                        if window < _WINDOW_MAX:
+                            window <<= 1
                         vector_fails = 0
-                        window = 1024
-                        # Scalar-mode misses skip the removal log, so the
-                        # membership snapshot must be rebuilt from live
-                        # state before the next vectorized scan.
-                        snapshot_drift = _SNAPSHOT_DRIFT_MAX + 1
-                    else:
-                        scalar_burst = min(scalar_burst * 2, _SCALAR_BURST_MAX)
-                    continue
+                        continue
 
-                # ---- vector mode: membership scan over a window of heads ----
-                if snapshot_drift > _SNAPSHOT_DRIFT_MAX:
-                    if stamp:
-                        snapshot = np.sort(np.fromiter(
-                            stamp.keys(), dtype=np.int64, count=len(stamp)
-                        ))
-                    else:
-                        snapshot = np.empty(0, dtype=np.int64)
-                    removed_log.clear()
-                    snapshot_drift = 0
-                w_end = min(j + window, c_len)
-                w_len = w_end - j
-                seg = head_lines_np[j:w_end]
-                if len(snapshot):
-                    pos = np.searchsorted(snapshot, seg)
-                    member = snapshot[np.minimum(pos, len(snapshot) - 1)] == seg
-                    if removed_log:
-                        # A snapshot member removed since the rebuild would
-                        # be a false hit: route it through the scalar path,
-                        # which consults live state and classifies exactly.
-                        member &= ~np.isin(
-                            seg, np.asarray(removed_log, dtype=np.int64)
-                        )
-                    scalar_pos = np.flatnonzero(~member)
-                else:
-                    scalar_pos = np.arange(w_len)
-
-                if not len(scalar_pos):
-                    # Fully-hit window: one bulk commit.  Last-write-wins
-                    # timestamps reproduce any move-to-MRU sequence; dirty
-                    # bits OR in each stored run.
-                    commit_hits(j, w_end, 0, w_len, seg)
-                    j = w_end
-                    if window < _WINDOW_MAX:
-                        window <<= 1
-                    vector_fails = 0
-                    continue
-
-                # Mixed window: bulk-commit the guaranteed-hit ranges
-                # between scalar positions; step everything else through
-                # live state.  Short ranges go scalar too.  Misses
-                # processed *inside* this window evict lines the
-                # top-of-window mask knows nothing about, so once the
-                # removed log grows, later ranges are validated against
-                # the delta before committing.
-                win_removed = len(removed_log)
-                delta: set[int] = set()
-                prev = 0
-                n_scalar = len(scalar_pos)
-                for sp in scalar_pos.tolist():
-                    if sp - prev >= _BULK_RANGE_MIN:
-                        if len(removed_log) != win_removed:
-                            delta.update(removed_log[win_removed:])
-                            win_removed = len(removed_log)
-                        if not delta or delta.isdisjoint(c_lines[j + prev:j + sp]):
-                            commit_hits(j + prev, j + sp, prev, sp, seg)
-                            prev = sp
-                    for k in range(j + prev, j + sp + 1):
-                        line = c_lines[k]
-                        if line in stamp:
-                            stamp[line] = c_pos[k]
-                            if c_store[k]:
-                                l1_dirty[line] = True
-                        else:
-                            process_miss(line, c_pos[k], c_store[k])
-                    prev = sp + 1
-                # Trailing hit range after the last scalar position.
-                if prev < w_len:
-                    bulk = w_len - prev >= _BULK_RANGE_MIN
-                    if bulk and len(removed_log) != win_removed:
-                        delta.update(removed_log[win_removed:])
-                        win_removed = len(removed_log)
-                    if bulk and (not delta or delta.isdisjoint(c_lines[j + prev:w_end])):
-                        commit_hits(j + prev, w_end, prev, w_len, seg)
-                    else:
-                        for k in range(j + prev, w_end):
+                    # Mixed window: bulk-commit the guaranteed-hit ranges
+                    # between scalar positions; step everything else through
+                    # live state.  Short ranges go scalar too.  Misses
+                    # processed *inside* this window evict lines the
+                    # top-of-window mask knows nothing about, so once the
+                    # removed log grows, later ranges are validated against
+                    # the delta before committing.
+                    win_removed = len(removed_log)
+                    delta: set[int] = set()
+                    prev = 0
+                    n_scalar = len(scalar_pos)
+                    for sp in scalar_pos.tolist():
+                        if sp - prev >= _BULK_RANGE_MIN:
+                            if len(removed_log) != win_removed:
+                                delta.update(removed_log[win_removed:])
+                                win_removed = len(removed_log)
+                            if not delta or delta.isdisjoint(c_lines[j + prev:j + sp]):
+                                commit_hits(j + prev, j + sp, prev, sp, seg)
+                                prev = sp
+                        for k in range(j + prev, j + sp + 1):
                             line = c_lines[k]
                             if line in stamp:
                                 stamp[line] = c_pos[k]
@@ -533,18 +616,36 @@ class VectorizedHierarchyPass:
                                     l1_dirty[line] = True
                             else:
                                 process_miss(line, c_pos[k], c_store[k])
-                j = w_end
-                # Adapt: shrink on missy windows, drop to scalar mode when
-                # vector scans stop paying for themselves.
-                if n_scalar * 8 >= w_len:  # >= 12.5% scalar heads
-                    vector_fails += 1
-                    if window > _WINDOW_MIN:
-                        window >>= 1
-                    if vector_fails >= 2:
-                        vector_mode = False
-                        scalar_burst = _SCALAR_BURST_MIN
-                else:
-                    vector_fails = 0
+                        prev = sp + 1
+                    # Trailing hit range after the last scalar position.
+                    if prev < w_len:
+                        bulk = w_len - prev >= _BULK_RANGE_MIN
+                        if bulk and len(removed_log) != win_removed:
+                            delta.update(removed_log[win_removed:])
+                            win_removed = len(removed_log)
+                        if bulk and (not delta or delta.isdisjoint(c_lines[j + prev:w_end])):
+                            commit_hits(j + prev, w_end, prev, w_len, seg)
+                        else:
+                            for k in range(j + prev, w_end):
+                                line = c_lines[k]
+                                if line in stamp:
+                                    stamp[line] = c_pos[k]
+                                    if c_store[k]:
+                                        l1_dirty[line] = True
+                                else:
+                                    process_miss(line, c_pos[k], c_store[k])
+                    j = w_end
+                    # Adapt: shrink on missy windows, drop to scalar mode when
+                    # vector scans stop paying for themselves.
+                    if n_scalar * 8 >= w_len:  # >= 12.5% scalar heads
+                        vector_fails += 1
+                        if window > _WINDOW_MIN:
+                            window >>= 1
+                        if vector_fails >= 2:
+                            vector_mode = False
+                            scalar_burst = _SCALAR_BURST_MIN
+                    else:
+                        vector_fails = 0
 
             # ---- Accounting for the sub-slice ----
             if i_warm == n:
@@ -599,6 +700,192 @@ class VectorizedHierarchyPass:
             return MissChunk(*pieces[0])
         return MissChunk(*(np.concatenate(column) for column in zip(*pieces)))
 
+    def _to_arrays(self) -> LockstepState:
+        """Move the cache state out of the dicts into lockstep arrays."""
+        n1, w1 = len(self._l1_rows), self._l1_ways
+        n2, w2 = len(self._l2_sets), self._l2_ways
+        state = LockstepState(n1, w1, n2, w2)
+        set_idx, way_idx = _ways_filled([len(ways) for ways in self._l2_sets])
+        if len(set_idx):
+            flat2 = set_idx * w2 + way_idx
+            state.l2_line[flat2] = list(chain.from_iterable(self._l2_sets))
+            # Insertion order is LRU order, and every line was inserted by
+            # an earlier reference, so the way index is a stamp below the
+            # next trace position that keeps the order.
+            state.l2_stamp[flat2] = way_idx
+            state.l2_dirty[flat2] = list(
+                chain.from_iterable(ways.values() for ways in self._l2_sets)
+            )
+        set_idx, way_idx = _ways_filled([len(row) for row in self._l1_rows])
+        if len(set_idx):
+            flat1 = set_idx * w1 + way_idx
+            lines = list(chain.from_iterable(self._l1_rows))
+            stamp, dirty = self._l1_stamp, self._l1_dirty
+            state.l1_stamp[flat1] = [stamp[line] for line in lines]
+            state.l1_dirty[flat1] = [line in dirty for line in lines]
+            # Inclusion: every L1 line has an L2 way; link the two.
+            lines_np = np.array(lines, dtype=np.int64)
+            s2 = lines_np & self._l2_mask
+            flat2 = s2 * w2 + (state.l2_lines.take(s2, axis=0) == lines_np[:, None]).argmax(axis=1)
+            state.l1_link[flat1] = flat2
+            state.l2_link[flat2] = flat1
+
+        self._l1_stamp.clear()
+        self._l1_dirty.clear()
+        for row in self._l1_rows:
+            row.clear()
+        for ways in self._l2_sets:
+            ways.clear()
+        return state
+
+    def _to_dicts(self) -> None:
+        """Move the cache state out of the lockstep arrays into the dicts."""
+        state = self._arrays
+        self._arrays = None
+        flat1 = np.flatnonzero(state.l1_stamps >= 0)
+        lines = state.l2_line[state.l1_link[flat1]].tolist()
+        self._l1_stamp.update(zip(lines, state.l1_stamp[flat1].tolist()))
+        self._l1_dirty.update(
+            dict.fromkeys(compress(lines, state.l1_dirty[flat1].tolist()), True)
+        )
+        rows = self._l1_rows
+        for line, set_index in zip(lines, (flat1 // self._l1_ways).tolist()):
+            rows[set_index].append(line)
+        # Each set in stamp order; its empty ways sort first.
+        order = np.argsort(state.l2_stamps, axis=1)
+        lines = np.take_along_axis(state.l2_lines, order, axis=1).tolist()
+        dirty = np.take_along_axis(state.l2_dirties, order, axis=1).tolist()
+        empty = (state.l2_lines < 0).sum(axis=1).tolist()
+        for ways, set_lines, set_dirty, first in zip(self._l2_sets, lines, dirty, empty):
+            if first < len(set_lines):
+                ways.update(zip(set_lines[first:], set_dirty[first:]))
+
+    def _lockstep(self, lines, pos, stores, warm_at, lanes, lane_heads):
+        """Classify a sub-slice's run heads set-parallel, on the arrays.
+
+        ``lines``, ``pos`` and ``stores`` are the heads' lines, trace
+        positions and run dirty bits; ``lanes`` and ``lane_heads`` their
+        lanes and the head count of each lane.  Each step advances the
+        next head of every lane that has one.  Lanes share no set, so a
+        step's heads touch disjoint ways and their numpy updates commute;
+        within a lane the heads run in trace order, as in the oracle.
+
+        Returns the counted L2-hit, LLC-miss and writeback positions in
+        trace order, as the dict modes' event lists, and the L1 hit count.
+        """
+        state = self._arrays
+        l1_stamp, l1_dirty, l1_link = state.l1_stamp, state.l1_dirty, state.l1_link
+        l2_line, l2_stamp, l2_dirty, l2_link = (
+            state.l2_line, state.l2_stamp, state.l2_dirty, state.l2_link
+        )
+        l1_stamps, l2_lines, l2_stamps = state.l1_stamps, state.l2_lines, state.l2_stamps
+        l1_scratch, l2_scratch = state.l1_scratch, state.l2_scratch
+        n = len(lines)
+        # Sort by lane (stable: trace order within a lane), then by rank
+        # within the lane: step t is the heads of rank t, a contiguous run.
+        by_lane = _stable_order(lanes, len(lane_heads))
+        firsts = np.cumsum(lane_heads) - lane_heads
+        rank = np.arange(n) - np.repeat(firsts, lane_heads)
+        order = by_lane[_stable_order(rank, int(lane_heads.max()))]
+        bounds = np.cumsum(np.bincount(rank)).tolist()
+        x_all = lines[order]
+        p_all = pos[order]
+        st_all = stores[order]
+        counted_all = p_all >= warm_at
+        # Warm-up drops a dirty L1 victim's bit; past it, nothing is masked.
+        warming = not counted_all.all()
+        s1_all = x_all & self._l1_mask
+        s2_all = x_all & self._l2_mask
+        base1_all = s1_all * self._l1_ways
+        base2_all = s2_all * self._l2_ways
+        # Per head, in step order: an L1 hit; for an L1 miss, an L2 hit and
+        # the victim's dirty bit (a writeback if it missed L2, counted).
+        l1_hit = np.zeros(n, dtype=bool)
+        l2_hit = np.zeros(n, dtype=bool)
+        wb = np.zeros(n, dtype=bool)
+
+        a = 0
+        for b in bounds:
+            # ---- Lookup: L2 holds every L1 line, linked to its L1 way ----
+            x = x_all[a:b]
+            s2 = s2_all[a:b]
+            base2 = base2_all[a:b]
+            way2 = base2 + (l2_lines.take(s2, axis=0) == x[:, None]).argmax(axis=1)
+            in_l2 = l2_line[way2] == x
+            way1 = l2_link[way2]
+            hit = in_l2 & (way1 != l1_scratch)
+            s1 = s1_all[a:b]
+            base1 = base1_all[a:b]
+            p = p_all[a:b]
+            st = st_all[a:b]
+            step = slice(a, b)
+            if np.count_nonzero(hit):
+                # ---- L1 hits: move to MRU, merge the run's dirty bit ----
+                hi = np.flatnonzero(hit)
+                l1_hit[a + hi] = True
+                way1 = way1[hi]
+                l1_stamp[way1] = p[hi]
+                l1_dirty[way1] |= st[hi]
+                mi = np.flatnonzero(~hit)
+                if not len(mi):
+                    a = b
+                    continue
+                x = x[mi]
+                s2 = s2[mi]
+                base2 = base2[mi]
+                way2 = way2[mi]
+                in_l2 = in_l2[mi]
+                s1 = s1[mi]
+                base1 = base1[mi]
+                p = p[mi]
+                st = st[mi]
+                step = a + mi
+            l2_hit[step] = in_l2
+
+            # ---- L2: a hit moves to MRU; a miss takes the LRU way ----
+            way2 = np.where(
+                in_l2, way2, base2 + l2_stamps.take(s2, axis=0).argmin(axis=1)
+            )
+            # Inclusive hierarchy: back-invalidate the victim from L1 and
+            # merge its dirty bit.  A victim not in L1 (and a line that hit
+            # L2, which is not in L1 either) links to the L1 scratch way,
+            # so the writes below land there and change nothing.  An
+            # emptied way keeps a stale dirty bit that nothing reads: no L2
+            # way links to it, and it links to the L2 scratch way.
+            back = l2_link[way2]
+            dirty = l2_dirty[way2] | l1_dirty[back]
+            l1_stamp[back] = _EMPTY_STAMP
+            l1_link[back] = l2_scratch
+            wb[step] = dirty
+            l2_line[way2] = x
+            l2_stamp[way2] = p
+            l2_dirty[way2] = dirty & in_l2
+
+            # ---- Fill L1: the LRU way; a dirty victim writes into L2 ----
+            way1 = base1 + l1_stamps.take(s1, axis=0).argmin(axis=1)
+            # The evicted line's L2 way: the L2 scratch way if the L1 way
+            # was empty.
+            out = l1_link[way1]
+            if warming:
+                l2_dirty[out] |= l1_dirty[way1] & counted_all[step]
+            else:
+                l2_dirty[out] |= l1_dirty[way1]
+            l2_link[out] = l1_scratch
+            l1_stamp[way1] = p
+            l1_dirty[way1] = st
+            l1_link[way1] = way2
+            l2_link[way2] = way1
+            a = b
+
+        hits = int(np.count_nonzero(l1_hit))
+        llc_miss = ~(l1_hit | l2_hit)
+        llc_miss &= counted_all
+        l2_hit &= counted_all
+        wb &= llc_miss
+        return (
+            np.sort(p_all[l2_hit]), np.sort(p_all[llc_miss]), np.sort(p_all[wb]), hits,
+        )
+
     def _requests(
         self, gaps, stores, instr, first, fresh, acc,
         l2_hit_refs, miss_refs, wb_refs,
@@ -626,7 +913,7 @@ class VectorizedHierarchyPass:
         l1_hit, l2_hit, miss_onchip = self._level_cycles
         op_terms = terms[2::2]
         op_terms.fill(l1_hit)
-        if l2_hit_refs:
+        if len(l2_hit_refs):
             op_terms[np.array(l2_hit_refs, dtype=np.int64) - first] = l2_hit
         op_terms[miss_idx] = miss_onchip
         op_terms[stores] = self._store_issue
@@ -636,7 +923,7 @@ class VectorizedHierarchyPass:
 
         blocking = ~stores[miss_idx]
         inst = instr[miss_idx]
-        if not wb_refs:
+        if not len(wb_refs):
             return (seg_sums, blocking, inst), acc
         # Interleave miss requests with their writebacks (gap 0.0, non-
         # blocking, same instruction index).
@@ -712,3 +999,51 @@ def _segment_sums(terms: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, floa
             acc[:live] += terms[row_starts[:live] + column]
         sums[rows] = acc
     return sums, open_sum
+
+
+class LockstepState:
+    """The cache state in the lockstep mode's form.
+
+    Flat per-way arrays, way ``w`` of set ``s`` at ``s * ways + w``, each
+    with one scratch way at the end: L1 stamps and dirty bits, and L2
+    lines, stamps and dirty bits.  A stamp is the trace position of the
+    way's last touch (for L2, its line's last L1 miss), so the way with
+    the smallest stamp is the oracle's first-inserted key; an empty way's
+    stamp is below every position.  Inclusion makes L2 the directory:
+    every L1 line sits in L2, and the two ways link to each other
+    (``l1_link`` / ``l2_link``).  An empty L1 way links to the L2 scratch
+    way and an L2 line outside L1 to the L1 scratch way, so a step writes
+    through a link unconditionally.  The ``(sets, ways)`` views exclude
+    the scratch ways.
+    """
+
+    def __init__(self, n1: int, w1: int, n2: int, w2: int) -> None:
+        self.l1_scratch = n1 * w1
+        self.l2_scratch = n2 * w2
+        self.l1_stamp = np.full(n1 * w1 + 1, _EMPTY_STAMP, dtype=np.int64)
+        self.l1_dirty = np.zeros(n1 * w1 + 1, dtype=bool)
+        self.l1_link = np.full(n1 * w1 + 1, self.l2_scratch, dtype=np.intp)
+        self.l2_line = np.full(n2 * w2 + 1, _EMPTY_LINE, dtype=np.int64)
+        self.l2_stamp = np.full(n2 * w2 + 1, _EMPTY_STAMP, dtype=np.int64)
+        self.l2_dirty = np.zeros(n2 * w2 + 1, dtype=bool)
+        self.l2_link = np.full(n2 * w2 + 1, self.l1_scratch, dtype=np.intp)
+        self.l1_stamps = self.l1_stamp[:-1].reshape(n1, w1)
+        self.l2_lines = self.l2_line[:-1].reshape(n2, w2)
+        self.l2_stamps = self.l2_stamp[:-1].reshape(n2, w2)
+        self.l2_dirties = self.l2_dirty[:-1].reshape(n2, w2)
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in ``[0, bound)``;
+    16-bit keys take numpy's radix sort, about 10x faster."""
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+def _ways_filled(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Set and way indices of the first ``sizes[s]`` ways of each set."""
+    counts = np.asarray(sizes, dtype=np.int64)
+    set_idx = np.repeat(np.arange(len(counts)), counts)
+    firsts = np.cumsum(counts) - counts
+    return set_idx, np.arange(len(set_idx)) - np.repeat(firsts, counts)

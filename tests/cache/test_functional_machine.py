@@ -1,17 +1,22 @@
 """Chunk-straddling cases of the vectorized functional-pass machine.
 
 :class:`~repro.cache.vectorized.VectorizedHierarchyPass` carries its
-run, window, warm-up and accumulator state across ``feed`` calls and
-across its own sub-slices.  Each case here places a cut where one of
+run, window, warm-up and accumulator state, and the form its cache state
+is in (dicts or lockstep arrays), across ``feed`` calls and across its
+own sub-slices.  Each case here places a cut where one of
 those carries matters and compares the output byte for byte with the
 scalar oracle, ``simulate_hierarchy_reference``.  Cuts are given as
-reference indices into the trace.
+reference indices into the trace.  Every case runs with the lockstep
+mode forced off and forced on (``functional_routing``), except the
+representation changes, which set routing constants of their own.
 """
 
 import numpy as np
 import pytest
 
+from repro.cache import vectorized
 from repro.cache.hierarchy import (
+    HierarchyConfig,
     MissChunk,
     StreamingHierarchyPass,
     functional_pass,
@@ -22,7 +27,7 @@ from repro.cache.vectorized import VectorizedHierarchyPass
 from repro.cpu.core import DEFAULT_CORE
 from repro.ingest import header_for, trace_chunks
 from repro.ingest.formats import TraceChunk
-from tests.cache.test_vectorized_equivalence import TINY, make_trace
+from tests.cache.test_vectorized_equivalence import TINY, WIDE_L1, make_trace
 
 
 def slice_chunk(trace, lo, hi):
@@ -71,6 +76,16 @@ def hot_loop(n, lines=(0, 1, 2, 3)):
     return [lines[i % len(lines)] for i in range(n)]
 
 
+def assert_mode(machine, routing, vector):
+    """The dict modes the case needs (vector or scalar) when lockstep is
+    off; lockstep throughout when it is forced on."""
+    if routing == "always":
+        assert machine._arrays is not None, "the machine must be in lockstep"
+    else:
+        assert machine._vector_mode is vector, f"the cut must fall in {vector=} mode"
+
+
+@pytest.mark.usefixtures("functional_routing")
 class TestRunsAcrossCuts:
     def test_store_after_the_cut_dirties_the_run(self):
         # Line 8 is read three times, then stored to once, all in one
@@ -96,8 +111,9 @@ class TestRunsAcrossCuts:
             assert_matches_oracle(trace, streamed)
 
 
+@pytest.mark.usefixtures("functional_routing")
 class TestVectorWindowsAcrossCuts:
-    def test_cut_inside_a_fully_hit_window(self):
+    def test_cut_inside_a_fully_hit_window(self, functional_routing):
         # 2000 hits over four resident lines: the first scalar burst
         # promotes the machine to vector mode, whose windows then commit
         # whole hit ranges in bulk.
@@ -106,12 +122,12 @@ class TestVectorWindowsAcrossCuts:
         for cut in (700, 1033, 1500):
             machine = VectorizedHierarchyPass(header_for(trace), TINY, DEFAULT_CORE)
             first = machine.feed(slice_chunk(trace, 0, cut))
-            assert machine._vector_mode, "the cut must fall in vector mode"
+            assert_mode(machine, functional_routing, vector=True)
             rest = machine.feed(slice_chunk(trace, cut, n))
             streamed = machine.finish().with_requests(_concat([first, rest]))
             assert_matches_oracle(trace, streamed)
 
-    def test_cut_inside_a_mixed_window_with_back_invalidations(self):
+    def test_cut_inside_a_mixed_window_with_back_invalidations(self, functional_routing):
         # A hot loop over lines 0, 1 and 3 with one fresh even line every
         # 60 references.  Line 0 stays in L1 (it is always more recent
         # than the last fresh line), but L1 hits never refresh L2's LRU,
@@ -137,12 +153,12 @@ class TestVectorWindowsAcrossCuts:
         for cut in (620, 1111, 1799):
             machine = VectorizedHierarchyPass(header_for(trace), TINY, DEFAULT_CORE)
             first = machine.feed(slice_chunk(trace, 0, cut))
-            assert machine._vector_mode, "the cut must fall in vector mode"
+            assert_mode(machine, functional_routing, vector=True)
             rest = machine.feed(slice_chunk(trace, cut, trace.n_references))
             streamed = machine.finish().with_requests(_concat([first, rest]))
             assert_matches_oracle(trace, streamed)
 
-    def test_scalar_to_vector_flip_across_a_cut(self):
+    def test_scalar_to_vector_flip_across_a_cut(self, functional_routing):
         # Miss-dense start (scalar mode), then a long hot loop: the
         # promotion to vector mode happens after the cut.
         rng = np.random.default_rng(9)
@@ -153,13 +169,14 @@ class TestVectorWindowsAcrossCuts:
         for cut in (500, 600, 700):
             machine = VectorizedHierarchyPass(header_for(trace), TINY, DEFAULT_CORE)
             first = machine.feed(slice_chunk(trace, 0, cut))
-            assert not machine._vector_mode
+            assert_mode(machine, functional_routing, vector=False)
             rest = machine.feed(slice_chunk(trace, cut, n))
-            assert machine._vector_mode
+            assert_mode(machine, functional_routing, vector=True)
             streamed = machine.finish().with_requests(_concat([first, rest]))
             assert_matches_oracle(trace, streamed)
 
 
+@pytest.mark.usefixtures("functional_routing")
 class TestWarmupAcrossCuts:
     @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "at", "after"])
     def test_warmup_boundary_near_a_cut(self, offset):
@@ -186,6 +203,7 @@ class TestWarmupAcrossCuts:
         assert ref.n_instructions == 40
 
 
+@pytest.mark.usefixtures("functional_routing")
 class TestDegenerateChunkings:
     def test_empty_chunks_change_nothing(self):
         rng = np.random.default_rng(4)
@@ -235,6 +253,7 @@ class TestDegenerateChunkings:
         assert_matches_oracle(trace, result, config=None)
 
 
+@pytest.mark.usefixtures("functional_routing")
 class TestLifecycle:
     def test_feed_after_finish_raises(self):
         trace = make_trace([0, 1, 2], [False] * 3, [0] * 3)
@@ -265,3 +284,100 @@ class TestLifecycle:
         assert isinstance(machine, StreamingHierarchyPass)
         with pytest.raises(ValueError, match="mode"):
             functional_pass(trace, mode="turbo")
+
+
+#: 8-set/2-way L1 over a 32-set/4-way L2: eight lanes, so a lockstep step
+#: can advance up to eight heads at once.
+LANES8 = HierarchyConfig(
+    l1i_bytes=256, l1i_ways=2,
+    l1d_bytes=1024, l1d_ways=2,
+    l2_bytes=8192, l2_ways=4,
+    line_bytes=64,
+)
+
+
+class TestRepresentationChanges:
+    """Cuts where the machine moves its state between the dicts and the
+    lockstep arrays, in each direction, with warm-up ending on each side,
+    and at random."""
+
+    SUB_SLICE = 100
+
+    def phased_trace(self):
+        rng = np.random.default_rng(12)
+        phases = [
+            # Miss-dense but narrow: one lane, so the dict modes keep it.
+            8 * rng.integers(0, 512, size=300),
+            # Miss-dense and wide: the state moves into the arrays.
+            rng.integers(0, 1 << 16, size=400),
+            # A hot loop over eight lines, one per L1 set: hit-dense, so
+            # the state moves back into the dicts (vector mode).
+            np.array(hot_loop(500, lines=tuple(range(1000, 1008)))),
+            # Wide misses again: vector scans fail, the scalar loop takes
+            # over, and the state moves into the arrays once more.
+            rng.integers(0, 1 << 16, size=600),
+        ]
+        lines = np.concatenate(phases)
+        n = len(lines)
+        return make_trace(lines.tolist(), (rng.random(n) < 0.4).tolist(),
+                          rng.integers(0, 4, size=n).tolist())
+
+    def run(self, trace, warmup):
+        """Feed one sub-slice per chunk; the output and the form the
+        state is in after each chunk."""
+        n = trace.n_references
+        machine = VectorizedHierarchyPass(
+            header_for(trace), LANES8, DEFAULT_CORE,
+            warmup_instructions=warmup, chunk_refs=self.SUB_SLICE,
+        )
+        parts, forms = [], []
+        for lo in range(0, n, self.SUB_SLICE):
+            parts.append(machine.feed(slice_chunk(trace, lo, min(lo + self.SUB_SLICE, n))))
+            forms.append("arrays" if machine._arrays is not None else "dicts")
+        return machine.finish().with_requests(_concat(parts)), forms
+
+    @pytest.mark.parametrize("side", [None, 0, 1, 2, 3],
+                             ids=["no-warmup", "dicts", "arrays", "dicts-again", "arrays-again"])
+    def test_dicts_arrays_dicts_arrays(self, monkeypatch, side):
+        monkeypatch.setattr(vectorized, "LOCKSTEP_MIN_HEADS", 64)
+        monkeypatch.setattr(vectorized, "LOCKSTEP_MIN_WIDTH", 4)
+        trace = self.phased_trace()
+        _, forms = self.run(trace, warmup=0)
+        # Runs of sub-slices in one form: dicts, arrays, dicts, arrays.
+        starts = [0] + [i for i in range(1, len(forms)) if forms[i] != forms[i - 1]]
+        assert [forms[i] for i in starts] == ["dicts", "arrays", "dicts", "arrays"], forms
+        assert starts[1] >= 3, "the narrow phase must stay in the dicts"
+        warmup = 0
+        if side is not None:
+            # Warm-up ends in the middle of the chosen run.
+            ends = starts[1:] + [len(forms)]
+            middle = (starts[side] + ends[side]) * self.SUB_SLICE // 2
+            warmup = int(np.cumsum(trace.gap_instructions + 1)[middle])
+        streamed, warm_forms = self.run(trace, warmup)
+        assert warm_forms == forms, "warm-up must not move the routing"
+        assert_matches_oracle(trace, streamed, config=LANES8, warmup=warmup)
+
+    @pytest.mark.parametrize("config", [TINY, LANES8, WIDE_L1], ids=["tiny", "lanes8", "wide-l1"])
+    def test_random_mode_changes(self, monkeypatch, config):
+        # Any sequence of routing decisions is exact: a seeded coin picks
+        # lockstep for each miss-dense sub-slice, so the state changes
+        # form at random cuts, sub-slices and warm-up splits.
+        coin = np.random.default_rng(17)
+        monkeypatch.setattr(
+            vectorized, "lockstep_pays",
+            lambda n_heads, lane_max, miss_dense, in_arrays: (
+                miss_dense and coin.random() < 0.6
+            ),
+        )
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            n = int(rng.integers(1, 300))
+            lines = np.repeat(rng.integers(0, int(rng.integers(8, 200)), size=n),
+                              rng.integers(1, 3, size=n))[:n]
+            trace = make_trace(lines.tolist(), (rng.random(n) < 0.4).tolist(),
+                               rng.integers(0, 12, size=n).tolist())
+            cuts = sorted(rng.integers(0, n + 1, size=3).tolist())
+            warmup = int(rng.choice([0, 37, 500]))
+            streamed, _ = run_cut(trace, cuts, config=config, warmup=warmup,
+                                  chunk_refs=int(rng.integers(1, 40)))
+            assert_matches_oracle(trace, streamed, config=config, warmup=warmup)

@@ -6,6 +6,9 @@ arrays are bit-identical to the scalar reference's and whose scalar
 accounting (compute cycles, instruction counts, energy events) is equal.
 Small cache geometries make evictions, back-invalidations, and dirty
 writebacks dense enough for short random traces to exercise every path.
+Every case runs with the lockstep mode forced off and forced on (the
+``functional_routing`` and ``each_routing`` fixtures), except
+``TestRouting``, which checks the rule at its calibrated constants.
 """
 
 import numpy as np
@@ -17,7 +20,11 @@ from repro.cache.hierarchy import (
     simulate_hierarchy,
     simulate_hierarchy_reference,
 )
-from repro.cache.vectorized import hierarchy_pass_vectorized
+from repro.cache.vectorized import (
+    DEFAULT_CHUNK_REFS,
+    VectorizedHierarchyPass,
+    hierarchy_pass_vectorized,
+)
 from repro.cpu.core import DEFAULT_CORE
 from repro.cpu.trace import MemoryTrace
 
@@ -73,9 +80,9 @@ class TestPropertyEquivalence:
         warmup=st.sampled_from([0, 1, 37, 500, 10_000]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_tiny_hierarchy(self, lines, stores, gaps, warmup):
+    def test_tiny_hierarchy(self, each_routing, lines, stores, gaps, warmup):
         trace = make_trace(lines, stores, gaps)
-        assert_bit_identical(trace, TINY, warmup=warmup)
+        each_routing(lambda: assert_bit_identical(trace, TINY, warmup=warmup))
 
     @given(
         lines=st.lists(st.integers(0, 31), min_size=1, max_size=200),
@@ -84,10 +91,10 @@ class TestPropertyEquivalence:
         chunk_refs=st.sampled_from([1, 3, 7, 64]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_chunk_boundaries(self, lines, stores, gaps, chunk_refs):
+    def test_chunk_boundaries(self, each_routing, lines, stores, gaps, chunk_refs):
         """Chunking must be invisible: any chunk size, same bytes."""
         trace = make_trace(lines, stores, gaps)
-        assert_bit_identical(trace, TINY, chunk_refs=chunk_refs)
+        each_routing(lambda: assert_bit_identical(trace, TINY, chunk_refs=chunk_refs))
 
     @given(
         lines=st.lists(
@@ -101,12 +108,13 @@ class TestPropertyEquivalence:
         gaps=st.lists(st.integers(0, 100), min_size=400, max_size=400),
     )
     @settings(max_examples=40, deadline=None)
-    def test_paper_hierarchy_mixed_locality(self, lines, stores, gaps):
+    def test_paper_hierarchy_mixed_locality(self, each_routing, lines, stores, gaps):
         """Paper-scale geometry with mixed hot/cold reference streams."""
         trace = make_trace(lines, stores, gaps)
-        assert_bit_identical(trace, None, warmup=0)
+        each_routing(lambda: assert_bit_identical(trace, None, warmup=0))
 
 
+@pytest.mark.usefixtures("functional_routing")
 class TestEdgeCases:
     def test_empty_trace(self):
         assert_bit_identical(make_trace([], [], []), TINY)
@@ -143,6 +151,7 @@ class TestEdgeCases:
             hierarchy_pass_vectorized(trace, TINY, DEFAULT_CORE, chunk_refs=0)
 
 
+@pytest.mark.usefixtures("functional_routing")
 class TestWorkloadEquivalence:
     """Full registry workloads at a reduced budget, both warm-up splits."""
 
@@ -166,3 +175,105 @@ class TestWorkloadEquivalence:
         trace = make_trace(lines.tolist(), stores.tolist(), gaps.tolist())
         assert_bit_identical(trace, TINY)
         assert_bit_identical(trace, TINY, warmup=2_000)
+
+
+#: An L1 with more sets than its L2: 8-set/2-way L1 over a 4-set/8-way L2.
+#: Lanes follow L2's sets, so an L2 victim's back-invalidation can land in
+#: another L1 set of its lane than the one the missing line fills.
+WIDE_L1 = HierarchyConfig(
+    l1i_bytes=256, l1i_ways=2,
+    l1d_bytes=1024, l1d_ways=2,
+    l2_bytes=2048, l2_ways=8,
+    line_bytes=64,
+)
+
+
+@pytest.mark.usefixtures("functional_routing")
+class TestDirtyBits:
+    def test_l2_victim_dirty_in_l1_merges_into_its_writeback(self):
+        # Line 0 is stored to, then kept in L1 by hits between fresh even
+        # lines.  L1 hits never refresh L2's LRU, so the fifth line of L2
+        # set 0 evicts line 0 while it is still resident and dirty in L1:
+        # L2's own copy is clean, and only the merged L1 bit makes the
+        # writeback.
+        lines = [0, 2, 0, 4, 0, 6, 0, 8]
+        trace = make_trace(lines, [True] + [False] * 7, [1] * 8)
+        ref = simulate_hierarchy_reference(trace, TINY, DEFAULT_CORE)
+        assert ref.energy.writebacks == 1
+        assert not ref.is_blocking[-1], "the writeback follows the last miss"
+        assert_bit_identical(trace, TINY)
+        for chunk_refs in (1, 3):
+            assert_bit_identical(trace, TINY, chunk_refs=chunk_refs)
+
+    @pytest.mark.parametrize("warmup", [0, 4], ids=["counted", "warming"])
+    def test_dirty_l1_victim_in_warmup_leaves_l2_clean(self, warmup):
+        # Line 0 is stored to, then evicted from L1 by lines 2 and 4.
+        # Counted, its dirty bit moves into L2, and line 8 later evicts it
+        # from L2 as a writeback; during warm-up the bit is dropped, and
+        # the same eviction writes nothing back.
+        trace = make_trace([0, 2, 4, 6, 8], [True] + [False] * 4, [0] * 5)
+        ref = simulate_hierarchy_reference(
+            trace, TINY, DEFAULT_CORE, warmup_instructions=warmup
+        )
+        assert ref.energy.writebacks == (1 if warmup == 0 else 0)
+        assert ref.energy.llc_misses == (5 if warmup == 0 else 2)
+        for chunk_refs in (None, 1, 2):
+            assert_bit_identical(trace, TINY, warmup=warmup, chunk_refs=chunk_refs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_l2_with_fewer_sets_than_l1(self, seed):
+        rng = np.random.default_rng(seed)
+        writebacks = 0
+        for _ in range(20):
+            n = int(rng.integers(1, 400))
+            lines = np.repeat(rng.integers(0, 96, size=n), rng.integers(1, 3, size=n))[:n]
+            trace = make_trace(lines.tolist(), (rng.random(n) < 0.4).tolist(),
+                               rng.integers(0, 12, size=n).tolist())
+            warmup = int(rng.choice([0, 50, 600]))
+            chunk_refs = int(rng.choice([7, 64, 1 << 14]))
+            assert_bit_identical(trace, WIDE_L1, warmup=warmup, chunk_refs=chunk_refs)
+            writebacks += simulate_hierarchy_reference(
+                trace, WIDE_L1, DEFAULT_CORE, warmup_instructions=warmup
+            ).energy.writebacks
+        assert writebacks > 0
+
+
+class TestRouting:
+    """The lockstep rule at its calibrated constants (unpatched)."""
+
+    @pytest.fixture
+    def lockstep_calls(self, monkeypatch):
+        calls = []
+        classify = VectorizedHierarchyPass._lockstep
+
+        def counted(machine, lines, *args):
+            calls.append(len(lines))
+            return classify(machine, lines, *args)
+
+        monkeypatch.setattr(VectorizedHierarchyPass, "_lockstep", counted)
+        return calls
+
+    def test_a_long_mcf_stream_runs_in_lockstep(self, lockstep_calls):
+        from repro.cache.streaming import run_functional_streaming
+        from repro.workloads.registry import build_trace
+
+        trace = build_trace("mcf", seed=0, n_instructions=2_000_000)
+        streamed = run_functional_streaming(trace, chunk_refs=1 << 16)
+        n_sub_slices = -(-trace.n_references // DEFAULT_CHUNK_REFS)
+        assert len(lockstep_calls) == n_sub_slices
+        ref = simulate_hierarchy_reference(trace, None, DEFAULT_CORE)
+        assert streamed.checksum() == ref.checksum()
+        assert streamed.energy == ref.energy
+
+    def test_figure6_traces_at_40k_stay_on_the_dict_modes(self, lockstep_calls):
+        from repro.api.figures import FIG6_BENCHMARKS
+        from repro.sim.simulator import SimConfig
+        from repro.workloads.registry import build_trace
+
+        config = SimConfig(n_instructions=40_000)
+        warmup = int(config.n_instructions * config.warmup_fraction)
+        for name, input_name in FIG6_BENCHMARKS:
+            trace = build_trace(name, seed=0, input_name=input_name,
+                                n_instructions=config.n_instructions + warmup)
+            simulate_hierarchy(trace, warmup_instructions=warmup)
+        assert lockstep_calls == []

@@ -6,16 +6,20 @@ serial run — and a *deterministic* crasher is quarantined as poison
 after ``max_batch_attempts`` instead of wedging the sweep.
 """
 
+import os
+
 import pytest
 
+import repro.sim.simulator as simulator_module
 from repro import obs
 from repro.api.backends import ProcessPoolBackend, SerialBackend
 from repro.api.engine import Engine
 from repro.api.spec import ExperimentSpec
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.sim.simulator import clear_pass_memo
 
 #: Two benchmarks -> two functional-pass groups -> a real 2-worker pool
-#: (a single group would fall back to inline serial execution).
+#: (a lone group runs inline while a fresh pool starts; see TestLoneGroup).
 SPEC = ExperimentSpec(
     benchmarks=("mcf", "libquantum"),
     schemes=("base_dram", "static:300"),
@@ -101,10 +105,52 @@ class TestPoisonQuarantine:
             ProcessPoolBackend(retry_backoff_s=-1.0)
 
 
-class TestSingleGroupFallback:
-    def test_one_group_runs_inline_without_pool(self, tmp_path):
-        spec = ExperimentSpec(benchmarks=("mcf",), schemes=("base_dram",),
-                              seeds=(0,), n_instructions=20_000)
-        serial = Engine(backend=SerialBackend()).run(spec)
-        pooled = Engine(backend=ProcessPoolBackend(max_workers=8)).run(spec)
+class TestLoneGroup:
+    """A run of one group on a backend of several workers runs inline
+    while the pool starts, and in a worker once the pool is up."""
+
+    SPEC = ExperimentSpec(benchmarks=("mcf",), schemes=("base_dram",),
+                          seeds=(0,), n_instructions=20_000)
+
+    def test_lone_group_runs_inline_while_the_pool_starts(self, monkeypatch):
+        serial = Engine(backend=SerialBackend()).run(self.SPEC)
+        inline = []
+        run_inline = SerialBackend.run_cells
+
+        def spy(backend, cells, cache=None):
+            inline.append(len(cells))
+            return run_inline(backend, cells, cache)
+
+        monkeypatch.setattr(SerialBackend, "run_cells", spy)
+        with ProcessPoolBackend(max_workers=8) as backend:
+            pooled = Engine(backend=backend).run(self.SPEC)
+            pids = set(backend._shared_pool().result()._processes)
         assert pooled.digest() == serial.digest()
+        assert inline == [self.SPEC.n_cells]
+        assert pids
+        assert not any(alive(pid) for pid in pids)
+
+    def test_lone_group_runs_in_a_worker_once_the_pool_is_up(self, monkeypatch):
+        serial = Engine(backend=SerialBackend()).run(self.SPEC)
+        clear_pass_memo()
+
+        def no_functional_pass(*args, **kwargs):
+            raise AssertionError("the lone group ran in the caller's process")
+
+        with ProcessPoolBackend(max_workers=8) as backend:
+            pool = backend._shared_pool().result()
+            monkeypatch.setattr(simulator_module, "simulate_hierarchy", no_functional_pass)
+            pooled = Engine(backend=backend).run(self.SPEC)
+            pids = set(pool._processes)
+        assert pooled.digest() == serial.digest()
+        assert pooled.meta["cells_run"] == self.SPEC.n_cells
+        assert pids
+        assert not any(alive(pid) for pid in pids)
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True

@@ -4,10 +4,12 @@ The streaming variants exist for bounded memory, not approximate
 answers: for ANY chunking of the input — including chunk=1, a chunk
 larger than the whole trace, and chunks that straddle epoch boundaries
 of the dynamic scheme — the functional pass must produce a MissTrace
-with the same ``checksum()`` as :func:`simulate_hierarchy`, and the
-timing replay must produce the same cycles, counters, epoch history,
-and power as :func:`run_timing`.  Chunk boundaries are an
-implementation detail; these properties make that a theorem.
+with the same ``checksum()`` as the scalar oracle's in-memory pass
+(:func:`simulate_hierarchy` in reference mode), with the fast machine's
+lockstep mode forced off and forced on, and the timing replay must
+produce the same cycles, counters, epoch history, and power as
+:func:`run_timing`.  Chunk boundaries are an implementation detail;
+these properties make that a theorem.
 """
 
 import numpy as np
@@ -54,6 +56,11 @@ def miss_trace(workload_trace):
     return simulate_hierarchy(workload_trace)
 
 
+def oracle(trace, warmup=0):
+    """The scalar oracle's in-memory functional pass."""
+    return simulate_hierarchy(trace, warmup_instructions=warmup, mode="reference")
+
+
 def assert_timing_identical(miss_trace, scheme, chunk_requests, mode, entries=8):
     reference = run_timing(
         miss_trace, scheme, write_buffer_entries=entries, record_requests=False
@@ -74,12 +81,13 @@ def assert_timing_identical(miss_trace, scheme, chunk_requests, mode, entries=8)
     assert streamed.power_watts == reference.power_watts
 
 
+@pytest.mark.usefixtures("functional_routing")
 class TestFunctionalStreaming:
     @pytest.mark.parametrize("chunk_refs", [1, 7, 100, 1 << 30],
                              ids=["chunk1", "chunk7", "chunk100", "chunk>trace"])
     @pytest.mark.parametrize("warmup", [0, 30_000])
     def test_checksum_matches_in_memory(self, workload_trace, chunk_refs, warmup):
-        reference = simulate_hierarchy(workload_trace, warmup_instructions=warmup)
+        reference = oracle(workload_trace, warmup=warmup)
         streamed = run_functional_streaming(
             workload_trace, warmup_instructions=warmup, chunk_refs=chunk_refs
         )
@@ -90,12 +98,12 @@ class TestFunctionalStreaming:
     def test_checksum_invariant_under_any_chunking(self, chunk_refs):
         trace = build_trace("mcf", seed=3, n_instructions=60_000)
         streamed = run_functional_streaming(trace, chunk_refs=chunk_refs)
-        assert streamed.checksum() == simulate_hierarchy(trace).checksum()
+        assert streamed.checksum() == oracle(trace).checksum()
 
     @pytest.mark.parametrize("mode", ["fast", "reference"])
     def test_both_modes_accepted(self, workload_trace, mode):
         streamed = run_functional_streaming(workload_trace, mode=mode, chunk_refs=997)
-        assert streamed.checksum() == simulate_hierarchy(workload_trace).checksum()
+        assert streamed.checksum() == oracle(workload_trace).checksum()
 
     def test_unknown_mode_rejected(self, workload_trace):
         with pytest.raises(ValueError, match="mode"):
@@ -108,7 +116,7 @@ class TestFunctionalStreaming:
             header_for(workload_trace),
             chunks=trace_chunks(workload_trace, chunk_refs=1111),
         )
-        assert streamed.checksum() == simulate_hierarchy(workload_trace).checksum()
+        assert streamed.checksum() == oracle(workload_trace).checksum()
 
 
 class TestTimingStreaming:
@@ -149,6 +157,7 @@ class TestTimingStreaming:
                 BaseDramScheme(), mode="psychic",
             )
 
+    @pytest.mark.usefixtures("functional_routing")
     def test_callable_summary_enables_lazy_pipelines(self, workload_trace):
         # The full lazy pipeline: functional chunks flow straight into
         # the timing replay, and the summary is only materialized after
@@ -158,9 +167,7 @@ class TestTimingStreaming:
             header_for(workload_trace), trace_chunks(workload_trace, 911)
         )
         streamed = run_timing_streaming(chunks, machine.finish, scheme)
-        reference = run_timing(
-            simulate_hierarchy(workload_trace), scheme, record_requests=False
-        )
+        reference = run_timing(oracle(workload_trace), scheme, record_requests=False)
         assert streamed.cycles == reference.cycles
         assert streamed.power_watts == reference.power_watts
 
