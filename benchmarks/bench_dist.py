@@ -17,7 +17,7 @@ checks the shapes the distributed design must preserve:
 
 The pinned artifact regenerates via::
 
-    PYTHONPATH=src python benchmarks/bench_dist.py --pin
+    PYTHONPATH=src python -m benchmarks.bench_dist --pin
 """
 
 import json

@@ -23,7 +23,6 @@ from repro.api.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    default_start_method,
 )
 from repro.api.cache import (
     ExperimentCache,
@@ -69,7 +68,6 @@ __all__ = [
     "RunRecord",
     "SerialBackend",
     "SpecError",
-    "default_start_method",
     "TraceCache",
     "default_cache_dir",
     "execute_cell",

@@ -1,17 +1,17 @@
 """Pluggable execution backends for the experiment engine.
 
-A backend turns a list of independent spec cells into run records.  Both
-built-ins produce identical records for identical cells (see
-:mod:`repro.api.execution` on determinism); they differ only in where the
-work happens:
+A backend turns a list of independent spec cells into run records and,
+given a cache, persists them.  Both built-ins produce identical records
+for identical cells (see :mod:`repro.api.execution` on determinism);
+they differ only in where the work happens:
 
 - :class:`SerialBackend` — in this process, sharing functional passes
   through the simulator's process-wide memo.
 - :class:`ProcessPoolBackend` — shards cells across a warm pool of
   worker processes it keeps for its lifetime.  Cells are deterministic
   and independent, so sharding needs no coordination; the persistent
-  trace cache (when the engine has one) lets workers share functional
-  passes through the filesystem.
+  cache (when the engine has one) lets workers share functional passes
+  through the filesystem, and each worker writes its group's records.
 
 Every worker process repro starts — the pool's, and the work queue's
 local workers (:mod:`repro.dist.backend`) — comes from
@@ -61,16 +61,6 @@ WORKER_PRELOAD = ("repro.dist.worker", "repro.cache.vectorized", "numpy.random")
 
 #: Serialises the temporary ``PYTHONPATH`` edit around a server start.
 _SERVER_ENV_LOCK = threading.Lock()
-
-
-def default_start_method() -> str:
-    """Start method of the tenancy sweep's own process pool, its only user.
-
-    ``fork`` where available (cheap on Linux — workers inherit warm
-    module state), else ``spawn``.  repro's other worker processes start
-    from :func:`worker_context` instead.
-    """
-    return "fork" if "fork" in get_all_start_methods() else "spawn"
 
 
 def worker_start_method() -> str:
@@ -135,10 +125,10 @@ class ExecutionBackend(Protocol):
     Returned records align with ``cells`` by index.  An entry may be
     ``None`` when the backend quarantined that cell as poison after
     repeated worker crashes — the engine drops those from the ResultSet
-    and reports them in ``meta["cells_poisoned"]``.  A backend whose
-    records are read back out of ``cache.results`` sets a true
-    ``records_from_cache`` attribute, and the engine does not write them
-    again.
+    and reports them in ``meta["cells_poisoned"]``.  Given a ``cache``,
+    the backend persists every record it computes by running its groups
+    through :func:`~repro.api.execution.execute_cells_batch`; the engine
+    writes nothing.
     """
 
     def run_cells(
@@ -162,7 +152,7 @@ class SerialBackend:
         self, cells: Sequence[Cell], cache: ExperimentCache | None = None
     ) -> list[RunRecord]:
         """Execute every cell in this process."""
-        return execute_cells_batch(cells, trace_store=cache.traces if cache else None)
+        return execute_cells_batch(cells, cache)
 
 
 @dataclass
@@ -209,7 +199,8 @@ class ProcessPoolBackend:
     one group runs in the caller, as a one-worker run does, and a run of
     several groups waits for it.  Workers see neither the caller's pass
     memo nor its environment: with a cache they read passes from the
-    trace store, and each batch carries the caller's active fault plan.
+    trace store and write their records to the result store, and each
+    batch carries the caller's active fault plan.
     :meth:`close` (or leaving a ``with`` block) stops the workers; a
     later run starts a new pool.
 
@@ -358,7 +349,7 @@ class ProcessPoolBackend:
             # here, as a one-worker run does.  A run of several groups
             # waits, so its compute stays out of the caller's memory.
             return SerialBackend().run_cells(cells, cache)
-        cache_root = str(cache.traces.root) if cache else None
+        cache_root = str(cache.root) if cache else None
         states = [
             _BatchState(indices=indices, batch=[cells[i] for i in indices])
             for indices in groups.values()

@@ -207,7 +207,11 @@ class ResultCache:
             return None
 
     def put(self, cell_hash: str, record: RunRecord) -> None:
-        """Persist one record under its cell hash (a batch of one)."""
+        """Persist one record under its cell hash (a batch of one).
+
+        The package writes through :meth:`put_many`; this stays because
+        ``perfbench/tracing.py`` wraps it by name.
+        """
         self.put_many(((cell_hash, record),))
 
     def put_many(self, entries: Iterable[tuple[str, RunRecord]]) -> None:

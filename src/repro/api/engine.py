@@ -2,9 +2,10 @@
 
 ``Engine.run`` expands an :class:`~repro.api.spec.ExperimentSpec` into
 cells, satisfies as many as possible from the persistent result cache,
-hands the rest to the configured backend, persists fresh results (unless
-the backend read them out of the cache itself), and returns a canonically
-ordered :class:`~repro.api.records.ResultSet`.
+hands the rest to the configured backend, and returns a canonically
+ordered :class:`~repro.api.records.ResultSet`.  The engine writes
+nothing: every backend persists the records it computes, through
+:func:`~repro.api.execution.execute_cells_batch`.
 
 The contract the rest of the repository builds on: for a given spec, the
 returned records are identical regardless of backend, cache temperature,
@@ -45,8 +46,9 @@ class Engine:
         """Run every cell of ``spec`` and collect a ResultSet.
 
         ``use_cache=False`` bypasses result-cache *reads* (everything
-        recomputes) but still persists fresh results and reuses cached
-        functional traces — the knob for "re-measure, same substrate".
+        recomputes); the backend still persists fresh results and reuses
+        cached functional traces — the knob for "re-measure, same
+        substrate".
         """
         cells = list(spec.cells())
         cached: list[RunRecord] = []
@@ -68,14 +70,6 @@ class Engine:
         # them rather than aborting (meta reports the loss).
         survived = [record for record in fresh if record is not None]
         poisoned = len(fresh) - len(survived)
-        # A backend whose records were read out of this cache (the work
-        # queue's) has nothing left to persist.
-        if self.cache is not None and not getattr(self.backend, "records_from_cache", False):
-            self.cache.results.put_many(
-                (cell.content_hash(), record)
-                for cell, record in zip(pending, fresh)
-                if record is not None
-            )
 
         meta = {
             "backend": getattr(self.backend, "name", type(self.backend).__name__),

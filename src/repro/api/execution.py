@@ -4,8 +4,8 @@ Everything here is module-level and picklable so the process-pool backend
 can ship cells to workers.  Cells sharing a (benchmark, seed, budget)
 reuse one functional pass through the simulator's process-wide memo
 (keyed by :meth:`~repro.sim.simulator.SimConfig.pass_key`); the optional
-persistent trace cache, passed per call, extends that sharing across
-processes and sessions.
+persistent cache, passed per call, extends that sharing across
+processes and sessions, and receives every record a call computes.
 
 Determinism: a cell's result is a pure function of its fields.  Workload
 generation draws from ``make_rng(seed, name)`` streams, the timing replay
@@ -24,7 +24,7 @@ windowed series.
 
 from __future__ import annotations
 
-from repro.api.cache import TraceCache
+from repro.api.cache import ExperimentCache
 from repro.api.records import RunRecord
 from repro.api.spec import Cell
 from repro.core.scheme import scheme_from_spec
@@ -75,12 +75,12 @@ def _replay_cell(cell: Cell, sim: SecureProcessorSim, miss_trace) -> RunRecord:
     return _record_from_result(cell, miss_trace, scheme, result)
 
 
-def execute_cells_batch(cells, trace_store: TraceCache | None = None) -> list[RunRecord]:
+def execute_cells_batch(cells, cache: ExperimentCache | None = None) -> list[RunRecord]:
     """Run a group of cells, batching their timing replays per trace.
 
     Cells sharing a functional pass and write-buffer depth form one
     group on one simulator, which resolves the pass once against
-    ``trace_store`` and keeps the :class:`~repro.cpu.trace.MissTrace`
+    ``cache.traces`` and keeps the :class:`~repro.cpu.trace.MissTrace`
     for every replay of the group, so an eviction from the bounded pass
     memo can never recompute or recount it.  The group's plain cells go
     to one :func:`~repro.sim.timing.run_timing_batch` call, whose cost
@@ -90,8 +90,15 @@ def execute_cells_batch(cells, trace_store: TraceCache | None = None) -> list[Ru
     to :func:`execute_cell` per cell and returned in input order, so
     every backend can route its groups through here without changing
     any result byte.
+
+    This is where a computed record becomes durable, on every backend:
+    with a ``cache``, the call writes its records to ``cache.results``
+    as one batch (one directory fsync) before returning, in the caller
+    for serial runs and in the worker for pool and queue runs.  A call
+    that raises writes nothing.
     """
     cells = list(cells)
+    trace_store = cache.traces if cache is not None else None
     records: list[RunRecord | None] = [None] * len(cells)
     groups: dict[tuple, list[int]] = {}
     for index, cell in enumerate(cells):
@@ -118,6 +125,10 @@ def execute_cells_batch(cells, trace_store: TraceCache | None = None) -> list[Ru
         for i in indices:
             if records[i] is None:
                 records[i] = _replay_cell(cells[i], group_sim, miss_trace)
+    if cache is not None:
+        cache.results.put_many(
+            (cell.content_hash(), record) for cell, record in zip(cells, records)
+        )
     return records
 
 
@@ -193,16 +204,18 @@ def trace_store_key(cell: Cell) -> str:
 
 
 def _execute_batch_in_worker(
-    cells: list[Cell], trace_root: str | None, fault_plan: str | None = None
+    cells: list[Cell], cache_root: str | None, fault_plan: str | None = None
 ) -> tuple[list[RunRecord], int]:
     """Pool entry point: one batch of cells sharing a functional pass.
 
     The group runs through :func:`execute_cells_batch` — one functional
     pass and one routed timing replay call per (benchmark, seed), not
-    one replay task per scheme — and reads the pass from the persistent
-    trace cache under ``trace_root`` when an earlier run
-    already stored it.  Returns the records and the number of
-    functional passes this batch computed.
+    one replay task per scheme — against the persistent cache under
+    ``cache_root``, if any: it reads the pass from the trace store when
+    an earlier run already stored it, and writes the group's records
+    to the result store here, in the worker, before returning them.
+    Returns the records and the number of functional passes this batch
+    computed.
 
     ``fault_plan`` is the caller's active plan (its JSON), or None: a
     pool worker outlives the run that started it and does not see its
@@ -210,12 +223,13 @@ def _execute_batch_in_worker(
     cell then arms the ``worker-cell`` fault site before the batch
     executes, so a chaos plan can kill this worker deterministically
     "at cell K" of the plan (a no-op dict lookup without an active
-    plan).
+    plan).  The same plan reaches the ``cache-write-result`` site of the
+    worker's result write; its tokens are shared across processes.
     """
     adopt_plan(fault_plan)
     for _ in cells:
         fault_point("worker-cell")
-    trace_store = TraceCache(trace_root) if trace_root else None
+    cache = ExperimentCache(cache_root) if cache_root else None
     with count_passes() as passes:
-        records = execute_cells_batch(cells, trace_store=trace_store)
+        records = execute_cells_batch(cells, cache)
     return records, passes.n

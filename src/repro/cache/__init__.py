@@ -19,13 +19,6 @@ from repro.cache.hierarchy import (
     simulate_hierarchy,
     simulate_hierarchy_reference,
 )
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    POLICIES,
-    TreePLRUPolicy,
-    make_policy,
-)
 from repro.cache.write_buffer import WriteBuffer
 
 __all__ = [
@@ -36,10 +29,5 @@ __all__ = [
     "PAPER_HIERARCHY",
     "simulate_hierarchy",
     "simulate_hierarchy_reference",
-    "FIFOPolicy",
-    "LRUPolicy",
-    "POLICIES",
-    "TreePLRUPolicy",
-    "make_policy",
     "WriteBuffer",
 ]

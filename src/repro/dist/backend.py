@@ -170,9 +170,6 @@ class WorkQueueBackend:
     """
 
     name = "work_queue"
-    #: Records come back out of ``cache.results``, where the workers
-    #: wrote them; the engine must not write them again.
-    records_from_cache = True
 
     def __init__(
         self,

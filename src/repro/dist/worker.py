@@ -8,7 +8,7 @@ ID``) that needs nothing but the shared cache directory.  Its loop:
    so recovery needs no dedicated coordinator process),
 3. claim one task; if none is claimable, idle briefly and retry,
 4. execute the task's cells through the ordinary batched execution
-   path and persist the task's records into the content-addressed
+   path, which persists the task's records into the content-addressed
    result cache as one batch,
 5. mark the task done with its pass count and go back to 3.
 
@@ -143,13 +143,7 @@ class Worker:
                     # "die at cell K of a distributed worker" is exact.
                     fault_point("dist-cell")
                 with count_passes() as passes:
-                    records = execute_cells_batch(
-                        claim.task.cells, trace_store=self.cache.traces
-                    )
-                self.cache.results.put_many(
-                    (cell.content_hash(), record)
-                    for cell, record in zip(claim.task.cells, records)
-                )
+                    records = execute_cells_batch(claim.task.cells, self.cache)
                 self.cells_executed += len(records)
         except Exception as exc:  # noqa: BLE001 — any cell failure requeues
             self.queue.release_failed(

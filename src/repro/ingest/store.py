@@ -31,7 +31,7 @@ import tempfile
 from pathlib import Path
 from typing import Iterator
 
-from repro.api.cache import default_cache_dir, quarantine_artifact
+from repro.api.cache import _fsync_dir, default_cache_dir, quarantine_artifact
 from repro.cpu.trace import MemoryTrace
 from repro.faults.plan import corrupt_bytes, fault_point
 from repro.ingest.errors import IngestError, StoreError
@@ -156,14 +156,7 @@ class IngestStore:
             except OSError:
                 pass
             raise
-        try:
-            dir_fd = os.open(self.root, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:
-            pass  # platform without directory fsync; entry bytes are safe
+        _fsync_dir(self.root)
         return digest
 
     def validate(self, path_or_stream, source: str | None = None) -> tuple[TraceHeader, int]:

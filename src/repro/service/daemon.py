@@ -56,7 +56,6 @@ from repro.api.records import ResultSet
 from repro.api.spec import ExperimentSpec
 from repro.service.jobs import (
     CANCELLED,
-    DEFAULT_EVENTS_LIMIT,
     DONE,
     FAILED,
     Job,
@@ -116,8 +115,6 @@ class SweepService:
             :meth:`resume` can re-enqueue interrupted jobs after a
             restart; ``False``/``None`` disables journaling; a
             :class:`JobJournal` uses that journal verbatim.
-        events_limit: Per-job event-log ring bound (see
-            :class:`~repro.service.jobs.Job`).
         backend: Where job groups run (default: a warm
             :class:`~repro.api.backends.ProcessPoolBackend` of
             ``max_concurrency`` workers, since at most that many groups
@@ -134,7 +131,6 @@ class SweepService:
         cache: ExperimentCache | str | Path | None = None,
         max_concurrency: int = DEFAULT_CONCURRENCY,
         journal: JobJournal | bool | None = True,
-        events_limit: int = DEFAULT_EVENTS_LIMIT,
         backend: ExecutionBackend | None = None,
     ) -> None:
         if max_concurrency < 1:
@@ -153,7 +149,7 @@ class SweepService:
         elif journal is False:
             journal = None
         self.journal = journal
-        self.registry = JobRegistry(events_limit=events_limit)
+        self.registry = JobRegistry()
         self._started = time.monotonic()
         self._slots = asyncio.Semaphore(max_concurrency)
         #: functional_pass_key -> [lock, groups holding or waiting on it]

@@ -4,8 +4,8 @@ Produces the data behind ``benchmarks/BENCH_tenancy.json``: for each
 (tenant count, scheduler) cell, run the service and record the
 deterministic SLO/fairness/leakage fields plus the machine-dependent
 simulator throughput.  Cells are independent, so the sweep optionally
-fans out over a process pool (reusing the api layer's platform
-start-method selection).
+fans out over a process pool whose workers start from the api layer's
+:func:`~repro.api.backends.worker_context`.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 from pathlib import Path
 
 from repro.analysis.tables import Table
-from repro.api.backends import default_start_method
+from repro.api.backends import worker_context
 from repro.tenancy.service import TenancyConfig, run_tenancy
 
 #: The pinned sweep axes: tenant counts from the bench artifact spec.
@@ -150,8 +149,7 @@ def run_tenancy_sweep(
     ]
     if max_workers is not None and len(configs) > 1:
         with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=get_context(default_start_method()),
+            max_workers=max_workers, mp_context=worker_context()
         ) as pool:
             records = list(pool.map(_run_cell, configs))
     else:

@@ -79,7 +79,7 @@ class TestSweep:
     def test_poisoned_cells_exit_1(self, capsys, tmp_path, monkeypatch):
         import repro.dist.worker as worker_module
 
-        def always_raises(cells, trace_store=None):
+        def always_raises(cells, cache=None):
             raise RuntimeError("executor down")
 
         monkeypatch.setattr(worker_module, "execute_cells_batch", always_raises)

@@ -16,9 +16,9 @@ import pytest
 
 import repro.sim.simulator as simulator_module
 from repro.api.backends import ProcessPoolBackend, worker_start_method
-from repro.api.cache import ExperimentCache
+from repro.api.cache import ExperimentCache, ResultCache
 from repro.api.engine import Engine
-from repro.api.execution import execute_cell, trace_store_key
+from repro.api.execution import execute_cell, execute_cells_batch, trace_store_key
 from repro.api.spec import ExperimentSpec
 from repro.sim.simulator import SecureProcessorSim, SimConfig, clear_pass_memo
 
@@ -288,7 +288,7 @@ class TestPersistentCache:
         records = []
         for batch in batches.values():
             batch_records, passes = execution._execute_batch_in_worker(
-                batch, str(cache.traces.root)
+                batch, str(cache.root)
             )
             assert passes == 0
             records.extend(batch_records)
@@ -305,10 +305,31 @@ class TestPersistentCache:
 
     def test_use_cache_false_recomputes_but_persists(self, tmp_path):
         engine = Engine(cache=ExperimentCache(tmp_path))
-        first = engine.run(tiny_spec())
+        first = engine.run(tiny_spec(), use_cache=False)
         forced = engine.run(tiny_spec(), use_cache=False)
         assert forced.meta["cells_run"] == 6
         assert forced.records == first.records
+        warm = engine.run(tiny_spec())
+        assert warm.meta["cache_hits"] == 6
+        assert warm.records == first.records
+
+    def test_pool_workers_persist_their_own_records(self, tmp_path, monkeypatch):
+        # Two groups on a two-worker pool run in the workers, which write
+        # their records themselves.  The workers start from the
+        # forkserver, so this patch reaches only the calling process:
+        # any result write here fails the run.
+        def no_write_here(self, entries):
+            raise AssertionError("a result write in the calling process")
+
+        monkeypatch.setattr(ResultCache, "put_many", no_write_here)
+        spec = tiny_spec()
+        cache = ExperimentCache(tmp_path)
+        with ProcessPoolBackend(max_workers=2) as backend:
+            pooled = Engine(backend, cache).run(spec)
+        assert pooled.meta["cells_run"] == spec.n_cells
+        warm = Engine(cache=cache).run(spec)
+        assert warm.meta["cache_hits"] == spec.n_cells
+        assert warm.digest() == pooled.digest()
 
     def test_parallel_workers_share_trace_cache(self, tmp_path):
         spec = ExperimentSpec(
@@ -321,6 +342,136 @@ class TestPersistentCache:
         assert len(results) == 4
         # Exactly one functional pass was persisted for the benchmark.
         assert len(list(cache.traces.root.glob("*.pkl"))) == 1
+
+
+class TestResultWrites:
+    """Whoever computes a record persists it, through
+    ``execute_cells_batch``; the engine writes nothing."""
+
+    def test_a_batch_call_writes_its_records_as_one_batch(self, tmp_path, monkeypatch):
+        batches = []
+        real_put_many = ResultCache.put_many
+
+        def recording(self, entries):
+            entries = list(entries)
+            batches.append([cell_hash for cell_hash, _ in entries])
+            return real_put_many(self, entries)
+
+        monkeypatch.setattr(ResultCache, "put_many", recording)
+        cells = list(tiny_spec().cells())  # two functional-pass groups
+        cache = ExperimentCache(tmp_path)
+        records = execute_cells_batch(cells, cache)
+        assert batches == [[cell.content_hash() for cell in cells]]
+        assert [cache.results.get(cell.content_hash()) for cell in cells] == records
+
+    def test_a_batch_call_without_a_cache_writes_nothing(self, monkeypatch):
+        def no_write(self, entries):
+            raise AssertionError("a result write without a cache")
+
+        monkeypatch.setattr(ResultCache, "put_many", no_write)
+        cells = list(tiny_spec().cells())
+        assert execute_cells_batch(cells) == [execute_cell(cell) for cell in cells]
+
+    def test_a_batch_call_that_raises_writes_nothing(self, tmp_path, monkeypatch):
+        from repro.api import execution
+
+        cells = list(tiny_spec().cells())
+        computed = []
+        real = execution._record_from_result
+
+        def fails_on_last(cell, *args):
+            if cell == cells[-1]:
+                raise RuntimeError("replay failed")
+            computed.append(cell)
+            return real(cell, *args)
+
+        monkeypatch.setattr(execution, "_record_from_result", fails_on_last)
+        cache = ExperimentCache(tmp_path)
+        with pytest.raises(RuntimeError, match="replay failed"):
+            execute_cells_batch(cells, cache)
+        # The first group's records were computed, and none was kept.
+        assert len(computed) == len(cells) - 1
+        assert all(cache.results.get(cell.content_hash()) is None for cell in cells)
+
+    def test_a_failing_result_write_fails_the_run(self, tmp_path, monkeypatch):
+        def disk_full(self, entries):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ResultCache, "put_many", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            Engine(cache=ExperimentCache(tmp_path)).run(tiny_spec())
+
+    def test_engine_writes_nothing_for_a_backend_that_does_not(self, tmp_path):
+        class ComputeOnly:
+            name = "compute_only"
+
+            def run_cells(self, cells, cache=None):
+                return [execute_cell(cell) for cell in cells]
+
+        cache = ExperimentCache(tmp_path)
+        engine = Engine(ComputeOnly(), cache)
+        first = engine.run(tiny_spec())
+        assert first.meta["cells_run"] == 6
+        assert not list(cache.results.root.glob("*.json"))
+        again = engine.run(tiny_spec())
+        assert again.meta["cache_hits"] == 0
+        assert again.records == first.records
+
+    def test_worker_entry_point_writes_records_under_the_cache_root(self, tmp_path):
+        from repro.api import execution
+
+        cells = list(tiny_spec(benchmarks=("mcf",)).cells())
+        records, _ = execution._execute_batch_in_worker(cells, str(tmp_path))
+        cache = ExperimentCache(tmp_path)
+        assert [cache.results.get(cell.content_hash()) for cell in cells] == records
+
+    def test_pool_use_cache_false_recomputes_but_persists(self, tmp_path):
+        spec = tiny_spec()
+        cache = ExperimentCache(tmp_path)
+        with ProcessPoolBackend(max_workers=2) as backend:
+            forced = Engine(backend, cache).run(spec, use_cache=False)
+        assert forced.meta["cells_run"] == spec.n_cells
+        warm = Engine(cache=cache).run(spec)
+        assert warm.meta["cache_hits"] == spec.n_cells
+        assert warm.records == forced.records
+
+    def test_lone_groups_on_a_pool_persist_their_records(self, tmp_path):
+        # A run of one group on a fresh pool of several workers runs in
+        # this process while the pool starts, and in a worker once it is
+        # up: either way its records land in the cache.
+        cache = ExperimentCache(tmp_path)
+        with ProcessPoolBackend(max_workers=4) as backend:
+            Engine(backend, cache).run(tiny_spec(benchmarks=("mcf",)))
+            backend._shared_pool().result()
+            Engine(backend, cache).run(tiny_spec(benchmarks=("astar/rivers",)))
+        warm = Engine(cache=cache).run(tiny_spec())
+        assert warm.meta["cache_hits"] == 6
+        assert warm.digest() == Engine().run(tiny_spec()).digest()
+
+    def test_pool_worker_write_arms_the_result_fault_site(self, tmp_path, monkeypatch):
+        from repro.faults.plan import FaultPlan, FaultSpec
+
+        def no_write_here(self, entries):
+            raise AssertionError("a result write in the calling process")
+
+        spec = tiny_spec()
+        cache = ExperimentCache(tmp_path / "cache")
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="corrupt", site="cache-write-result", at=1),),
+            token_dir=str(tmp_path / "tokens"),
+        )
+        monkeypatch.setattr(ResultCache, "put_many", no_write_here)
+        with plan.activated(), ProcessPoolBackend(max_workers=2) as backend:
+            torn = Engine(backend, cache).run(spec)
+        monkeypatch.undo()
+        # One worker tore one entry: the next run quarantines it and
+        # recomputes exactly that cell.
+        assert plan.fired_count(plan.faults[0]) == 1
+        clear_pass_memo()
+        healed = Engine(cache=cache).run(spec)
+        assert healed.meta["cells_run"] == 1
+        assert healed.meta["cache_hits"] == spec.n_cells - 1
+        assert healed.digest() == torn.digest()
 
 
 class TestWindows:

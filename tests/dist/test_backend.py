@@ -19,7 +19,7 @@ import pytest
 
 import repro
 import repro.dist.backend as backend_module
-from repro.api.backends import SerialBackend, worker_start_method
+from repro.api.backends import ProcessPoolBackend, SerialBackend, worker_start_method
 from repro.api.cache import ExperimentCache, ResultCache
 from repro.api.engine import Engine
 from repro.api.spec import Cell, ExperimentSpec
@@ -100,12 +100,13 @@ class TestEquivalence:
         assert len(spawned) >= 2
         assert all(proc.exitcode is not None for proc in spawned)
 
-    @pytest.mark.parametrize("backend", ["serial", "queue"])
+    @pytest.mark.parametrize("backend", ["serial", "one-worker-pool", "queue"])
     def test_one_result_write_per_cell(self, tmp_path, monkeypatch, backend):
-        # Queue workers persist each record before its done marker, and
-        # the backend reads them back out of the cache: the engine must
-        # not write them a second time.  Every result write goes through
-        # the batch path, so that is where writes are counted.
+        # Whoever computes a record persists it, once: a queue worker
+        # before its done marker (the backend then reads the records back
+        # out of the cache), a serial or one-worker pool run in this
+        # process, and the engine never.  Every result write goes
+        # through the batch path, so that is where writes are counted.
         puts = []
         real_put_many = ResultCache.put_many
 
@@ -116,7 +117,11 @@ class TestEquivalence:
 
         monkeypatch.setattr(ResultCache, "put_many", counting_put_many)
         spec = tiny_spec()
-        runner = inline_backend() if backend == "queue" else SerialBackend()
+        runner = {
+            "serial": SerialBackend,
+            "one-worker-pool": lambda: ProcessPoolBackend(max_workers=1),
+            "queue": inline_backend,
+        }[backend]()
         results = Engine(runner, cache=ExperimentCache(tmp_path)).run(spec)
         assert results.meta["cells_run"] == spec.n_cells
         assert sorted(puts) == sorted(cell.content_hash() for cell in spec.cells())
@@ -181,9 +186,9 @@ class TestRerun:
         executed = []
         real = worker_module.execute_cells_batch
 
-        def recording(cells, trace_store=None):
+        def recording(cells, cache=None):
             executed.extend(cells)
-            return real(cells, trace_store=trace_store)
+            return real(cells, cache)
 
         monkeypatch.setattr(worker_module, "execute_cells_batch", recording)
         spec = tiny_spec(seeds=(0, 1))
@@ -228,7 +233,7 @@ class TestPoison:
     def test_engine_reports_poisoned_cells(self, tmp_path, monkeypatch):
         import repro.dist.worker as worker_module
 
-        def always_raises(cells, trace_store=None):
+        def always_raises(cells, cache=None):
             raise RuntimeError("executor down")
 
         monkeypatch.setattr(worker_module, "execute_cells_batch", always_raises)
@@ -240,6 +245,29 @@ class TestPoison:
         assert len(results) == 0
         assert results.meta["cells_poisoned"] == 1
         assert results.meta["cells_run"] == 0
+
+    def test_a_failing_task_writes_no_records(self, tmp_path, monkeypatch):
+        from repro.api import execution
+
+        real = execution._record_from_result
+
+        def fails_on_mcf_static(cell, *args):
+            # mcf's base_dram record is computed first, then the task fails.
+            if cell.benchmark == "mcf" and cell.scheme_spec == "static:300":
+                raise RuntimeError("replay failed on mcf")
+            return real(cell, *args)
+
+        monkeypatch.setattr(execution, "_record_from_result", fails_on_mcf_static)
+        spec = tiny_spec()
+        cache = ExperimentCache(tmp_path)
+        results = Engine(inline_backend(max_attempts=2), cache=cache).run(spec)
+        assert results.meta["cells_poisoned"] == 2
+        written = {
+            cell.benchmark
+            for cell in spec.cells()
+            if cache.results.get(cell.content_hash()) is not None
+        }
+        assert written == {"astar"}
 
 
 class TestLocalFleet:

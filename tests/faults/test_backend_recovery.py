@@ -95,6 +95,19 @@ class TestPoisonQuarantine:
         assert len(results.records) == 0          # sweep completed, empty
         assert delta["cells_poisoned"] == SPEC.n_cells
 
+    def test_poisoned_groups_write_no_records(self, tmp_path):
+        from repro.api.cache import ExperimentCache
+
+        plan = make_plan(tmp_path, kind="kill", at=1, count=64)
+        cache = ExperimentCache(tmp_path / "cache")
+        with plan.activated(), pytest.warns(RuntimeWarning, match="poisoned"):
+            with ProcessPoolBackend(
+                max_workers=2, max_batch_attempts=2, retry_backoff_s=0.01
+            ) as backend:
+                results = Engine(backend=backend, cache=cache).run(SPEC)
+        assert results.meta["cells_poisoned"] == SPEC.n_cells
+        assert not list(cache.results.root.glob("*.json"))
+
     def test_validates_attempt_floor(self):
         for workers in (0, -3):
             with pytest.raises(ValueError, match="max_workers"):

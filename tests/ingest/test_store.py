@@ -13,6 +13,7 @@ import io
 import numpy as np
 import pytest
 
+import repro.ingest.store as store_module
 from repro.cpu.trace import MemoryTrace
 from repro.ingest import (
     IngestStore,
@@ -50,6 +51,20 @@ class TestImport:
     def test_digest_is_content_digest(self, store):
         trace = make_trace()
         assert import_trace(store, trace) == trace.content_digest()
+
+    def test_directory_fsynced_after_the_entry_lands(self, store, monkeypatch):
+        trace = make_trace()
+        digest = trace.content_digest()
+        synced = []
+        real_fsync_dir = store_module._fsync_dir
+
+        def recording(directory):
+            synced.append((directory, store._path(digest).exists()))
+            real_fsync_dir(directory)
+
+        monkeypatch.setattr(store_module, "_fsync_dir", recording)
+        assert import_trace(store, trace) == digest
+        assert synced == [(store.root, True)]
 
     def test_idempotent_reimport(self, store):
         trace = make_trace()

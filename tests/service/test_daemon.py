@@ -15,7 +15,7 @@ import pytest
 import repro.sim.simulator as simulator_module
 from repro import obs
 from repro.api.backends import SerialBackend
-from repro.api.cache import ExperimentCache
+from repro.api.cache import ExperimentCache, ResultCache
 from repro.api.engine import Engine
 from repro.api.spec import ExperimentSpec
 from repro.cli import main
@@ -325,10 +325,10 @@ class TestPoisonedCells:
 
         real = worker_module.execute_cells_batch
 
-        def fails_on_mcf(cells, trace_store=None):
+        def fails_on_mcf(cells, cache=None):
             if any(cell.benchmark == "mcf" for cell in cells):
                 raise RuntimeError("executor down on mcf")
-            return real(cells, trace_store=trace_store)
+            return real(cells, cache)
 
         monkeypatch.setattr(worker_module, "execute_cells_batch", fails_on_mcf)
 
@@ -395,6 +395,30 @@ class TestWorkerPool:
         assert snap["functional_passes"] == len(subgroup_specs(spec)) == 4
         assert 1 <= len(pids) <= 2
         assert not any(alive(pid) for pid in pids)
+
+    def test_pool_workers_persist_the_job_records(self, cache, monkeypatch):
+        spec = make_spec(name="persisted")
+
+        def no_write_here(self, entries):
+            raise AssertionError("a result write in the daemon's process")
+
+        async def scenario():
+            service = SweepService(cache=cache, max_concurrency=2)
+            backend = service.engine.backend
+            # Once the pool is up, every group runs, and writes, in a worker.
+            await asyncio.to_thread(backend._shared_pool().result)
+            monkeypatch.setattr(ResultCache, "put_many", no_write_here)
+            job, _ = await service.submit(spec)
+            done = await service.wait(job.id, timeout=300)
+            await service.shutdown()
+            return done
+
+        job = run(scenario())
+        monkeypatch.undo()
+        assert job.state == "done"
+        warm = Engine(cache=cache).run(spec)
+        assert warm.meta["cache_hits"] == spec.n_cells
+        assert warm.digest() == job.result.digest()
 
     def test_threaded_service_stop_leaves_no_worker(self, cache):
         from repro.service.hosting import ThreadedService

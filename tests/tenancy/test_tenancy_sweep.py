@@ -3,6 +3,7 @@
 import json
 
 import repro.tenancy.sweep as sweep_module
+from repro.api.backends import worker_start_method
 from repro.tenancy import TenancyConfig, run_tenancy_sweep
 from repro.tenancy.sweep import (
     WALL_CLOCK_KEYS,
@@ -45,6 +46,22 @@ class TestSweepGrid:
         )
         assert pools == [2]  # max_workers alone selects the pool
         assert pooled.digest() == small_sweep().digest()
+
+    def test_pooled_sweep_starts_workers_from_worker_context(self, monkeypatch):
+        contexts = []
+
+        class RecordingPool(sweep_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                contexts.append(kwargs["mp_context"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+        run_tenancy_sweep(
+            base=BASE, tenant_counts=COUNTS, schedulers=SCHEDULERS, max_workers=2
+        )
+        assert [context.get_start_method() for context in contexts] == [
+            worker_start_method()
+        ]
 
     def test_digest_ignores_wall_clock_fields(self):
         records = [dict(r) for r in small_sweep().records]
