@@ -37,13 +37,21 @@ machines produce **bit-identical** :class:`SimResult`\\ s:
   seeded with the carried core time, reproduces the scalar ``+=`` chain
   exactly, because cumsum is a sequential recurrence) with a vectorized
   write-buffer-stall check; a chunk in which the buffer fills replays
-  through the scalar deque loop.  Slot controllers (static/dynamic) keep
-  the per-request loop but replace the per-dummy-slot ``_advance``
-  iteration with closed-form integer slot arithmetic per idle window —
-  the controller timeline never depends on fractional arrival times,
-  only on comparisons against them, so the whole slot/dummy/epoch state
-  machine runs on exact Python integers whose float images match the
-  reference's accumulated floats bit for bit.
+  through the scalar deque loop.  Slot controllers (static/dynamic)
+  replace the per-dummy-slot ``_advance`` iteration with closed-form
+  integer slot arithmetic per idle window — the controller timeline
+  never depends on fractional arrival times, only on comparisons against
+  them, so the whole slot/dummy/epoch state machine runs on exact
+  integers whose float images match the reference's accumulated floats
+  bit for bit.  A blocking request resets a slot replay, so the stores
+  after it plus the next blocking request form an *episode* whose
+  integer timeline depends only on its own gaps: a long chunk's whole
+  episodes advance in lockstep windows (:func:`_replay_episodes`, one
+  numpy step per position of every episode, then a second pass that
+  checks each decision against the scalar machine's own floats), and a
+  chunk's head and tail, every episode that reaches an epoch boundary
+  and every window the routing rule or the check turns down keep the
+  per-request loop.
 
 ``record_observable_trace`` runs always use the reference machine: the
 adversary-view trace wants one append per access, which is exactly the
@@ -67,6 +75,7 @@ satisfies.
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -453,7 +462,151 @@ class _UnprotectedReplay:
         return _end_time(self.core, total_compute_cycles, self.buffer)
 
 
-class _StaticReplay:
+#: The slot machines replay a chunk's whole episodes in lockstep windows
+#: (:func:`_replay_episodes`) only when the chunk holds at least this
+#: many requests and, in the dynamic machine, the current epoch has room
+#: for as many; below that the per-request loop serves them ...
+LOCKSTEP_MIN_REQUESTS = 1024
+#: ... one window serves at most this many requests, which bounds its
+#: arrays (about 100 bytes a request) ...
+LOCKSTEP_WINDOW_REQUESTS = 8192
+#: ... and it runs only if it holds at least this many requests per numpy
+#: step it takes (:func:`_window_pays`; calibration: DESIGN.md "Long slot
+#: replays run episodes in lockstep").
+LOCKSTEP_MIN_WIDTH = 64
+
+
+def _window_pays(bounds) -> bool:
+    """Whether the episodes between consecutive ``bounds`` (the indices of
+    the blocking requests that end them, the first bound ending the
+    episode before) replay faster in one lockstep window than in the loop.
+
+    A window takes one numpy step per position of its longest episode,
+    plus about four steps' worth of fixed cost, and a step costs about as
+    much as ``LOCKSTEP_MIN_WIDTH`` requests served by the loop.  The rule
+    reads only its input and both paths are bit-identical, so it moves
+    time, never a result.
+    """
+    steps = int(np.diff(bounds).max()) + 4
+    return int(bounds[-1] - bounds[0]) >= LOCKSTEP_MIN_WIDTH * steps
+
+
+class _SlotReplay:
+    """What the two slot machines share: ``feed`` and the window commit.
+
+    A blocking request resets a slot replay: the core waits for its
+    completion, so the core time equals the controller timeline, every
+    buffered store has already completed, and the last access was real.
+    The stores after it plus the next blocking request therefore form an
+    *episode* whose integer timeline depends only on its own gaps.
+    ``feed`` serves a chunk's head (through its first blocking request)
+    and its trailing stores with the subclass's per-request ``_loop``,
+    and the whole episodes between them in windows of
+    :func:`_replay_episodes`, which either returns the state the loop
+    would reach, bit for bit, or declines and leaves the window to the
+    loop.  A window runs only in a chunk of at least
+    ``LOCKSTEP_MIN_REQUESTS`` requests, only while the current epoch has
+    room for as many (:meth:`_room`; the episode that meets the boundary
+    is the loop's, so epoch transitions and learner decisions stay
+    there), and only when it is wide enough to pay (:func:`_window_pays`).
+    """
+
+    #: Static machines never reach an epoch boundary.
+    epoch_end = None
+
+    def __init__(self, controller, entries, record_requests) -> None:
+        self.controller = controller
+        self.entries = entries
+        self.record_requests = record_requests
+        self.rate = controller.rate
+        self.prev = 0  # _completion_prev, exact integer timeline
+        self.last_was_real = False
+        # Run totals (flushed into controller.stats at the end).
+        self.total_dummy = 0
+        self.total_waste = 0.0
+        self.n = 0
+        self.core = 0.0
+        self.buffer: deque = deque()
+
+    def feed(self, chunk):
+        gaps = chunk.gap_cycles
+        blocking = chunk.is_blocking
+        n = len(gaps)
+        completions = np.zeros(n, dtype=np.float64) if self.record_requests else None
+        self.n += n
+
+        def loop(lo, hi):
+            self._loop(
+                gaps[lo:hi], blocking[lo:hi],
+                None if completions is None else completions[lo:hi],
+            )
+
+        # Episodes are whole only between the chunk's first and last
+        # blocking requests, and the reset needs non-negative gaps.
+        ends = np.flatnonzero(blocking) if n >= LOCKSTEP_MIN_REQUESTS else ()
+        if len(ends) < 2 or not (gaps.min() >= 0.0 and gaps.max() < np.inf):
+            loop(0, n)
+            return completions
+        loop(0, int(ends[0]) + 1)
+        e = 1  # episode e holds requests ends[e-1]+1 .. ends[e]
+        while e < len(ends):
+            lo = int(ends[e - 1]) + 1
+            # The window: episodes e .. stop-1, at most `room` requests and
+            # at most LOCKSTEP_WINDOW_REQUESTS.
+            room = self._room()
+            stop = int(np.searchsorted(ends, lo + min(room, LOCKSTEP_WINDOW_REQUESTS)))
+            if stop == e or room < LOCKSTEP_MIN_REQUESTS or not _window_pays(
+                ends[e - 1:stop]
+            ):
+                # The loop serves the window and the episode after it: the
+                # one that would overflow it, or must meet the boundary.
+                last = min(stop, len(ends) - 1)
+                loop(lo, int(ends[last]) + 1)
+                e = last + 1
+                continue
+            hi = int(ends[stop - 1]) + 1
+            run = _replay_episodes(
+                gaps[lo:hi], ends[e:stop] - lo, self.prev, self.rate,
+                self.controller.latency, self.entries, self.epoch_end,
+            )
+            if run is None:
+                loop(lo, hi)
+                e = stop
+                continue
+            if run.episodes:
+                self._commit(
+                    run, None if completions is None else completions[lo:lo + run.requests]
+                )
+                e += run.episodes
+            if e < stop:
+                # Episode e reaches the epoch boundary: the loop serves it.
+                loop(int(ends[e - 1]) + 1, int(ends[e]) + 1)
+                e += 1
+        loop(int(ends[-1]) + 1, n)
+        return completions
+
+    def _room(self) -> int:
+        """Requests a window may serve: at most ``⌈(epoch_end − prev)/(rate
+        + latency)⌉`` are served before the epoch boundary."""
+        if self.epoch_end is None:
+            return _UNBOUNDED
+        span = self.epoch_end - self.prev
+        return -(-span // (self.rate + self.controller.latency)) if span > 0 else 0
+
+    def _commit(self, run, completions) -> None:
+        """Take over the state a lockstep window reached."""
+        self.prev = run.prev
+        self.core = run.prev
+        self.last_was_real = True
+        if run.buffer is not None:
+            self.buffer = deque(run.buffer)
+        self.total_dummy += run.dummies
+        self.total_waste = _fold(self.total_waste, run.wastes)
+        if completions is not None:
+            completions[:] = run.completions
+
+
+class _StaticReplay(_SlotReplay):
     """Static-rate slot controller: no epochs, no learner, one rate forever.
 
     The controller timeline (slots, dummies) is integer-valued: every
@@ -462,32 +615,21 @@ class _StaticReplay:
     in exact Python integers therefore reproduces the reference's float
     timeline bit for bit (integer-valued doubles are exact), while an
     idle window of k dummy slots costs O(1) arithmetic instead of k loop
-    iterations.  The advance is inlined, so the common request — arriving
-    inside the current slot window — costs a handful of local operations.
+    iterations.  The per-request loop inlines the advance, so the common
+    request — arriving inside the current slot window — costs a handful
+    of local operations; a long chunk's whole episodes replay in lockstep
+    windows instead (:class:`_SlotReplay`).
     """
 
-    def __init__(self, controller, entries, record_requests) -> None:
-        self.controller = controller
-        self.entries = entries
-        self.record_requests = record_requests
-        self.prev = 0  # _completion_prev, exact integer timeline
-        self.last_was_real = False
-        self.total_dummy = 0
-        self.total_waste = 0.0
-        self.n = 0
-        self.core = 0.0
-        self.buffer: deque = deque()
-
-    def feed(self, chunk):
-        gaps = chunk.gap_cycles.tolist()
-        blocking = chunk.is_blocking.tolist()
-        n = len(gaps)
+    def _loop(self, gaps, blocking, completions):
+        """Serve ``gaps``/``blocking`` (a slice of a chunk) one by one."""
+        gaps = gaps.tolist()
+        blocking = blocking.tolist()
         latency = self.controller.latency
-        rate = self.controller.rate
+        rate = self.rate
         rate_f = float(rate)
         step = rate + latency
         entries = self.entries
-        completions = np.zeros(n, dtype=np.float64) if self.record_requests else None
 
         prev = self.prev
         last_was_real = self.last_was_real
@@ -498,7 +640,7 @@ class _StaticReplay:
         buf_pop = buffer.popleft
         buf_push = buffer.append
 
-        for i in range(n):
+        for i in range(len(gaps)):
             arrival = core + gaps[i]
             # ---- inline advance(arrival): fire dummies before the arrival ----
             if prev + rate < arrival:
@@ -549,13 +691,11 @@ class _StaticReplay:
         self.total_dummy = total_dummy
         self.total_waste = total_waste
         self.core = core
-        self.n += n
-        return completions
 
     def finish(self, total_compute_cycles):
         controller = self.controller
         latency = controller.latency
-        rate = controller.rate
+        rate = self.rate
         step = rate + latency
         prev = self.prev
         end_time = _end_time(self.core, total_compute_cycles, self.buffer)
@@ -585,21 +725,19 @@ class _StaticReplay:
         return end_time
 
 
-class _DynamicReplay:
+class _DynamicReplay(_SlotReplay):
     """Epoch-driven slot controller: learner transitions at boundaries.
 
     The same exact-integer timeline as :class:`_StaticReplay`, with the
     advance/transition machinery in a closure the request loop only
-    enters when a dummy or an epoch boundary is actually pending.
+    enters when a dummy or an epoch boundary is actually pending.  A
+    lockstep window serves only episodes that end before the epoch
+    boundary, at the epoch's one rate; the episode that reaches the
+    boundary, and so every transition, is served by the loop.
     """
 
     def __init__(self, controller, entries, record_requests) -> None:
-        self.controller = controller
-        self.entries = entries
-        self.record_requests = record_requests
-        self.rate = controller.rate
-        self.prev = 0  # _completion_prev, exact integer timeline
-        self.last_was_real = False
+        super().__init__(controller, entries, record_requests)
         self.epoch_index = 0
         self.epoch_end = controller.schedule.epoch_length(0)
         # Epoch counters (flushed into `counters` at each learner call).
@@ -608,19 +746,16 @@ class _DynamicReplay:
         # is exact, so it always equals access_count * latency.
         self.ctr_access = 0
         self.ctr_waste = 0.0
-        # Run totals (flushed into controller.stats at the end).
-        self.total_dummy = 0
-        self.total_waste = 0.0
-        self.n = 0
-        self.core = 0.0
-        self.buffer: deque = deque()
 
-    def feed(self, chunk):
-        return self._replay(chunk.gap_cycles.tolist(), chunk.is_blocking.tolist())
+    def _commit(self, run, completions) -> None:
+        super()._commit(run, completions)
+        self.ctr_access += run.requests
+        self.ctr_waste = _fold(self.ctr_waste, run.wastes)
 
     def finish(self, total_compute_cycles):
         end_time = _end_time(self.core, total_compute_cycles, self.buffer)
-        self._replay([], [], until=end_time)  # trailing dummies
+        # Trailing dummies.
+        self._loop(np.empty(0), np.empty(0, dtype=bool), None, until=end_time)
 
         # Publish the final state back onto the controller.
         controller = self.controller
@@ -634,8 +769,11 @@ class _DynamicReplay:
         controller.stats.total_waste = self.total_waste
         return end_time
 
-    def _replay(self, gaps, blocking, until=None):
-        """Serve the requests, then fire the dummy slots before ``until``."""
+    def _loop(self, gaps, blocking, completions, until=None):
+        """Serve the requests one by one, then fire the dummy slots
+        before ``until``."""
+        gaps = gaps.tolist()
+        blocking = blocking.tolist()
         controller = self.controller
         latency = controller.latency
         epoch_len = controller.schedule.epoch_length
@@ -643,8 +781,6 @@ class _DynamicReplay:
         counters = controller.counters
         epochs = controller.epochs
         entries = self.entries
-        n = len(gaps)
-        completions = np.zeros(n, dtype=np.float64) if self.record_requests else None
 
         rate = self.rate
         rate_f = float(rate)
@@ -717,7 +853,7 @@ class _DynamicReplay:
                 total_dummy += k
                 last_was_real = False
 
-        for i in range(n):
+        for i in range(len(gaps)):
             arrival = core + gaps[i]
             # ---- serve(arrival) ----
             if prev >= epoch_end or prev + rate < arrival:
@@ -764,8 +900,220 @@ class _DynamicReplay:
         self.total_dummy = total_dummy
         self.total_waste = total_waste
         self.core = core
-        self.n += n
-        return completions
+
+
+# ----------------------------------------------------------------------
+# Episode-lockstep kernel of the slot machines
+# ----------------------------------------------------------------------
+
+#: Beyond this, integer-valued doubles stop being exact.
+_EXACT = float(1 << 53)
+#: The room of a machine with no epoch boundary.
+_UNBOUNDED = 1 << 62
+
+
+class _Episodes(NamedTuple):
+    """What :func:`_replay_episodes` commits: its first ``episodes``
+    episodes, ``requests`` requests in all."""
+
+    episodes: int
+    requests: int
+    completions: np.ndarray
+    wastes: np.ndarray
+    dummies: int
+    prev: int
+    buffer: list | None  # the write buffer's new contents; None: unchanged
+
+
+def _fold(total: float, values: np.ndarray) -> float:
+    """``total += value`` for each value in turn, as one seeded cumsum (a
+    sequential recurrence, so the float additions happen in that order)."""
+    seeded = np.empty(len(values) + 1)
+    seeded[0] = total
+    seeded[1:] = values
+    return float(np.cumsum(seeded)[-1])
+
+
+def _dummy_slots(arrival, free, step):
+    """Closed-form dummy count before each arrival: how many ``j >= 0``
+    have ``free + j*step < arrival``, ``free`` being the slot the next
+    access takes if no dummy fires.  A float estimate, which the second
+    pass of :func:`_replay_episodes` checks exactly."""
+    return np.ceil(np.maximum(arrival - free, 0.0) / step)
+
+
+def _lanes(starts, lengths):
+    """Lay a window's episodes out as lanes, longest first.
+
+    ``running[t]`` lanes reach position t, so they are a prefix of the
+    lanes, and position t of lane j sits at ``offset[t] + j`` of the
+    position-major layout; ``layout[i]`` is the request at layout index
+    i.  Returns ``(order, running, offset, layout)``, ``order`` being the
+    episode of each lane.
+    """
+    order = np.argsort(-lengths)
+    lane_start = starts[order]
+    running = (len(lengths) - np.cumsum(np.bincount(lengths))).tolist()
+    offset = [0]
+    layout = np.empty(int(lengths.sum()), dtype=np.int64)
+    for t, c in enumerate(running[:-1]):
+        layout[offset[t]:offset[t] + c] = lane_start[:c] + t
+        offset.append(offset[t] + c)
+    return order, running, offset, layout
+
+
+def _first_pass(g, running, offset, rate, latency, entries):
+    """Each lane's integer timeline relative to its episode's start.
+
+    ``g`` holds the gaps in the position-major layout.  Returns the dummy
+    count, slot and stall flag of every request (same layout) and each
+    lane's span: its blocking request's completion.
+    """
+    step = rate + latency
+    n = offset[-1]
+    dummies = np.empty(n)
+    slots = np.empty(n)
+    stalled = np.zeros(n, dtype=bool)
+    core = np.zeros(running[0])
+    free = np.full(running[0], float(rate))  # prev + rate, prev = 0
+    span = np.empty(running[0])
+    for t, c in enumerate(running[:-1]):
+        c_next = running[t + 1]
+        o = offset[t]
+        a = core[:c] + g[o:o + c]
+        k = _dummy_slots(a, free[:c], step)
+        slot = free[:c] + k * step
+        dummies[o:o + c] = k
+        slots[o:o + c] = slot
+        free[:c] = slot + step
+        span[c_next:c] = slot[c_next:]  # the lanes whose blocking request this is
+        if c_next:
+            stores = a[:c_next]
+            if t >= entries:
+                back = slots[offset[t - entries]:offset[t - entries] + c_next] + latency
+                stall = back > stores
+                stalled[o:o + c_next] = stall
+                core[:c_next] = np.where(stall, back, stores)
+            else:
+                core[:c_next] = stores
+    return dummies, slots, stalled, span + latency
+
+
+def _replay_episodes(gaps, ends, prev, rate, latency, entries, epoch_end):
+    """Replay whole episodes of a slot machine in lockstep; None to decline.
+
+    ``gaps`` holds a window of requests that starts right after a blocking
+    request (so the core time equals the integer timeline ``prev``, every
+    buffered store has completed and the last access was real) and ends
+    with one; ``ends`` indexes its blocking requests, each of which ends
+    an episode.  Gaps must be non-negative and finite.
+
+    *First pass* (:func:`_first_pass`).  Each episode's integer timeline,
+    relative to its own start, depends only on its gaps: one numpy step
+    advances position t of every episode.  A request's dummy count is
+    closed form; a store at position t stalls only if the store
+    ``entries`` positions earlier in its episode is still in flight at
+    its arrival (the rule :class:`_FlatDramReplay` uses: earlier
+    episodes' stores drained before its start).  A cumsum of the
+    episodes' spans gives their absolute starts (integer-valued doubles,
+    exact below 2**53, which is checked).  With ``epoch_end`` given, the
+    window ends before the first episode that reaches it.
+
+    *Second pass.*  Every arrival is recomputed from those starts with
+    the scalar machine's own float additions, and every first-pass
+    decision is checked against it exactly: each dummy count from both
+    sides, and each stall.  Wastes and completions are built from those
+    floats.  If any check fails, nothing is committed and the caller
+    replays the window through its per-request loop.
+    """
+    step = rate + latency
+    starts = np.empty(len(ends), dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends + 1 - starts
+
+    order, running, offset, layout = _lanes(starts, lengths)
+    g = gaps[layout]
+    dummies, slots, stalled, span = _first_pass(g, running, offset, rate, latency, entries)
+    episode_end = np.empty(len(ends))
+    episode_end[order] = span
+    np.cumsum(episode_end, out=episode_end)
+    episode_end += prev
+    keep = len(ends)
+    if epoch_end is not None and episode_end[-1] >= epoch_end:
+        keep = int(np.searchsorted(episode_end, epoch_end))
+        if not keep:
+            return _Episodes(0, 0, None, None, 0, prev, None)
+        starts, lengths = starts[:keep], lengths[:keep]
+        order, running, offset, layout = _lanes(starts, lengths)
+        g = gaps[layout]
+        dummies, slots, stalled, span = _first_pass(
+            g, running, offset, rate, latency, entries
+        )
+    if episode_end[keep - 1] >= _EXACT:
+        return None
+
+    # ---- second pass: absolute floats, every decision checked ----
+    n = offset[-1]
+    base = np.empty(keep)
+    base[0] = prev
+    base[1:] = episode_end[:keep - 1]
+    base = base[order]
+    core = base.copy()
+    arrivals = np.empty(n)
+    wastes = np.empty(n)
+    done = np.empty(n)
+    for t, c in enumerate(running[:-1]):
+        c_next = running[t + 1]
+        o = offset[t]
+        a = core[:c] + g[o:o + c]
+        slot = base[:c] + slots[o:o + c]
+        np.subtract(slot, a, out=wastes[o:o + c])
+        np.add(slot, latency, out=done[o:o + c])
+        arrivals[o:o + c] = a
+        if c_next:
+            stores = a[:c_next]
+            if t >= entries:
+                back = done[offset[t - entries]:offset[t - entries] + c_next]
+                stall = back > stores
+                if (stall != stalled[o:o + c_next]).any():
+                    return None
+                core[:c_next] = np.where(stall, back, stores)
+            else:
+                core[:c_next] = stores
+    # Each slot is at or after its arrival (no dummy left before it), and
+    # the k-th dummy was due: slot - step < arrival, which a wait below
+    # `step` implies (rounding can only make this check stricter).
+    fired = dummies > 0.0
+    if wastes.min() < 0.0 or (fired & (wastes >= step)).any():
+        return None
+    # With no dummy fired, the scalar charges the rate if the request
+    # queued behind real work (Req 3: arrival <= prev, a wait of at least
+    # the rate) and the wait otherwise (Req 1): the smaller, to the bit.
+    # After dummies it charges the wait (Req 1/2).
+    wastes = np.where(fired, wastes, np.minimum(wastes, float(rate)))
+
+    completions = np.empty(n)
+    completions[layout] = done
+    in_order = np.empty(n)
+    in_order[layout] = wastes
+    # The write buffer keeps the last episode's stores that neither
+    # drained at its last store's arrival nor were popped by a stall.
+    buffer = None
+    with_stores = np.flatnonzero(lengths > 1)
+    if len(with_stores):
+        last = int(with_stores[-1])
+        first, stop = int(starts[last]), int(ends[last])
+        lane = int(np.flatnonzero(order == last)[0])
+        last_arrival = arrivals[offset[stop - 1 - first] + lane]
+        store_done = completions[first:stop]
+        drained = int(np.searchsorted(store_done[:-1], last_arrival, side="right"))
+        keep_from = max(drained, len(store_done) - entries)
+        buffer = store_done[keep_from:].astype(np.int64).tolist()
+    return _Episodes(
+        keep, n, completions, in_order, int(dummies.sum()),
+        int(episode_end[keep - 1]), buffer,
+    )
 
 
 # ----------------------------------------------------------------------

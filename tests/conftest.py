@@ -54,15 +54,40 @@ LOCKSTEP_ROUTINGS = {
     "always": {"LOCKSTEP_MIN_HEADS": 0, "LOCKSTEP_MIN_WIDTH": 0, "_HIT_DENSE": 2.0},
 }
 
+#: The routings the slot replay machines are tested under, as the
+#: constants of :mod:`repro.sim.timing` each patches: "never" serves
+#: every request in the per-request loop; "always" replays every run of
+#: whole episodes in lockstep (any chunk, any epoch room, any width), in
+#: windows of at most 64 requests so that short traces cross windows.
+REPLAY_ROUTINGS = {
+    "never": {"LOCKSTEP_MIN_REQUESTS": 1 << 62},
+    "always": {
+        "LOCKSTEP_MIN_REQUESTS": 0,
+        "LOCKSTEP_MIN_WIDTH": 0,
+        "LOCKSTEP_WINDOW_REQUESTS": 64,
+    },
+}
+
 
 @contextmanager
+def _patched(module, constants: dict):
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(module, name, value)
+        yield
+
+
 def _forced_routing(routing: str):
     from repro.cache import vectorized
 
-    with pytest.MonkeyPatch.context() as patch:
-        for name, value in LOCKSTEP_ROUTINGS[routing].items():
-            patch.setattr(vectorized, name, value)
-        yield
+    return _patched(vectorized, LOCKSTEP_ROUTINGS[routing])
+
+
+def _forced_replay_routing(routing: str):
+    """Patch :mod:`repro.sim.timing` to one of :data:`REPLAY_ROUTINGS`."""
+    from repro.sim import timing
+
+    return _patched(timing, REPLAY_ROUTINGS[routing])
 
 
 @pytest.fixture(params=list(LOCKSTEP_ROUTINGS))
@@ -81,6 +106,26 @@ def each_routing():
     def run(check) -> None:
         for routing in LOCKSTEP_ROUTINGS:
             with _forced_routing(routing):
+                check()
+
+    return run
+
+
+@pytest.fixture(params=list(REPLAY_ROUTINGS))
+def replay_routing(request):
+    """Run the test once under each slot-replay routing; yields its name."""
+    with _forced_replay_routing(request.param):
+        yield request.param
+
+
+@pytest.fixture(scope="session")
+def each_replay_routing():
+    """``each_replay_routing(check)`` calls ``check()`` once under each
+    slot-replay routing, inside one hypothesis example."""
+
+    def run(check) -> None:
+        for routing in REPLAY_ROUTINGS:
+            with _forced_replay_routing(routing):
                 check()
 
     return run

@@ -8,7 +8,8 @@ with the same ``checksum()`` as the scalar oracle's in-memory pass
 (:func:`simulate_hierarchy` in reference mode), with the fast machine's
 lockstep mode forced off and forced on, and the timing replay must
 produce the same cycles, counters, epoch history, and power as
-:func:`run_timing`.  Chunk boundaries are an implementation detail;
+:func:`run_timing`, with the slot machines' episode lockstep forced off
+and forced on.  Chunk boundaries are an implementation detail;
 these properties make that a theorem.
 """
 
@@ -119,6 +120,7 @@ class TestFunctionalStreaming:
         assert streamed.checksum() == oracle(workload_trace).checksum()
 
 
+@pytest.mark.usefixtures("replay_routing")
 class TestTimingStreaming:
     @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
     @pytest.mark.parametrize("mode", ["fast", "reference"])

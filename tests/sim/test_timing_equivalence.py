@@ -5,7 +5,9 @@ produce a SimResult bit-identical to ``mode="reference"``: same cycles,
 same controller counters (including the float waste accumulator), same
 epoch history, and byte-identical per-request completion arrays.  Small
 epoch schedules force many rate transitions; a 1-entry write buffer
-forces the full-buffer stall paths.
+forces the full-buffer stall paths.  Every case runs with the slot
+machines' episode lockstep forced off and forced on (the
+``replay_routing`` fixtures of ``tests/conftest.py``).
 """
 
 import numpy as np
@@ -88,14 +90,17 @@ class TestPropertyEquivalence:
         record=st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_any_trace_any_scheme(self, gaps, blocking, scheme_index, entries, record):
+    def test_any_trace_any_scheme(
+        self, each_replay_routing, gaps, blocking, scheme_index, entries, record
+    ):
         miss_trace = make_miss_trace(gaps, blocking)
-        assert_replay_identical(
+        each_replay_routing(lambda: assert_replay_identical(
             miss_trace, SCHEMES[scheme_index],
             entries=entries, record_requests=record,
-        )
+        ))
 
 
+@pytest.mark.usefixtures("replay_routing")
 class TestStallPaths:
     def test_flat_dram_full_buffer_falls_back(self):
         """Zero-gap non-blocking bursts overflow the write buffer; the
@@ -120,6 +125,7 @@ class TestStallPaths:
         )
 
 
+@pytest.mark.usefixtures("replay_routing")
 class TestDummyAndEpochPaths:
     def test_long_idle_gap_fires_many_dummies(self):
         """A single huge gap covers thousands of dummy slots — the
