@@ -193,6 +193,23 @@ def knee_point(front: Sequence[FrontierPoint]) -> FrontierPoint:
     return min(front, key=lambda p: (distance(p), p.scheme_spec))
 
 
+def exact_mean(values: Iterable) -> float:
+    """:func:`statistics.mean`, without its Fraction arithmetic.
+
+    Finite floats are dyadic rationals: scaled to their largest (power of
+    two) denominator, they sum exactly as integers, and int true division
+    rounds correctly, so the result is the same correctly rounded exact
+    mean.  Empty input, and any value that is not a finite float, goes to
+    :func:`statistics.mean` itself.
+    """
+    values = list(values)
+    if not values or not all(type(v) is float and math.isfinite(v) for v in values):
+        return mean(values)
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return sum(num * (den // d) for num, d in ratios) / (den * len(values))
+
+
 @lru_cache(maxsize=4096)
 def _lattice_coordinates(scheme_spec: str) -> tuple[int | None, int | None, str | None]:
     """(|R|, growth, learner) for dynamic schemes, Nones otherwise."""
@@ -259,8 +276,8 @@ def frontier_points(
                 scheme_spec=scheme_spec,
                 scheme_name=rows[0].scheme_name,
                 leakage_bits=rows[0].oram_timing_leakage_bits,
-                slowdown=mean(ratios),
-                power_watts=mean(row.power_watts for row in rows),
+                slowdown=exact_mean(ratios),
+                power_watts=exact_mean(row.power_watts for row in rows),
                 n_rates=n_rates,
                 growth=growth,
                 learner=learner,
@@ -510,8 +527,8 @@ def frontier_from_resultset(
             scheme_spec=spec,
             scheme_name=points[0].scheme_name,
             leakage_bits=points[0].leakage_bits,
-            slowdown=mean(p.slowdown for p in points),
-            power_watts=mean(p.power_watts for p in points),
+            slowdown=exact_mean(p.slowdown for p in points),
+            power_watts=exact_mean(p.power_watts for p in points),
             n_rates=points[0].n_rates,
             growth=points[0].growth,
             learner=points[0].learner,

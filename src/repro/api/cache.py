@@ -187,23 +187,27 @@ class ResultCache:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        # Entry paths as plain strings: a lookup is one ``os.open``, and a
+        # sweep's fresh cells all miss.
+        self._prefix = os.path.join(self.root, "")
 
     def _path(self, cell_hash: str) -> Path:
         return self.root / f"{cell_hash}.json"
 
     def get(self, cell_hash: str) -> RunRecord | None:
         """Load a record; None on miss, quarantine-then-None on corruption."""
-        path = self._path(cell_hash)
         try:
-            text = path.read_text()
+            fd = os.open(f"{self._prefix}{cell_hash}.json", os.O_RDONLY)
+            with os.fdopen(fd, "rb") as handle:
+                payload = handle.read()
         except OSError:
             return None  # plain miss
         try:
-            return RunRecord.from_dict(json.loads(text))
+            return RunRecord.from_dict(json.loads(payload))
         except (ValueError, TypeError, KeyError):
             # Bad JSON, wrong schema/shape, zero-length file: quarantine
             # and let the engine recompute the cell.
-            quarantine_artifact(path)
+            quarantine_artifact(self._path(cell_hash))
             return None
 
     def put(self, cell_hash: str, record: RunRecord) -> None:

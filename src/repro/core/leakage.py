@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.epochs import EpochSchedule, PAPER_TMAX
 from repro.util.validation import check_positive
@@ -256,10 +257,15 @@ class LeakageReport:
         return self.oram_timing_bits + self.termination_bits
 
 
+@lru_cache(maxsize=1024)
 def report_for_dynamic(
     schedule: EpochSchedule, n_rates: int, discretize_to_cycles: int = 1
 ) -> LeakageReport:
-    """Leakage report for a dynamic configuration (e.g. R4/E4 -> 32+62)."""
+    """Leakage report for a dynamic configuration (e.g. R4/E4 -> 32+62).
+
+    Memoized per argument: reports are frozen, and a sweep asks for the
+    same few once per cell.
+    """
     return LeakageReport(
         scheme=f"dynamic_R{n_rates}_E{schedule.growth}",
         oram_timing_bits=dynamic_timing_leakage_bits(schedule.max_epochs, n_rates),
@@ -269,8 +275,9 @@ def report_for_dynamic(
     )
 
 
+@lru_cache(maxsize=16)
 def report_for_static(tmax_cycles: int = PAPER_TMAX) -> LeakageReport:
-    """Leakage report for any static-rate scheme (0 + 62 bits)."""
+    """Leakage report for any static-rate scheme (0 + 62 bits), memoized."""
     return LeakageReport(
         scheme="static",
         oram_timing_bits=static_timing_leakage_bits(),

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.controller import (
     FlatDramController,
@@ -407,9 +408,17 @@ def scheme_from_spec(spec: str):
     0.0
 
     Raises ValueError with the accepted grammar for anything else.
+    Schemes are frozen, so equal strings share one parsed scheme; each
+    ``build_controller()`` call still builds a fresh controller.
     """
     if not isinstance(spec, str) or not spec:
         raise ValueError(f"scheme spec must be a non-empty string, got {spec!r}")
+    return _parse_scheme(spec)
+
+
+@lru_cache(maxsize=4096)
+def _parse_scheme(spec: str):
+    """:func:`scheme_from_spec` of a non-empty string, memoized."""
     head, _, arg = spec.partition(":")
     if head == "base_dram" and not arg:
         return BaseDramScheme()

@@ -63,7 +63,9 @@ the slot-controller state of every configuration held in
 ``(n_configs,)`` numpy arrays advanced in lockstep — the frontier
 sweep's workhorse, bit-identical per config to ``run_timing`` (the
 per-scheme replay stays the oracle, enforced by
-``tests/sim/test_batch_equivalence.py``).  A cost rule
+``tests/sim/test_batch_equivalence.py``).  Its epoch transitions call
+each crossing config's own learner, as the scalar controller does, and
+its closed-form attempts back off after failures.  A cost rule
 (:func:`batch_pays`) decides per call whether the lockstep batch or one
 single-config replay per scheme is cheaper; the two are bit-identical,
 so the rule only moves time.  The batched kernel assumes the usual
@@ -86,7 +88,7 @@ from repro.core.controller import (
     TimingProtectedController,
     UnprotectedController,
 )
-from repro.core.learner import decide_batch
+from repro.core.counters import PerfCounters
 from repro.cpu.trace import MissTrace
 from repro.power.coefficients import PAPER_COEFFICIENTS
 from repro.power.model import (
@@ -132,7 +134,18 @@ def run_timing(
 
 #: The two constants of :func:`batch_pays`'s rule.
 BATCH_MIN_CONFIGS = 8
-BATCH_SPARSE_CONFIGS = 200
+BATCH_SPARSE_CONFIGS = 100
+
+#: The batched kernel replays a stretch of requests in closed form only
+#: if it holds at least this many (below that, per-request stepping is
+#: cheaper) ...
+BATCH_RUN_MIN = 4
+#: ... and certifies at most this many per attempt.  An attempt that
+#: certifies nothing delays the next one by ``BATCH_BACKOFF_FIRST``
+#: requests, a delay that doubles with each failure in a row and resets
+#: on the next certified run (calibration: DESIGN.md "Small batches").
+BATCH_RUN_CHUNK = 256
+BATCH_BACKOFF_FIRST = 1
 
 
 def batch_pays(miss_trace: MissTrace, controllers) -> bool:
@@ -146,9 +159,11 @@ def batch_pays(miss_trace: MissTrace, controllers) -> bool:
     gaps longer than the smallest rate any config can run at (a static
     config's rate; a dynamic config's initial or fastest candidate
     rate).  The batch runs only when ``n >= BATCH_MIN_CONFIGS +
-    BATCH_SPARSE_CONFIGS * s`` (8 + 200·s).  The rule reads only its
-    inputs, and both paths are bit-identical, so the choice moves time,
-    never a result (calibration: DESIGN.md "Small batches").
+    BATCH_SPARSE_CONFIGS * s`` (8 + 100·s): a wide grid batches on any
+    trace (n >= 108 clears every s <= 1), a figure's few configs never
+    do on a sparse one.  The rule reads only its inputs, and both paths
+    are bit-identical, so the choice moves time, never a result
+    (calibration: DESIGN.md "Small batches").
     """
     n = len(controllers)
     if n < BATCH_MIN_CONFIGS:
@@ -175,12 +190,12 @@ def run_timing_batch(
     configuration, so the config-batched kernel carries the
     configuration axis as a numpy dimension — ``(n_configs,)`` arrays
     for rate, timeline, epoch boundary, and counters, advanced in
-    lockstep over the shared requests, with epoch transitions applied
-    as masked per-config updates decided by
-    :func:`repro.core.learner.decide_batch`.  The slot schemes replay
-    through it when :func:`batch_pays` says the batch is cheaper (many
-    configs over a dense trace); otherwise each replays on its
-    single-config machine.  Schemes without a slot controller
+    lockstep over the shared requests; an epoch transition runs each
+    crossing config's own learner on the counters its scalar controller
+    would hold.  The slot schemes replay through it when
+    :func:`batch_pays` says the batch is cheaper (a wide grid on any
+    trace, a few configs only on a dense one); otherwise each replays
+    on its single-config machine.  Schemes without a slot controller
     (``base_dram``/``base_oram``) always take their own machines, and
     ``mode="reference"`` delegates every scheme to the scalar oracle.
 
@@ -1131,7 +1146,10 @@ def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
     comparisons, exactly as in the single-config kernels.  The dummy
     counts per idle window use the same estimate-then-correct scheme as
     the scalar kernel — the correction comparisons pin a unique exact
-    count, so the float estimate never leaks into the result.
+    count, so the float estimate never leaks into the result.  An epoch
+    transition is rare (a few configs cross at a time), so it runs each
+    crossing config's own ``learner.decide`` on the counters its scalar
+    controller would hold: the oracle's own arithmetic, per config.
 
     The write buffer is a per-config ring of the last ``entries``
     non-blocking completions: completions are strictly increasing, so
@@ -1152,19 +1170,32 @@ def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
     blocking = blocking_np.tolist()
     n = len(gaps)
 
-    lat = np.array([float(c.latency) for c in controllers])
+    latencies = [c.latency for c in controllers]
+    lat = np.array(latencies, dtype=np.float64)
     rate = np.array([float(c.rate) for c in controllers])
     step = rate + lat
-    schedules = [c.schedule for c in controllers]
-    learners = [c.learner for c in controllers]
-    has_sched = np.array([s is not None for s in schedules])
+    # Epoch lengths as floats: one memo per schedule, shared by the
+    # configs that run it and extended on demand (None: a static config).
+    memos: dict = {}
+    lengths = [
+        None if c.schedule is None else memos.setdefault(c.schedule, [])
+        for c in controllers
+    ]
+    has_sched = np.array([memo is not None for memo in lengths])
     any_sched = bool(has_sched.any())
+
+    def epoch_length(c: int, index: int) -> float:
+        memo = lengths[c]
+        while len(memo) <= index:
+            memo.append(float(controllers[c].schedule.epoch_length(len(memo))))
+        return memo[index]
+
     # Static configs park their boundary at +inf: `prev >= epoch_end`
     # is then never true and the transition machinery skips them.
-    epoch_end = np.array(
-        [float(s.epoch_length(0)) if s is not None else np.inf for s in schedules]
-    )
-    epoch_index = np.zeros(n_cfg, dtype=np.int64)
+    epoch_end = np.array([
+        np.inf if lengths[c] is None else epoch_length(c, 0) for c in range(n_cfg)
+    ])
+    epoch_index = [0] * n_cfg
 
     prev = np.zeros(n_cfg)
     slot = prev + rate
@@ -1177,7 +1208,7 @@ def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
     # float accumulator (reset at transitions, so the run total is a
     # second, never-reset accumulator — float addition order matters).
     ctr_waste = np.zeros(n_cfg)
-    served_at_reset = np.zeros(n_cfg, dtype=np.int64)
+    served_at_reset = [0] * n_cfg
     total_waste = np.zeros(n_cfg)
     dummies = np.zeros(n_cfg)
     served = 0
@@ -1190,37 +1221,31 @@ def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
     completions_out = np.zeros((n_cfg, n)) if record_requests else None
 
     def transition(mask) -> None:
-        """One epoch transition for every config in ``mask``."""
-        idx = np.flatnonzero(mask)
-        access = (served - served_at_reset[idx]).astype(np.float64)
-        oram_cycles = access * lat[idx]
-        epoch_cycles = np.array(
-            [float(schedules[c].epoch_length(int(epoch_index[c]))) for c in idx]
-        )
-        raw, chosen = decide_batch(
-            [learners[c] for c in idx],
-            served - served_at_reset[idx],
-            ctr_waste[idx],
-            oram_cycles,
-            epoch_cycles,
-        )
-        served_at_reset[idx] = served
-        ctr_waste[idx] = 0.0
-        epoch_index[idx] += 1
-        epoch_start = epoch_end[idx]
-        rate[idx] = chosen
-        step[idx] = rate[idx] + lat[idx]
-        next_length = np.array(
-            [float(schedules[c].epoch_length(int(epoch_index[c]))) for c in idx]
-        )
-        epoch_end[idx] = epoch_start + next_length
-        for j, c in enumerate(idx):
+        """One epoch transition for every config in ``mask``, each through
+        its own learner's ``decide``: the scalar controller's arithmetic,
+        on the counters it would hold."""
+        for c in np.flatnonzero(mask).tolist():
+            index = epoch_index[c]
+            access = served - served_at_reset[c]
+            counters = PerfCounters(
+                access_count=access,
+                oram_cycles=float(access * latencies[c]),
+                waste=float(ctr_waste[c]),
+            )
+            decision = controllers[c].learner.decide(counters, epoch_length(c, index))
+            served_at_reset[c] = served
+            ctr_waste[c] = 0.0
+            epoch_index[c] = index + 1
+            epoch_start = float(epoch_end[c])
+            rate[c] = decision.chosen_rate
+            step[c] = rate[c] + lat[c]
+            epoch_end[c] = epoch_start + epoch_length(c, index + 1)
             controllers[c].epochs.append(
                 EpochRecord(
-                    index=int(epoch_index[c]),
-                    start_cycle=float(epoch_start[j]),
-                    rate=int(chosen[j]),
-                    raw_estimate=float(raw[j]),
+                    index=index + 1,
+                    start_cycle=epoch_start,
+                    rate=decision.chosen_rate,
+                    raw_estimate=decision.raw_estimate,
                 )
             )
 
@@ -1327,7 +1352,7 @@ def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
             if margin < m:
                 m = int(margin) + 1
                 margin_capped = True
-                if m < run_min:
+                if m < BATCH_RUN_MIN:
                     return 0, start + 1
         g_row = gaps_np[start:start + m]
         blk_row = blocking_np[start:start + m]
@@ -1390,7 +1415,7 @@ def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
                 live = wb_cols >= (entries - wb_count)[:, None]
                 col_ok[0] &= bool((~live | (wb <= arrival[:, 0:1])).all())
         m_cert = m if col_ok.all() else int(np.argmin(col_ok))
-        if m_cert < run_min:
+        if m_cert < BATCH_RUN_MIN:
             return 0, start + m_cert + 1
         if m_cert < m:
             blk_row = blk_row[:m_cert]
@@ -1435,21 +1460,26 @@ def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
     # The serve loop.  Two execution grains: closed-form runs between
     # epoch boundaries (``try_run``), and per-request stepping over
     # ``(n_configs,)`` arrays for everything the certification rejects
-    # (dummy windows, boundary crossings, buffer drains).
-    run_min = 4  # below this, per-request stepping is cheaper
-    run_chunk = 256  # certification window per attempt
+    # (dummy windows, boundary crossings, buffer drains).  An attempt
+    # that certifies nothing delays the next by ``backoff`` requests,
+    # which doubles with each failure in a row until a run certifies.
+    backoff = BATCH_BACKOFF_FIRST
     no_attempt_before = 0
     i = 0
     while i < n:
         if all_real and i >= no_attempt_before:
             candidate = n - i
-            if candidate > run_chunk:
-                candidate = run_chunk
-            if candidate >= run_min:
+            if candidate > BATCH_RUN_CHUNK:
+                candidate = BATCH_RUN_CHUNK
+            if candidate >= BATCH_RUN_MIN:
                 consumed, no_attempt_before = try_run(i, candidate)
                 if consumed:
+                    backoff = BATCH_BACKOFF_FIRST
                     i += consumed
                     continue
+                if no_attempt_before < i + backoff:
+                    no_attempt_before = i + backoff
+                backoff *= 2
         arrival = core + gaps[i]
         # ---- serve(arrival) ----
         stale = bool((slot < arrival).any())
@@ -1502,7 +1532,7 @@ def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
     out = []
     for j, controller in enumerate(controllers):
         controller.rate = int(rate[j])
-        access = served - int(served_at_reset[j])
+        access = served - served_at_reset[j]
         counters = controller.counters
         counters.access_count = access
         counters.oram_cycles = float(access * controller.latency)

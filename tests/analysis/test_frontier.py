@@ -12,13 +12,14 @@ clouds:
   the same two objectives, and with the quadratic scan it replaced
   (:func:`reference_pareto_set`) on 2 and 3 objectives;
 * a whole report agrees with one built from ``ResultSet.select``/``get``
-  queries, each benchmark entry matched on its exact input.
+  queries, each benchmark entry matched on its exact input;
+* its means (:func:`exact_mean`) are :func:`statistics.mean`'s, to the bit.
 """
 
 import json
 import math
 import random
-from statistics import mean
+from statistics import StatisticsError, mean
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from repro.analysis.frontier import (
     BenchmarkFrontier,
     FrontierPoint,
     FrontierReport,
+    exact_mean,
     frontier_from_resultset,
     knee_point,
     pareto_front,
@@ -448,3 +450,48 @@ class TestBareEntryUsesItsOwnRows:
             p.scheme_spec: p.slowdown for p in report.benchmarks["astar/biglakes"].points
         }
         assert bare["dynamic:4x4"] != named["dynamic:4x4"]
+
+
+def _same_float(got, want) -> bool:
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+#: Finite floats of every magnitude: subnormals, huge exponents, both signs.
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SUBNORMAL = st.integers(-(2**52) + 1, 2**52 - 1).map(lambda m: math.ldexp(m, -1074))
+_HUGE = st.floats(1e300, 1.7976931348623157e308).flatmap(
+    lambda v: st.sampled_from([v, -v])
+)
+
+
+class TestExactMean:
+    """``exact_mean`` is ``statistics.mean``, correctly rounded, to the bit."""
+
+    @given(st.lists(st.one_of(_ANY_FINITE, _SUBNORMAL, _HUGE), min_size=1, max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_statistics_mean(self, values):
+        assert _same_float(exact_mean(values), mean(values))
+
+    @given(
+        st.lists(_SUBNORMAL, min_size=1, max_size=8),
+        st.lists(_HUGE, min_size=1, max_size=8),
+        st.lists(st.floats(0.5, 50.0), min_size=1, max_size=8),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_magnitudes(self, tiny, huge, ordinary, rng):
+        values = tiny + huge + ordinary
+        rng.shuffle(values)
+        assert _same_float(exact_mean(values), mean(values))
+        assert _same_float(exact_mean(tiny + ordinary), mean(tiny + ordinary))
+
+    def test_generator_input(self):
+        values = [1.0, 2.0, 4.0]
+        assert exact_mean(v for v in values) == mean(values)
+
+    def test_falls_back_outside_finite_floats(self):
+        assert exact_mean([1, 2]) == mean([1, 2]) == 1.5
+        assert math.isinf(exact_mean([1.0, math.inf]))
+        assert math.isnan(exact_mean([1.0, math.nan]))
+        with pytest.raises(StatisticsError):
+            exact_mean([])

@@ -69,6 +69,18 @@ REPLAY_ROUTINGS = {
 }
 
 
+#: The closed-form attempt settings the config-batched kernel is tested
+#: under, as the constants of :mod:`repro.sim.timing` each patches:
+#: "every" attempts a closed-form run at every request it may (runs of
+#: any length, no back-off); "backoff" keeps the module's calibrated
+#: constants; "none" steps every request.
+BATCH_ATTEMPTS = {
+    "every": {"BATCH_RUN_MIN": 1, "BATCH_BACKOFF_FIRST": 0},
+    "backoff": {},
+    "none": {"BATCH_RUN_MIN": 1 << 62},
+}
+
+
 @contextmanager
 def _patched(module, constants: dict):
     with pytest.MonkeyPatch.context() as patch:
@@ -88,6 +100,13 @@ def _forced_replay_routing(routing: str):
     from repro.sim import timing
 
     return _patched(timing, REPLAY_ROUTINGS[routing])
+
+
+def _forced_batch_attempts(setting: str):
+    """Patch :mod:`repro.sim.timing` to one of :data:`BATCH_ATTEMPTS`."""
+    from repro.sim import timing
+
+    return _patched(timing, BATCH_ATTEMPTS[setting])
 
 
 @pytest.fixture(params=list(LOCKSTEP_ROUTINGS))
@@ -126,6 +145,19 @@ def each_replay_routing():
     def run(check) -> None:
         for routing in REPLAY_ROUTINGS:
             with _forced_replay_routing(routing):
+                check()
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def each_batch_attempts():
+    """``each_batch_attempts(check)`` calls ``check()`` once under each
+    closed-form attempt setting, inside one hypothesis example."""
+
+    def run(check) -> None:
+        for setting in BATCH_ATTEMPTS:
+            with _forced_batch_attempts(setting):
                 check()
 
     return run

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.controller import (
+    EpochRecord,
     FlatDramController,
     TimingProtectedController,
     UnprotectedController,
@@ -135,3 +136,25 @@ class TestSchemeFromSpec:
     def test_error_lists_grammar(self):
         with pytest.raises(ValueError, match="accepted forms"):
             scheme_from_spec("nope")
+
+    def test_rejects_non_strings(self):
+        for bad in (None, 300, ["static:300"], ("dynamic:4x4",)):
+            with pytest.raises(ValueError, match="non-empty string"):
+                scheme_from_spec(bad)
+
+    @pytest.mark.parametrize(
+        "spec", ["static:300", "dynamic:4x4", "dynamic:6x2:threshold", "oblivious_dram:2x4"]
+    )
+    def test_equal_specs_give_equal_schemes_with_independent_controllers(self, spec):
+        first, again = scheme_from_spec(spec), scheme_from_spec(spec)
+        assert first == again
+        one, other = first.build_controller(), again.build_controller()
+        assert one is not other
+        assert one.counters is not other.counters
+        assert one.epochs is not other.epochs
+        assert (one.learner is None) == (other.learner is None)
+        if one.learner is not None:
+            assert one.learner is not other.learner
+        one.serve(10_000.0)
+        assert other.stats.real_accesses == 0
+        assert other.rate_history == [EpochRecord(index=0, start_cycle=0.0, rate=other.rate)]

@@ -15,10 +15,13 @@ a 1-entry write buffer (store stretches pop immediately).
 kernel itself, and the router is tested on both sides of the rule.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.figures import FIG5_RATES, FIG6_BENCHMARKS, FIG6_SCHEMES
 from repro.core.epochs import EpochSchedule
 from repro.core.scheme import (
     BaseDramScheme,
@@ -188,16 +191,57 @@ class TestPropertyEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_any_trace_any_batch_through_batched_kernel(
-        self, gaps, blocking, scheme_indices, entries, record
+        self, each_batch_attempts, gaps, blocking, scheme_indices, entries, record
     ):
-        """The batched kernel stays exact wherever the rule would route."""
+        """The batched kernel stays exact wherever the rule would route,
+        with closed-form attempts at every request, backed off, or none."""
         miss_trace = make_miss_trace(gaps, blocking)
         schemes = [SLOT_POOL[i] for i in scheme_indices]
-        assert_matches_oracle(
+        each_batch_attempts(lambda: assert_matches_oracle(
             miss_trace, schemes,
             batched_kernel(miss_trace, schemes, entries, record),
             entries, record,
-        )
+        ))
+
+    @given(
+        gaps=st.lists(
+            st.one_of(
+                st.floats(0.0, 3000.0, allow_nan=False),
+                st.integers(0, 60).map(float),
+            ),
+            min_size=1, max_size=120,
+        ),
+        blocking=st.lists(st.booleans(), min_size=120, max_size=120),
+        configs=st.lists(
+            st.tuples(
+                st.integers(5, 60),  # initial rate
+                st.sampled_from([7, 11, 37]),  # latency
+                st.sampled_from(["averaging", "threshold"]),
+            ),
+            min_size=2, max_size=12,
+        ),
+        entries=st.sampled_from([1, 8]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fast_epochs_through_batched_kernel(
+        self, each_batch_attempts, gaps, blocking, configs, entries
+    ):
+        """Many epoch transitions per batch, several configs crossing at
+        once: each decision is its own learner's, under every attempt
+        setting."""
+        miss_trace = make_miss_trace(gaps, blocking)
+        schemes = [
+            DynamicScheme(
+                schedule=FAST_EPOCHS, initial_rate=rate, oram_latency=latency,
+                learner_kind=learner,
+            )
+            for rate, latency, learner in configs
+        ]
+        each_batch_attempts(lambda: assert_matches_oracle(
+            miss_trace, schemes,
+            batched_kernel(miss_trace, schemes, entries),
+            entries, True,
+        ))
 
 
 def _count_batches(monkeypatch) -> list:
@@ -222,8 +266,18 @@ def _workload_trace(benchmark, input_name=None):
 FRONTIER_GRID_115 = FrontierConfig().schemes()[1:]
 
 
+def _figure_traces(n_instructions):
+    """The traces of Figures 5 and 6 at one budget, by benchmark entry."""
+    sim = SecureProcessorSim(SimConfig(n_instructions=n_instructions))
+    return {
+        bench if input_name is None else f"{bench}/{input_name}":
+            sim.miss_trace(bench, input_name)
+        for bench, input_name in FIG6_BENCHMARKS
+    }
+
+
 class TestRouting:
-    """Both sides of ``n >= 8 + 200*s``: the path taken, and bit-identity."""
+    """Both sides of ``n >= 8 + 100*s``: the path taken, and bit-identity."""
 
     def test_figure6_batch_on_a_sparse_trace_replays_single(self, monkeypatch):
         miss_trace = _workload_trace("gobmk")
@@ -243,22 +297,45 @@ class TestRouting:
         assert_batch_identical(miss_trace, schemes, record_requests=False)
         assert calls == [16]
 
-    def test_frontier_grid_on_h264ref_replays_single(self, monkeypatch):
-        miss_trace = _workload_trace("h264ref")
+    @pytest.mark.parametrize("entry", ["h264ref", "astar/rivers"])
+    def test_frontier_grid_on_sparse_traces_batches(self, monkeypatch, entry):
+        """The 115-config frontier grid batches on the sparsest frontier
+        traces too (n = 115 clears 8 + 100·s for any s <= 1)."""
+        name, _, input_name = entry.partition("/")
+        miss_trace = _workload_trace(name, input_name or None)
         schemes = [scheme_from_spec(spec) for spec in FRONTIER_GRID_115]
         assert len(schemes) == 115
         calls = _count_batches(monkeypatch)
         assert_batch_identical(miss_trace, schemes, record_requests=False)
-        assert calls == []
+        assert calls == [115]
+
+    @pytest.mark.parametrize("n_instructions", [40_000, 100_000])
+    def test_figure_slot_sets_replay_single(self, n_instructions):
+        """Figure 5's twelve statics on mcf and h264ref, and Figure 6's
+        four slot schemes on its eleven traces, replay singly at the
+        budgets the figure service (40k) and the work-queue fleet (100k)
+        run them at."""
+        traces = _figure_traces(n_instructions)
+        fig5 = [StaticScheme(rate=rate) for rate in FIG5_RATES]
+        fig6 = [
+            scheme_from_spec(spec) for spec in FIG6_SCHEMES
+            if not spec.startswith("base")
+        ]
+        for entry in ("mcf", "h264ref"):
+            controllers = [scheme.build_controller() for scheme in fig5]
+            assert not batch_pays(traces[entry], controllers), entry
+        for entry, miss_trace in traces.items():
+            controllers = [scheme.build_controller() for scheme in fig6]
+            assert not batch_pays(miss_trace, controllers), entry
 
     def test_rule_boundary_is_exact(self):
-        """With 5 of 100 gaps above the rate, 18 configs batch and 17 do not."""
+        """With 5 of 100 gaps above the rate, the rule's threshold batches
+        and one config fewer does not."""
         miss_trace = make_miss_trace([10.0] * 95 + [500.0] * 5, [True] * 100)
-        threshold = BATCH_MIN_CONFIGS + BATCH_SPARSE_CONFIGS * 0.05
-        assert threshold == 18
+        threshold = math.ceil(BATCH_MIN_CONFIGS + BATCH_SPARSE_CONFIGS * 5 / 100)
         static = StaticScheme(rate=300, oram_latency=37)
-        assert batch_pays(miss_trace, [static.build_controller()] * 18)
-        assert not batch_pays(miss_trace, [static.build_controller()] * 17)
+        assert batch_pays(miss_trace, [static.build_controller()] * threshold)
+        assert not batch_pays(miss_trace, [static.build_controller()] * (threshold - 1))
 
     def test_the_smallest_rate_sets_the_sparsity(self):
         """A dynamic config's fastest candidate rate counts, not its start."""
@@ -285,23 +362,27 @@ class TestBatchShapes:
         miss_trace = make_miss_trace([100.0, 3.5, 0.0, 9000.0], [True] * 4)
         assert_batch_identical(miss_trace, [StaticScheme(rate=300)])
 
-    def test_singleton_batch_through_batched_kernel(self):
+    def test_singleton_batch_through_batched_kernel(self, each_batch_attempts):
         """The batched kernel itself is exact at n_configs == 1."""
         miss_trace = make_miss_trace(
             [50.0] * 30 + [100_000.0] + [10.0] * 30,
             ([True, True, False] * 21)[:61],
         )
         scheme = DynamicScheme(schedule=FAST_EPOCHS, initial_rate=25, oram_latency=37)
-        controller = scheme.build_controller()
-        end_time, completions = _replay_slotted_batch(
-            miss_trace, [controller], entries=8, record_requests=True
-        )[0]
         want = run_timing(miss_trace, scheme)
-        assert end_time == pytest.approx(want.cycles, abs=0)
-        assert completions.tobytes() == want.request_completion_times.tobytes()
-        assert controller.stats.dummy_accesses == want.controller.dummy_accesses
-        assert controller.stats.total_waste == want.controller.total_waste
-        assert controller.rate_history == want.epochs
+
+        def check():
+            controller = scheme.build_controller()
+            end_time, completions = _replay_slotted_batch(
+                miss_trace, [controller], entries=8, record_requests=True
+            )[0]
+            assert end_time == pytest.approx(want.cycles, abs=0)
+            assert completions.tobytes() == want.request_completion_times.tobytes()
+            assert controller.stats.dummy_accesses == want.controller.dummy_accesses
+            assert controller.stats.total_waste == want.controller.total_waste
+            assert controller.rate_history == want.epochs
+
+        each_batch_attempts(check)
 
     def test_mixed_static_dynamic_and_baselines(self):
         miss_trace = make_miss_trace(
